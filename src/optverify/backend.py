@@ -108,9 +108,6 @@ class ModelSpec:
 class SolveParams:
     time_limit_s: float = 60.0
     mip_gap: float = 0.01
-    threads: int | None = None
-    seed: int | None = None
-    output_quiet: bool = True
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -124,7 +121,6 @@ class SolveResult:
     status: str
     objective: float | None = None
     values: dict[str, float] = field(default_factory=dict)
-    iis: frozenset[str] = frozenset()
     ray_vars: frozenset[str] = frozenset()
     duality_gap: float | None = None
 
@@ -132,14 +128,10 @@ class SolveResult:
 class HighsBackend:
     """MILP solving via scipy's HiGHS binding.
 
-    Capabilities: milp yes, iis_native no (portable deletion filter),
-    ray_native no (artificial-box probe).  HiGHS runs single-threaded here,
-    so repeated solves of one model are deterministic; the threads/seed
-    params are accepted for interface parity and ignored.
+    IIS comes from a portable deletion filter and unbounded rays from an
+    artificial-box probe.  HiGHS runs single-threaded here, so repeated
+    solves of one model are deterministic.
     """
-
-    name = "highs"
-    capabilities = {"milp": True, "iis_native": False, "ray_native": False}
 
     def solve(self, model: ModelSpec, params: SolveParams = SolveParams()) -> SolveResult:
         model.validate()
@@ -190,7 +182,7 @@ class HighsBackend:
         options = {
             "time_limit": params.time_limit_s,
             "mip_rel_gap": params.mip_gap,
-            "disp": not params.output_quiet,
+            "disp": False,
         }
         try:
             res = milp(
@@ -203,24 +195,17 @@ class HighsBackend:
         except Exception as exc:  # scipy-level failure, not model status
             raise BackendError(f"solver crashed: {exc}") from exc
 
-        if res.status == 0:
-            values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
-            objective = sign * float(res.fun) + model.objective.constant
+        if res.status in (0, 1):
+            status = OPTIMAL if res.status == 0 else TIME_LIMIT
+            if res.x is None:  # time limit before any incumbent
+                return SolveResult(status=status)
             gap = getattr(res, "mip_gap", None)
             return SolveResult(
-                status=OPTIMAL, objective=objective, values=values,
+                status=status,
+                objective=sign * float(res.fun) + model.objective.constant,
+                values={v.name: float(res.x[i]) for i, v in enumerate(model.variables)},
                 duality_gap=float(gap) if gap is not None else None,
             )
-        if res.status == 1:
-            if res.x is not None:
-                values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
-                objective = sign * float(res.fun) + model.objective.constant
-                gap = getattr(res, "mip_gap", None)
-                return SolveResult(
-                    status=TIME_LIMIT, objective=objective, values=values,
-                    duality_gap=float(gap) if gap is not None else None,
-                )
-            return SolveResult(status=TIME_LIMIT)
         if res.status == 2:
             return SolveResult(status=INFEASIBLE)
         if res.status == 3:
@@ -288,12 +273,3 @@ class HighsBackend:
 
 
 DEFAULT_BACKEND = HighsBackend()
-
-_BACKENDS = {"highs": DEFAULT_BACKEND}
-
-
-def get_backend(name: str = "highs") -> HighsBackend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise BackendError(f"unknown backend {name!r}") from None

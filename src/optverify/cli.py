@@ -33,8 +33,8 @@ from .llm import (
     ReplayTransport,
     RetryPolicy,
 )
-from .pipeline import FORMAT_FULL, FORMAT_SCHEMA, run_instance
-from .prompts import split_instance_name
+from .pipeline import run_instance
+from .prompts import PROMPT_FORMATS, SCHEMA_BASED, render_prompt, split_instance_name
 from .reference import ground_truth
 from .scenario import validate_instance
 
@@ -73,7 +73,6 @@ def cmd_ground_truth(args: argparse.Namespace) -> int:
         print(f"no instance files under {args.instances}", file=sys.stderr)
         return EXIT_CONFIG
     results: dict[str, dict] = {}
-    failures = 0
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for name, gt in pool.map(_ground_truth_worker, [str(f) for f in files]):
@@ -145,7 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = ".scenario.txt" if args.format == FORMAT_SCHEMA else ".full.txt"
+    suffix = ".scenario.txt" if args.format == SCHEMA_BASED else ".full.txt"
 
     def run_one(path: Path) -> tuple[str, str]:
         inst = _load_instance(path)
@@ -153,9 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if prompt_path.exists():
             problem = prompt_path.read_text(encoding="utf-8")
         else:
-            from .prompts import DATA_EMBEDDED, SCHEMA_BASED, render_prompt
-            fmt = SCHEMA_BASED if args.format == FORMAT_SCHEMA else DATA_EMBEDDED
-            problem = render_prompt(inst, fmt)
+            problem = render_prompt(inst, args.format)
         client = _build_client(args, llm_config)
         result = run_instance(
             inst, problem, args.format, client,
@@ -253,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the verification pipeline per instance")
     p.add_argument("--instances", required=True)
-    p.add_argument("--format", choices=[FORMAT_SCHEMA, FORMAT_FULL],
-                   default=FORMAT_SCHEMA)
+    p.add_argument("--format", choices=PROMPT_FORMATS, default=SCHEMA_BASED)
     p.add_argument("--provider", help="provider config JSON file")
     p.add_argument("--budget", type=int, help="regeneration and repair budget")
     p.add_argument("--out", required=True, help="run directory")

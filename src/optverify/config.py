@@ -1,38 +1,36 @@
 """Pipeline configuration: one record holding every tunable threshold.
 
 Defaults are the reference operating point: 60 s candidate timeout, 3
-regeneration attempts, 1% duality-gap note, 5%/30% graduated thresholds,
-10 candidates per extraction, repair budget 3, 4% regression guard.  The
-regression guard must stay strictly below the missing-threshold so repair
-drift is caught before it reaches the detection boundary.
+regeneration attempts, 5%/30% graduated thresholds, 10 candidates per
+extraction (each defined by the layer that uses it), repair budget 3, 4%
+regression guard.  The regression guard must stay strictly below the
+missing-threshold so repair drift is caught before it reaches the detection
+boundary.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .diagnostics import MISSING_THRESHOLD, UNCERTAIN_THRESHOLD
 from .errors import ConfigError
-
-_ALIASES = {
-    "timeout": "timeout_s",
-    "regression_guard": "regression_threshold",
-}
+from .l1 import MAX_REGENERATIONS
+from .l2 import MAX_CANDIDATES
+from .runtime import DEFAULT_TIMEOUT_S
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    timeout_s: float = 60.0
-    max_regenerations: int = 3
-    duality_gap_threshold: float = 0.01
-    missing_threshold: float = 0.05
-    uncertain_threshold: float = 0.30
-    max_candidates: int = 10
+    timeout_s: float = DEFAULT_TIMEOUT_S
+    max_regenerations: int = MAX_REGENERATIONS
+    missing_threshold: float = MISSING_THRESHOLD
+    uncertain_threshold: float = UNCERTAIN_THRESHOLD
+    max_candidates: int = MAX_CANDIDATES
     repair_budget: int = 3
     regression_threshold: float = 0.04
-    hybrid_fallback_ratio: float = 0.01
     workers: int = 1
 
     def __post_init__(self):
@@ -54,13 +52,10 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "PipelineConfig":
         known = {f.name for f in fields(cls)}
-        values: dict[str, Any] = {}
-        for key, value in raw.items():
-            name = _ALIASES.get(key, key)
-            if name not in known:
+        for key in raw:
+            if key not in known:
                 raise ConfigError(f"unknown configuration key: {key}")
-            values[name] = value
-        return cls(**values)
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

@@ -108,9 +108,6 @@ class VerificationReport:
             return NEEDS_REPAIR
         return VERIFIED
 
-    def refresh(self) -> None:
-        self.status = self._derive_status()
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "status": self.status,

@@ -53,12 +53,11 @@ class EvalRecord:
         return asdict(self)
 
 
-def tolerance_for(benchmark: str, family: str | None, tier: str, *,
-                  mip_tolerance_override: float | None = None) -> float:
+def tolerance_for(benchmark: str, family: str | None, tier: str) -> float:
     """Tolerance epsilon for (benchmark, family, tier).
 
     Retail: strict 1e-4 / practical 1e-2, except the MIP family F6 at 1e-2
-    for both tiers (overridable).  External benchmarks use 1e-6 regardless.
+    for both tiers.  External benchmarks use 1e-6 regardless.
     """
     name = benchmark.strip().lower()
     if name not in _BENCHMARKS:
@@ -67,7 +66,7 @@ def tolerance_for(benchmark: str, family: str | None, tier: str, *,
         raise ValueError(f"unknown tier {tier!r}")
     if name.startswith("retail"):
         if family == _RETAIL_MIP_FAMILY:
-            return mip_tolerance_override if mip_tolerance_override is not None else 1e-2
+            return 1e-2
         return _RETAIL_TOLERANCES[tier]
     return _EXTERNAL_TOLERANCE
 
@@ -116,15 +115,12 @@ def build_record(
     y_pred: float | None,
     gt_status: str,
     y_ref: float | None,
-    mip_tolerance_override: float | None = None,
 ) -> EvalRecord:
     rel = None
     if y_pred is not None and y_ref is not None:
         rel = relative_error(y_pred, y_ref)
-    eps_strict = tolerance_for(benchmark, family, STRICT,
-                               mip_tolerance_override=mip_tolerance_override)
-    eps_practical = tolerance_for(benchmark, family, PRACTICAL,
-                                  mip_tolerance_override=mip_tolerance_override)
+    eps_strict = tolerance_for(benchmark, family, STRICT)
+    eps_practical = tolerance_for(benchmark, family, PRACTICAL)
     return EvalRecord(
         instance=instance,
         family=family,

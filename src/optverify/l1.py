@@ -20,8 +20,8 @@ from .backend import DEFAULT_BACKEND, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
 from .errors import LlmError
 from .runtime import (
-    COMPLETED,
     CRASH,
+    DEFAULT_TIMEOUT_S,
     EXTERNAL_DICT,
     TIMEOUT,
     CandidateProgram,
@@ -29,7 +29,6 @@ from .runtime import (
     ExecutionOutcome,
 )
 
-DEFAULT_TIMEOUT_S = 60.0
 DUALITY_GAP_THRESHOLD = 0.01
 MAX_REGENERATIONS = 3
 
@@ -82,7 +81,6 @@ def l1_verify(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     model_spec: ModelSpec | None = None,
     backend=DEFAULT_BACKEND,
-    gap_threshold: float = DUALITY_GAP_THRESHOLD,
     run_label: str | None = None,
 ) -> L1Result:
     runtime = runtime or CandidateRuntime()
@@ -152,10 +150,10 @@ def l1_verify(
 
     if model_spec is not None:
         result = backend.solve(model_spec, SolveParams(time_limit_s=timeout_s))
-        if result.duality_gap is not None and result.duality_gap > gap_threshold:
+        if result.duality_gap is not None and result.duality_gap > DUALITY_GAP_THRESHOLD:
             diags.append(Diagnostic(
                 LAYER_L1, INFO, "duality_gap", "model",
-                f"primal-dual gap {result.duality_gap:.4f} exceeds {gap_threshold:g}",
+                f"primal-dual gap {result.duality_gap:.4f} exceeds {DUALITY_GAP_THRESHOLD:g}",
             ))
 
     return L1Result(True, outcome.objective, code, diags, outcome)

@@ -39,6 +39,7 @@ from .errors import ExtractionError, LlmError, ParameterNotFound
 from .llm import LlmClient, find_json_payload
 from .runtime import (
     COMPLETED,
+    DEFAULT_TIMEOUT_S,
     EXTERNAL_DICT,
     CandidateProgram,
     CandidateRuntime,
@@ -401,9 +402,8 @@ def perturb_parameter(
     factor: float,
     runtime: CandidateRuntime | None = None,
     *,
-    timeout_s: float = 60.0,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     baseline_objective: float | None = None,
-    hybrid_ratio: float = HYBRID_FALLBACK_RATIO,
     run_label: str | None = None,
 ) -> PerturbationRun:
     """Execute the program with ``param_key`` scaled by ``factor``.
@@ -429,7 +429,7 @@ def perturb_parameter(
                 and outcome.objective is not None
             ):
                 ratio = change_ratio(outcome.objective, baseline_objective)
-            if ratio is None or ratio >= hybrid_ratio:
+            if ratio is None or ratio >= HYBRID_FALLBACK_RATIO:
                 return data_run
             # Hybrid fallback: data change barely registered; the value may
             # be hardcoded in source.
@@ -536,7 +536,7 @@ def cpt(
     candidates: Sequence[CandidateConstraint],
     runtime: CandidateRuntime | None = None,
     *,
-    timeout_s: float = 60.0,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     tau_low: float = MISSING_THRESHOLD,
     tau_high: float = UNCERTAIN_THRESHOLD,
     max_candidates: int = MAX_CANDIDATES,
@@ -558,7 +558,7 @@ def opt_test(
     candidates: Sequence[CandidateObjectiveTerm],
     runtime: CandidateRuntime | None = None,
     *,
-    timeout_s: float = 60.0,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     tau_low: float = MISSING_THRESHOLD,
     tau_high: float = UNCERTAIN_THRESHOLD,
     max_candidates: int = MAX_CANDIDATES,
@@ -581,7 +581,7 @@ def run_l2(
     llm: LlmClient,
     runtime: CandidateRuntime | None = None,
     *,
-    timeout_s: float = 60.0,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     tau_low: float = MISSING_THRESHOLD,
     tau_high: float = UNCERTAIN_THRESHOLD,
     max_candidates: int = MAX_CANDIDATES,

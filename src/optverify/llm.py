@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,23 +75,10 @@ class Transport(Protocol):
 class HttpTransport:
     """OpenAI-style chat-completions endpoint over HTTP."""
 
-    def __init__(self, config: LlmConfig, requests_per_minute: float | None = None):
+    def __init__(self, config: LlmConfig):
         self.config = config
-        self._min_interval = 60.0 / requests_per_minute if requests_per_minute else 0.0
-        self._lock = threading.Lock()
-        self._last_request = 0.0
-
-    def _throttle(self) -> None:
-        if not self._min_interval:
-            return
-        with self._lock:
-            wait = self._last_request + self._min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
 
     def send(self, payload: dict[str, Any]) -> str:
-        self._throttle()
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.config.api_key_ref, "")
         if key:

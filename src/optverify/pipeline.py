@@ -32,9 +32,6 @@ from .repair import RepairOutcome, repair_loop
 from .runtime import COMPLETED, EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 from .scenario import ScenarioInstance, to_json_dict
 
-FORMAT_SCHEMA = "schema"
-FORMAT_FULL = "full"
-
 
 @dataclass
 class InstanceRunResult:
@@ -81,10 +78,10 @@ def run_instance(
     record = to_json_dict(inst)
     schema_desc = describe_data_keys(record)
     try:
-        if prompt_format == SCHEMA_BASED or prompt_format == FORMAT_SCHEMA:
+        if prompt_format == SCHEMA_BASED:
             program = generate_with_schema(problem, llm, schema_desc)
             data: Any = inst
-        elif prompt_format == DATA_EMBEDDED or prompt_format == FORMAT_FULL:
+        elif prompt_format == DATA_EMBEDDED:
             gen: GenerationResult = generate(problem, llm)
             program = gen.program
             data = gen.extracted_data

@@ -25,8 +25,9 @@ import re
 
 from .scenario import ScenarioInstance, to_json_dict
 
-SCHEMA_BASED = "schema_based"
-DATA_EMBEDDED = "data_embedded"
+# The format names ``optverify run --format`` and ``run_instance`` accept.
+SCHEMA_BASED = "schema"
+DATA_EMBEDDED = "full"
 PROMPT_FORMATS = (SCHEMA_BASED, DATA_EMBEDDED)
 
 _FAMILY_NAMES = {

@@ -17,19 +17,11 @@ The loop therefore never returns anything worse than its L1-verified input.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .diagnostics import (
-    INFO,
-    NEEDS_REPAIR,
-    VERIFIED,
-    Diagnostic,
-    VerificationReport,
-    change_ratio,
-)
+from .diagnostics import INFO, Diagnostic, VerificationReport, change_ratio
 from .errors import LlmError
 from .l1 import l1_verify
 from .l2 import run_l2
@@ -121,44 +113,18 @@ def _safety_check_ast(tree: ast.Module, data_mode: str) -> list[SafetyViolation]
     return violations
 
 
-_RE_DATA_ASSIGN = re.compile(r"^\s*data\s*=\s*(?!json\.loads?\b)", re.MULTILINE)
-_RE_DATA_SUBSCRIPT = re.compile(r"^\s*data\s*\[[^\]]+\]\s*(?:=[^=]|\+=|-=)", re.MULTILINE)
-_RE_BLOCKED_IMPORT = re.compile(
-    r"^\s*(?:import|from)\s+(os|subprocess|multiprocessing)\b", re.MULTILINE)
-
-
-def _safety_check_patterns(source: str, data_mode: str) -> list[SafetyViolation]:
-    violations = []
-    for m in _RE_BLOCKED_IMPORT.finditer(source):
-        lineno = source.count("\n", 0, m.start()) + 1
-        violations.append(SafetyViolation(
-            "blocked_import", lineno,
-            f"import of process-spawning module {m.group(1)!r}"))
-    if data_mode == EXTERNAL_DICT:
-        for m in _RE_DATA_ASSIGN.finditer(source):
-            lineno = source.count("\n", 0, m.start()) + 1
-            violations.append(SafetyViolation(
-                "data_reassignment", lineno,
-                "rebinding `data` replaces the injected record"))
-        for m in _RE_DATA_SUBSCRIPT.finditer(source):
-            lineno = source.count("\n", 0, m.start()) + 1
-            violations.append(SafetyViolation(
-                "data_mutation", lineno,
-                "assignment into `data` mutates the injected record"))
-    return violations
-
-
 def safety_check(source: str, data_mode: str) -> list[SafetyViolation]:
     """Violations in repaired code; empty list means safe to run.
 
-    AST-based when the source parses, pattern-based otherwise.  In
-    self-contained mode only the import rule applies (the program owns its
-    data by construction).
+    Source that does not parse yields no violations: it can never run,
+    because L1's compile-only syntax check rejects it before execution and
+    the regression guard then rolls the repair back.  In self-contained mode
+    only the import rule applies (the program owns its data by construction).
     """
     try:
         tree = ast.parse(source)
     except SyntaxError:
-        return _safety_check_patterns(source, data_mode)
+        return []
     return _safety_check_ast(tree, data_mode)
 
 
@@ -285,27 +251,17 @@ def build_repair_prompt(
 # --------------------------------------------------------------------------
 
 
-def _status_ok(status: Any) -> bool:
-    if isinstance(status, bool):
-        return status
-    return str(status).lower() in ("ok", "pass", "passed", "optimal", "verified")
-
-
 def regression_check(
     z_new: float | None,
-    status_new: Any,
-    z_old: float | None,
-    status_old: Any,
+    z_old: float,
     tau_r: float = DEFAULT_CONFIG.regression_threshold,
 ) -> bool:
-    """True when the repair regressed: status degraded, crash, or drift > tau_r."""
-    if _status_ok(status_old) and not _status_ok(status_new):
-        return True
-    if z_new is None:
-        return z_old is not None
-    if z_old is None:
-        return False
-    return change_ratio(z_new, z_old) > tau_r
+    """True when the repair regressed: no objective, or drift > tau_r.
+
+    A repair that fails L1 (crash, timeout, non-optimal status) carries no
+    objective, so it regresses here too.
+    """
+    return z_new is None or change_ratio(z_new, z_old) > tau_r
 
 
 @dataclass
@@ -337,18 +293,22 @@ def repair_loop(
     runtime = runtime or CandidateRuntime()
     current, z = program, z_star
     events: list[dict] = []
-    last_diags: list[Diagnostic] = []
+    diags: list[Diagnostic] = []
+    adopted_untested = False
     iterations = 0
 
-    for j in range(1, config.repair_budget + 1):
-        diags = run_l2(
+    def l2_pass() -> list[Diagnostic]:
+        return run_l2(
             current, data, z, problem, llm, runtime,
             timeout_s=config.timeout_s,
             tau_low=config.missing_threshold,
             tau_high=config.uncertain_threshold,
             max_candidates=config.max_candidates,
         )
-        last_diags = diags
+
+    for j in range(1, config.repair_budget + 1):
+        diags = l2_pass()
+        adopted_untested = False
         warnings = [d for d in diags if d.triggers_repair]
         if not warnings:
             events.append({"iteration": j, "decision": "skip_guard"})
@@ -402,19 +362,14 @@ def repair_loop(
         event["l1_passed"] = l1_result.passed
         event["l1_objective"] = l1_result.objective
 
-        if regression_check(
-            l1_result.objective, l1_result.passed, z, True,
-            config.regression_threshold,
-        ):
+        if regression_check(l1_result.objective, z, config.regression_threshold):
             event["decision"] = "rollback"
             events.append(event)
             break  # keep pre-repair code and halt further repair
 
-        plateau = (
-            l1_result.objective is not None
-            and abs(l1_result.objective - z) <= PLATEAU_TOLERANCE
-        )
+        plateau = abs(l1_result.objective - z) <= PLATEAU_TOLERANCE
         current, z = candidate, l1_result.objective
+        adopted_untested = True
         if plateau:
             event["decision"] = "plateau"
             events.append(event)
@@ -422,5 +377,9 @@ def repair_loop(
         event["decision"] = "adopted"
         events.append(event)
 
-    report = VerificationReport(last_diags, z)
+    if adopted_untested:
+        # A plateau stop or an adoption in the last budgeted iteration: the
+        # report must describe the program returned, not the one replaced.
+        diags = l2_pass()
+    report = VerificationReport(diags, z)
     return RepairOutcome(current, z, report, iterations, events)

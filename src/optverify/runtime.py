@@ -35,6 +35,8 @@ from .scenario import ScenarioInstance, to_json_dict
 EXTERNAL_DICT = "external_dict"
 SELF_CONTAINED = "self_contained"
 
+DEFAULT_TIMEOUT_S = 60.0
+
 COMPLETED = "completed"
 TIMEOUT = "timeout"
 CRASH = "crash"
@@ -88,7 +90,8 @@ class CandidateRuntime:
 
     ``interpreter`` is the command prefix (defaults to the current Python);
     ``artifact_root``, when set, receives per-run copies of the assembled
-    script and captured streams for audit.
+    script and captured streams for audit, one directory per run: a label
+    already used gets the run counter appended, so no run overwrites another.
     """
 
     def __init__(
@@ -104,7 +107,7 @@ class CandidateRuntime:
         self,
         program: CandidateProgram,
         data: ScenarioInstance | Mapping[str, Any] | None = None,
-        timeout_s: float = 60.0,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
         run_label: str | None = None,
     ) -> ExecutionOutcome:
         if program.data_mode == EXTERNAL_DICT and data is None:
@@ -164,7 +167,11 @@ class CandidateRuntime:
         self._run_counter += 1
         name = label or f"run_{self._run_counter:04d}"
         dest = self.artifact_root / name
-        dest.mkdir(parents=True, exist_ok=True)
+        n = self._run_counter
+        while dest.exists():
+            dest = self.artifact_root / f"{name}_{n:04d}"
+            n += 1
+        dest.mkdir(parents=True)
         for fname in ("candidate.py", _DATA_FILE):
             src = workdir / fname
             if src.exists():

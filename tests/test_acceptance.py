@@ -40,7 +40,8 @@ from optverify.llm import (
     LlmClient,
     RecordingTransport,
 )
-from optverify.pipeline import FORMAT_SCHEMA, run_instance
+from optverify.pipeline import run_instance
+from optverify.prompts import SCHEMA_BASED
 from optverify.reference import (
     candidate_source,
     check_flow_conservation,
@@ -409,7 +410,7 @@ def test_acceptance_offline_pipeline_replay(suite_dir, tmp_path):
         client = LlmClient(REPLAY_CONFIG, RecordingTransport(
             fixtures, CallableTransport(scripted_reference_provider())))
         problem = (mini / f"{name}.scenario.txt").read_text(encoding="utf-8")
-        run_instance(inst, problem, FORMAT_SCHEMA, client)
+        run_instance(inst, problem, SCHEMA_BASED, client)
 
     codes = []
     for leg in ("r1", "r2"):

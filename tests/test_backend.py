@@ -14,7 +14,6 @@ from optverify.backend import (
     SolveParams,
     Variable,
     code_to_status,
-    get_backend,
     status_to_code,
 )
 from optverify.errors import BackendError, NotInfeasible
@@ -133,12 +132,6 @@ def test_status_code_mapping():
     assert status_to_code("time_limit") == 9
     assert code_to_status(2) == "optimal"
     assert code_to_status(42) is None
-
-
-def test_get_backend():
-    assert get_backend("highs") is DEFAULT_BACKEND
-    with pytest.raises(BackendError):
-        get_backend("cplex")
 
 
 # --------------------------------------------------------------------------

@@ -4,13 +4,16 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from optverify import cli
 from optverify.cli import EXIT_CONFIG, EXIT_OK, main
 from optverify.generator import generate_suite
 from optverify.llm import CallableTransport, LlmClient, RecordingTransport, REPLAY_CONFIG
-from optverify.pipeline import FORMAT_SCHEMA, run_instance
+from optverify.pipeline import run_instance
+from optverify.prompts import SCHEMA_BASED
 from optverify.scenario import validate_instance
 
 from .helpers import scripted_reference_provider
@@ -66,7 +69,7 @@ def _seed_fixtures(instances_dir: Path, fixture_dir: Path, names: list[str]) -> 
         client = LlmClient(REPLAY_CONFIG, RecordingTransport(
             fixture_dir, CallableTransport(scripted_reference_provider())))
         problem = (instances_dir / f"{name}.scenario.txt").read_text()
-        run_instance(inst, problem, FORMAT_SCHEMA, client)
+        run_instance(inst, problem, SCHEMA_BASED, client)
 
 
 def test_run_replay_evaluate_report_flow(bench_dir, tmp_path, capsys):
@@ -101,6 +104,27 @@ def test_run_replay_evaluate_report_flow(bench_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Total" in out
     assert "F1" in out
+
+
+@pytest.mark.parametrize("fmt,suffix", [("schema", ".scenario.txt"), ("full", ".full.txt")])
+def test_run_renders_missing_prompt(bench_dir, tmp_path, monkeypatch, fmt, suffix):
+    # Only the instance record is present, so `run` renders the prompt
+    # itself; it must match the file gen-bench writes for that format.
+    name = "retail_f1_base_v0"
+    mini = tmp_path / "instances"
+    mini.mkdir()
+    shutil.copy(bench_dir / f"{name}.json", mini / f"{name}.json")
+    seen = []
+
+    def fake_run_instance(inst, problem, prompt_format, llm, **kwargs):
+        seen.append((problem, prompt_format))
+        return SimpleNamespace(status="verified")
+
+    monkeypatch.setattr(cli, "run_instance", fake_run_instance)
+    assert main(["run", "--instances", str(mini), "--format", fmt,
+                 "--out", str(tmp_path / "runs"),
+                 "--llm-replay", str(tmp_path / "fixtures")]) == EXIT_OK
+    assert seen == [((bench_dir / f"{name}{suffix}").read_text(encoding="utf-8"), fmt)]
 
 
 def test_run_requires_provider_or_replay(bench_dir, tmp_path):

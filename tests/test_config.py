@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,18 +14,11 @@ def test_defaults_mirror_reference_operating_point():
     c = DEFAULT_CONFIG
     assert c.timeout_s == 60.0
     assert c.max_regenerations == 3
-    assert c.duality_gap_threshold == 0.01
     assert c.missing_threshold == 0.05
     assert c.uncertain_threshold == 0.30
     assert c.max_candidates == 10
     assert c.repair_budget == 3
     assert c.regression_threshold == 0.04
-
-
-def test_from_dict_aliases():
-    c = PipelineConfig.from_dict({"timeout": 45, "regression_guard": 0.03})
-    assert c.timeout_s == 45
-    assert c.regression_threshold == 0.03
 
 
 def test_from_dict_unknown_key():
@@ -60,3 +55,10 @@ def test_override_returns_new_config():
     assert c.repair_budget == 5
     assert c.workers == DEFAULT_CONFIG.workers
     assert DEFAULT_CONFIG.repair_budget == 3
+
+
+def test_readme_config_block_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Pipeline config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert json.loads(block) == DEFAULT_CONFIG.to_json_dict()

@@ -41,10 +41,6 @@ def test_tolerance_table():
     assert tolerance_for("industryor", None, "practical") == 1e-6
 
 
-def test_tolerance_f6_override():
-    assert tolerance_for("retail", "F6", "strict", mip_tolerance_override=0.1) == 0.1
-
-
 def test_unknown_benchmark():
     with pytest.raises(UnknownBenchmark):
         tolerance_for("nl4opt", "F1", "strict")

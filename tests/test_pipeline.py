@@ -8,8 +8,10 @@ from optverify.config import PipelineConfig
 from optverify.diagnostics import FAILED, VERIFIED
 from optverify.generator import build_instance
 from optverify.llm import CallableTransport, LlmClient, REPLAY_CONFIG
-from optverify.pipeline import FORMAT_FULL, FORMAT_SCHEMA, run_instance
+from optverify.pipeline import run_instance
 from optverify.prompts import DATA_EMBEDDED, SCHEMA_BASED, render_prompt
+from optverify.reference import candidate_source
+from optverify.repair import REPAIR_SYSTEM_PROMPT
 
 from .helpers import scripted_reference_provider
 
@@ -29,7 +31,7 @@ _FAST = PipelineConfig(timeout_s=90.0)
 def test_schema_pipeline_verifies_reference_candidate(f1_v0, tmp_path):
     problem = render_prompt(f1_v0, SCHEMA_BASED)
     llm = _client(scripted_reference_provider())
-    result = run_instance(f1_v0, problem, FORMAT_SCHEMA, llm,
+    result = run_instance(f1_v0, problem, SCHEMA_BASED, llm,
                           config=_FAST, run_dir=tmp_path / "run")
     assert result.status == VERIFIED
     assert result.executed
@@ -46,7 +48,7 @@ def test_schema_pipeline_verifies_reference_candidate(f1_v0, tmp_path):
 def test_full_pipeline_uses_extraction_first(f1_v0, tmp_path):
     problem = render_prompt(f1_v0, DATA_EMBEDDED)
     llm = _client(scripted_reference_provider())
-    result = run_instance(f1_v0, problem, FORMAT_FULL, llm,
+    result = run_instance(f1_v0, problem, DATA_EMBEDDED, llm,
                           config=_FAST, run_dir=tmp_path / "run")
     assert result.status == VERIFIED
     assert result.program.data_mode == "external_dict"
@@ -57,7 +59,7 @@ def test_pipeline_reports_are_byte_identical(f1_v0, tmp_path):
     problem = render_prompt(f1_v0, SCHEMA_BASED)
     for leg in ("a", "b"):
         llm = _client(scripted_reference_provider())
-        run_instance(f1_v0, problem, FORMAT_SCHEMA, llm,
+        run_instance(f1_v0, problem, SCHEMA_BASED, llm,
                      config=_FAST, run_dir=tmp_path / leg)
     report_a = (tmp_path / "a" / "report.json").read_bytes()
     report_b = (tmp_path / "b" / "report.json").read_bytes()
@@ -79,7 +81,7 @@ def test_regeneration_recovers_broken_first_attempt(f1_v0, tmp_path):
         return inner(payload)
 
     problem = render_prompt(f1_v0, SCHEMA_BASED)
-    result = run_instance(f1_v0, problem, FORMAT_SCHEMA, _client(flaky_codegen),
+    result = run_instance(f1_v0, problem, SCHEMA_BASED, _client(flaky_codegen),
                           config=_FAST, run_dir=tmp_path / "run")
     assert result.status == VERIFIED
     regen_events = [e for e in result.events if e.get("event") == "regeneration"]
@@ -98,7 +100,7 @@ def test_persistent_failure_reports_failed(f1_v0, tmp_path):
 
     problem = render_prompt(f1_v0, SCHEMA_BASED)
     config = PipelineConfig(timeout_s=30.0, max_regenerations=2)
-    result = run_instance(f1_v0, problem, FORMAT_SCHEMA, _client(always_broken),
+    result = run_instance(f1_v0, problem, SCHEMA_BASED, _client(always_broken),
                           config=config, run_dir=tmp_path / "run")
     assert result.status == FAILED
     assert result.baseline_objective is None
@@ -110,7 +112,27 @@ def test_persistent_failure_reports_failed(f1_v0, tmp_path):
 def test_generation_without_code_fence_fails_cleanly(f1_v0, tmp_path):
     problem = render_prompt(f1_v0, SCHEMA_BASED)
     result = run_instance(
-        f1_v0, problem, FORMAT_SCHEMA, _client(lambda p: "no code, sorry"),
+        f1_v0, problem, SCHEMA_BASED, _client(lambda p: "no code, sorry"),
         config=_FAST, run_dir=tmp_path / "run")
     assert result.status == FAILED
     assert not result.executed
+
+
+def test_plateau_report_describes_adopted_program(f1_v0, tmp_path):
+    # Storage capacity does not bind on f1_base v0, so the mutant's L2 pass
+    # warns on it, the intact repair lands on the same objective (plateau),
+    # and the final report must come from L2 on the intact program.
+    mutant = scripted_reference_provider(drop=("storage_capacity",))
+    intact = f"```python\n{candidate_source()}\n```"
+
+    def fn(payload):
+        return intact if payload["system"] == REPAIR_SYSTEM_PROMPT else mutant(payload)
+
+    problem = render_prompt(f1_v0, SCHEMA_BASED)
+    result = run_instance(f1_v0, problem, SCHEMA_BASED, _client(fn),
+                          config=_FAST, run_dir=tmp_path / "run")
+    assert [e.get("decision") for e in result.events] == ["plateau"]
+    assert result.program.source.rstrip() == candidate_source().rstrip()
+    assert result.status == VERIFIED
+    assert not any(d.issue_type == "constraint_missing"
+                   for d in result.report.diagnostics)

@@ -5,6 +5,7 @@ import pytest
 from optverify.config import PipelineConfig
 from optverify.diagnostics import INFO, NEEDS_REPAIR, VERIFIED, WARNING, Diagnostic
 from optverify.errors import ConfigError
+from optverify.l1 import l1_verify
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
 from optverify.repair import (
     RepairOutcome,
@@ -62,12 +63,6 @@ def test_reading_data_is_fine():
     assert safety_check(src, EXTERNAL_DICT) == []
 
 
-def test_pattern_fallback_on_unparseable_source():
-    src = "data = {broken syntax\nimport os\n"
-    rules = {v.rule for v in safety_check(src, EXTERNAL_DICT)}
-    assert rules == {"data_reassignment", "blocked_import"}
-
-
 # --------------------------------------------------------------------------
 # Repair prompt
 # --------------------------------------------------------------------------
@@ -115,18 +110,22 @@ def test_repair_prompt_reference_section_empty():
 
 
 def test_regression_boundary_arithmetic():
-    assert regression_check(103.9, "ok", 100.0, "ok", 0.04) is False  # 3.9% <= 4%
-    assert regression_check(105.0, "ok", 100.0, "ok", 0.04) is True   # 5% > 4%
-    assert regression_check(104.0, "ok", 100.0, "ok", 0.04) is False  # exactly 4%
+    assert regression_check(103.9, 100.0, 0.04) is False  # 3.9% <= 4%
+    assert regression_check(105.0, 100.0, 0.04) is True   # 5% > 4%
+    assert regression_check(104.0, 100.0, 0.04) is False  # exactly 4%
 
 
-def test_regression_on_status_degradation():
-    assert regression_check(None, "fatal", 100.0, "ok", 0.04) is True
-    assert regression_check(100.0, False, 100.0, True, 0.04) is True
+def test_regression_on_status_degradation(runtime):
+    # A repair that no longer reaches an optimal status fails L1, and a
+    # failed L1 carries no objective, which the guard treats as regression.
+    for src in ("raise RuntimeError('broken repair')\n", "print('status: 3')\n"):
+        result = l1_verify(CandidateProgram(src), None, runtime, timeout_s=30.0)
+        assert not result.passed and result.objective is None
+        assert regression_check(result.objective, 100.0, 0.04) is True
 
 
 def test_regression_on_missing_objective():
-    assert regression_check(None, "ok", 100.0, "ok", 0.04) is True
+    assert regression_check(None, 100.0, 0.04) is True
 
 
 def test_config_guard_ordering():
@@ -267,6 +266,20 @@ def test_unsafe_retry_keeps_pre_repair_code():
     assert out.program.source == _BASE_SOURCE
     assert sum(1 for e in out.events
                if e.get("decision") == "unsafe_repair_discarded") == 2
+
+
+def test_unparseable_repair_rolls_back():
+    # Source that does not parse passes the safety check untouched, fails
+    # L1's syntax check without running, and the guard rolls it back.
+    broken = "data = {broken syntax\nimport os\n"
+    assert safety_check(broken, EXTERNAL_DICT) == []
+    llm = _scripted_llm(["```python\n" + broken + "```"])
+    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    out = _loop(program, llm)
+    assert [e["decision"] for e in out.events] == ["rollback"]
+    assert out.events[0]["l1_passed"] is False
+    assert out.program is program
+    assert out.objective == 100.0
 
 
 def test_plateau_terminates():

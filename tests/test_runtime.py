@@ -124,6 +124,16 @@ def test_artifacts_persisted(tmp_path, base):
     assert "status: 2" in (tmp_path / "probe" / "stdout.txt").read_text()
 
 
+def test_repeated_label_keeps_every_run(tmp_path):
+    rt = CandidateRuntime(artifact_root=tmp_path)
+    sources = [f"print('status: 2')\nprint('objective: {z}')" for z in (1, 2)]
+    for src in sources:
+        rt.execute(CandidateProgram(src, SELF_CONTAINED), timeout_s=30, run_label="probe")
+    dirs = sorted(tmp_path.iterdir())
+    assert [d.name for d in dirs] == ["probe", "probe_0002"]
+    assert [(d / "candidate.py").read_text() for d in dirs] == sources
+
+
 def test_objective_ignored_unless_completed(runtime):
     src = "print('status: 2')\nprint('objective: 5.0')\nraise SystemExit(3)"
     outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
