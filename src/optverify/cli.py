@@ -8,9 +8,11 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -116,6 +118,22 @@ def _build_client(args: argparse.Namespace, config: LlmConfig) -> LlmClient:
     return LlmClient(config, transport)
 
 
+def _run_worker(path: Path, args: argparse.Namespace, config: PipelineConfig,
+                llm_config: LlmConfig) -> tuple[str, str]:
+    inst = _load_instance(path)
+    suffix = ".scenario.txt" if args.format == SCHEMA_BASED else ".full.txt"
+    prompt_path = path.with_name(path.stem + suffix)
+    if prompt_path.exists():
+        problem = prompt_path.read_text(encoding="utf-8")
+    else:
+        problem = render_prompt(inst, args.format)
+    client = _build_client(args, llm_config)
+    result = run_instance(
+        inst, problem, args.format, client,
+        config=config, run_dir=Path(args.out) / inst.name)
+    return inst.name, result.status
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = (PipelineConfig.from_file(args.config)
@@ -142,27 +160,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"no instance files under {args.instances}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = ".scenario.txt" if args.format == SCHEMA_BASED else ".full.txt"
-
-    def run_one(path: Path) -> tuple[str, str]:
-        inst = _load_instance(path)
-        prompt_path = path.with_name(path.stem + suffix)
-        if prompt_path.exists():
-            problem = prompt_path.read_text(encoding="utf-8")
-        else:
-            problem = render_prompt(inst, args.format)
-        client = _build_client(args, llm_config)
-        result = run_instance(
-            inst, problem, args.format, client,
-            config=config, run_dir=out_dir / inst.name)
-        return inst.name, result.status
-
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    run_one = functools.partial(
+        _run_worker, args=args, config=config, llm_config=llm_config)
     statuses: dict[str, str] = {}
     try:
         if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            # Candidates fork from the worker, and forking a threaded process
+            # can deadlock the child: so the workers are processes, spawned
+            # because the pool's own thread makes forking them unsafe too.
+            with ProcessPoolExecutor(max_workers=config.workers,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
                 for name, status in pool.map(run_one, files):
                     statuses[name] = status
                     print(f"{name}: {status}")

@@ -21,6 +21,9 @@ from .l1 import MAX_REGENERATIONS
 from .l2 import MAX_CANDIDATES
 from .runtime import DEFAULT_TIMEOUT_S
 
+# Accepted value types per annotation; bool is rejected although it is an int.
+_FIELD_TYPES = {"int": (int,), "float": (int, float)}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -34,6 +37,10 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, not {type(value).__name__}")
         if self.timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
         if self.max_regenerations < 0 or self.repair_budget < 0:

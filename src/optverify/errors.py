@@ -28,7 +28,7 @@ class NotInfeasible(RuntimeError):
 
 
 class SandboxSetupError(RuntimeError):
-    """The candidate runtime could not be set up (e.g. interpreter missing);
+    """The candidate runtime could not be set up (e.g. the fork failed);
     distinct from the candidate program crashing."""
 
 
@@ -53,6 +53,11 @@ class LlmError(RuntimeError):
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so it survives a worker process.
+        return type(self), (self.kind, self.message)
 
 
 class UnknownBenchmark(KeyError):

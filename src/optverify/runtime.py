@@ -1,13 +1,22 @@
 """Isolated execution of untrusted candidate programs.
 
-Each run gets a fresh temp working directory and a fresh interpreter
-process, killed at the wall-clock timeout.  The child's ``PYTHONPATH`` is
-made absolute and extended with the directory holding this ``optverify``
-package, so a candidate imports the same ``optverify`` as its parent
-whatever the caller's working directory.  In ``external_dict`` mode the
-instance record is serialized into the run directory and a generated
-preamble parses it and binds it to ``data`` before the candidate source
-runs, so a candidate can never mutate the caller's copy.
+Each run forks the calling process, which already holds numpy, scipy and
+``optverify``, so a candidate starts without importing them again.  The
+child gets its own session (the timeout kills its whole process group), a
+fresh temp working directory first on ``sys.path``, ``/dev/null`` as stdin,
+``stdout.txt``/``stderr.txt`` in that directory as fds 1 and 2 (so C code
+such as HiGHS is captured too) and no other descriptor of the caller.  It
+runs the script as ``__main__`` and exits with the status and traceback
+``python candidate.py`` would give.  Every child is reaped with ``os.wait4``
+before ``execute`` returns, so its CPU time and peak RSS count in the
+caller's ``RUSAGE_CHILDREN``.  The caller must not run Python threads,
+since a fork from a threaded process can deadlock the child; the child
+drops the thread pool HiGHS keeps.  Requires Linux (``fork``, ``setsid``,
+``pidfd_open``).
+
+In ``external_dict`` mode the instance record is serialized into the run
+directory and a generated preamble parses it and binds it to ``data`` before
+the candidate source runs, so a candidate can never mutate the caller's copy.
 
 Stdout is scanned for the output contract lines ``status: <int>`` and
 ``objective: <float>``; they may appear anywhere (solvers print noise) and
@@ -19,18 +28,26 @@ from __future__ import annotations
 import json
 import os
 import re
+import resource
+import runpy
+import select
 import shutil
-import site
-import subprocess
+import signal
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NoReturn
 
 from .errors import SandboxSetupError
 from .scenario import ScenarioInstance, to_json_dict
+
+try:  # scipy >= 1.15 exposes the HiGHS bindings that milp solves with
+    from scipy.optimize._highspy._core import _Highs
+except ImportError:
+    _Highs = None
 
 EXTERNAL_DICT = "external_dict"
 SELF_CONTAINED = "self_contained"
@@ -70,6 +87,8 @@ class ExecutionOutcome:
     stdout: str
     stderr: str
     duration_s: float
+    cpu_s: float
+    maxrss_mb: float
 
 
 def parse_contract(stdout: str) -> tuple[int | None, float | None]:
@@ -86,20 +105,15 @@ def parse_contract(stdout: str) -> tuple[int | None, float | None]:
 
 
 class CandidateRuntime:
-    """Subprocess runner for candidate programs.
+    """Forking runner for candidate programs.
 
-    ``interpreter`` is the command prefix (defaults to the current Python);
     ``artifact_root``, when set, receives per-run copies of the assembled
-    script and captured streams for audit, one directory per run: a label
-    already used gets the run counter appended, so no run overwrites another.
+    script, the captured streams and the run's cost (``exec.json``), one
+    directory per run: a label already used gets the run counter appended,
+    so no run overwrites another.
     """
 
-    def __init__(
-        self,
-        interpreter: Sequence[str] | None = None,
-        artifact_root: str | Path | None = None,
-    ):
-        self.interpreter = list(interpreter) if interpreter else [sys.executable]
+    def __init__(self, artifact_root: str | Path | None = None):
         self.artifact_root = Path(artifact_root) if artifact_root else None
         self._run_counter = 0
 
@@ -124,28 +138,33 @@ class CandidateRuntime:
             script = workdir / "candidate.py"
             script.write_text(source, encoding="utf-8")
 
-            start = time.monotonic()
-            try:
-                proc = subprocess.run(
-                    [*self.interpreter, script.name],
-                    cwd=workdir,
-                    env=_child_env(),
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout_s,
-                )
+            # The parent holds the capture files open, so it reads them back
+            # whatever the candidate does to its directory.
+            with open(workdir / "stdout.txt", "w+", encoding="utf-8", errors="replace") as out, \
+                    open(workdir / "stderr.txt", "w+", encoding="utf-8", errors="replace") as err:
+                # Unflushed parent output would otherwise be copied into the
+                # child and could end up in its capture files.
+                sys.stdout.flush()
+                sys.stderr.flush()
+                start = time.monotonic()
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    raise SandboxSetupError(f"cannot fork a candidate: {exc}") from exc
+                if pid == 0:
+                    _run_child(script, out.fileno(), err.fileno())
+                exited, status, usage = _reap(pid, timeout_s)
                 duration = time.monotonic() - start
-                exit_kind = COMPLETED if proc.returncode == 0 else CRASH
-                stdout, stderr = proc.stdout, proc.stderr
-            except subprocess.TimeoutExpired as exc:
-                duration = time.monotonic() - start
-                exit_kind = TIMEOUT
-                stdout = _decode(exc.stdout)
-                stderr = _decode(exc.stderr)
-            except FileNotFoundError as exc:
-                raise SandboxSetupError(
-                    f"interpreter not found: {self.interpreter[0]}") from exc
+                out.seek(0)
+                err.seek(0)
+                stdout, stderr = out.read(), err.read()
 
+            if not exited:
+                exit_kind = TIMEOUT
+            elif os.waitstatus_to_exitcode(status) == 0:
+                exit_kind = COMPLETED
+            else:
+                exit_kind = CRASH
             status_code, objective = (None, None)
             if exit_kind == COMPLETED:
                 status_code, objective = parse_contract(stdout)
@@ -157,6 +176,8 @@ class CandidateRuntime:
                 stdout=stdout,
                 stderr=stderr,
                 duration_s=duration,
+                cpu_s=usage.ru_utime + usage.ru_stime,
+                maxrss_mb=usage.ru_maxrss / 1024,
             )
             self._persist(workdir, outcome, run_label)
             return outcome
@@ -178,30 +199,90 @@ class CandidateRuntime:
                 shutil.copy(src, dest / fname)
         (dest / "stdout.txt").write_text(outcome.stdout, encoding="utf-8")
         (dest / "stderr.txt").write_text(outcome.stderr, encoding="utf-8")
+        cost = {"duration_s": outcome.duration_s, "cpu_s": outcome.cpu_s,
+                "maxrss_mb": outcome.maxrss_mb}
+        (dest / "exec.json").write_text(
+            json.dumps(cost, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _child_env() -> dict[str, str]:
-    """The caller's environment with an absolute ``PYTHONPATH`` that ends in
-    the directory containing the running ``optverify`` package, unless that
-    directory is a site directory the child finds on its own."""
-    env = dict(os.environ)
-    # An empty entry means the cwd to Python, so it resolves to the caller's.
-    given = env.get("PYTHONPATH")
-    entries = [str(Path(e).resolve()) for e in given.split(os.pathsep)] if given else []
-    package_root = str(Path(__file__).resolve().parent.parent)
-    # An installed copy's site directory is on the child's path already;
-    # listing it here would put it ahead of the standard library.
-    site_dirs = {str(Path(d).resolve())
-                 for d in (*site.getsitepackages(), site.getusersitepackages())}
-    if package_root not in entries and package_root not in site_dirs:
-        entries.append(package_root)
-    env["PYTHONPATH"] = os.pathsep.join(entries)
-    return env
+def _reap(pid: int, timeout_s: float) -> tuple[bool, int, resource.struct_rusage]:
+    """Wait for the child until the deadline, kill its process group, reap it.
+
+    Returns whether the child exited in time, its wait status and its
+    rusage.  The group is killed in every case, so no process the candidate
+    started outlives the run.
+    """
+    exited = False
+    deadline = time.monotonic() + timeout_s
+    try:
+        pidfd = os.pidfd_open(pid)
+        try:
+            poller = select.poll()
+            poller.register(pidfd, select.POLLIN)
+            # poll() takes at most 2**31 - 1 ms, so long timeouts wait in steps.
+            while not exited and (left := deadline - time.monotonic()) > 0:
+                exited = bool(poller.poll(min(left, 3600.0) * 1000))
+        finally:
+            os.close(pidfd)
+    finally:
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:  # the child has not called setsid yet
+            os.kill(pid, signal.SIGKILL)
+        _, status, usage = os.wait4(pid, 0)
+    return exited, status, usage
 
 
-def _decode(stream: bytes | str | None) -> str:
-    if stream is None:
-        return ""
-    if isinstance(stream, bytes):
-        return stream.decode("utf-8", errors="replace")
-    return stream
+def _run_child(script: Path, out_fd: int, err_fd: int) -> NoReturn:
+    """Body of the forked child: run the script, then exit without returning
+    into the caller's stack."""
+    code = 1
+    try:
+        os.setsid()
+        if _Highs is not None:
+            # HiGHS solves MIPs on a process-wide pool of threads, which did
+            # not survive the fork: a MIP solved here would wait on the lost
+            # workers forever.  Drop the pool without joining it; HiGHS
+            # starts a new one on its next solve.
+            _Highs.resetGlobalScheduler(False)
+        os.chdir(script.parent)
+        null_fd = os.open(os.devnull, os.O_RDONLY)
+        for fd, target in ((null_fd, 0), (out_fd, 1), (err_fd, 2)):
+            os.dup2(fd, target)
+        # The parent's other descriptors (open files, pipes to a process
+        # pool) are not the candidate's to write to.
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdin = sys.__stdin__ = open(0, encoding="utf-8", closefd=False)
+        sys.stdout = sys.__stdout__ = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = sys.__stderr__ = open(2, "w", buffering=1, encoding="utf-8",
+                                           errors="backslashreplace", closefd=False)
+        sys.argv = [script.name]
+        sys.path.insert(0, str(script.parent))
+        code = _run_script(script)
+    finally:
+        os._exit(code)
+
+
+def _run_script(script: Path) -> int:
+    """Run ``script`` as ``__main__``; the exit status ``python script`` gives."""
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+        code = 0
+    except SystemExit as exc:
+        if exc.code is None:
+            code = 0
+        elif isinstance(exc.code, int):
+            code = exc.code & 0xFF
+        else:
+            print(exc.code, file=sys.stderr)
+            code = 1
+    except BaseException as exc:  # an uncaught exception ends the program
+        # Drop the runtime's and runpy's frames: ``python script`` shows none.
+        tb = exc.__traceback__
+        while tb is not None and tb.tb_frame.f_code.co_filename != str(script):
+            tb = tb.tb_next
+        traceback.print_exception(type(exc), exc, tb)
+        code = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    return code

@@ -106,6 +106,33 @@ def test_run_replay_evaluate_report_flow(bench_dir, tmp_path, capsys):
     assert "F1" in out
 
 
+def test_run_workers_match_serial_run(bench_dir, tmp_path):
+    names = ["retail_f1_base_v0", "retail_f1_base_v1"]
+    mini = _mini_instances(bench_dir, tmp_path, names)
+    fixtures = tmp_path / "fixtures"
+    _seed_fixtures(mini, fixtures, names)
+    for workers in ("1", "2"):
+        assert main(["run", "--instances", str(mini), "--format", "schema",
+                     "--out", str(tmp_path / f"w{workers}"), "--workers", workers,
+                     "--llm-replay", str(fixtures)]) == EXIT_OK
+    for name in names:
+        for fname in ("report.json", "result.json", "code.py"):
+            serial = (tmp_path / "w1" / name / fname).read_bytes()
+            assert (tmp_path / "w2" / name / fname).read_bytes() == serial, (name, fname)
+
+
+def test_run_rejects_wrong_typed_config(bench_dir, tmp_path, capsys):
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"timeout_s": "60"}))
+    code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),
+                 "--config", str(cfg), "--llm-replay", str(tmp_path / "fixtures")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "timeout_s must be float" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt,suffix", [("schema", ".scenario.txt"), ("full", ".full.txt")])
 def test_run_renders_missing_prompt(bench_dir, tmp_path, monkeypatch, fmt, suffix):
     # Only the instance record is present, so `run` renders the prompt

@@ -50,6 +50,22 @@ def test_validation_guards():
         PipelineConfig(max_candidates=0)
 
 
+@pytest.mark.parametrize("raw", [
+    {"timeout_s": "60"},
+    {"repair_budget": None},
+    {"workers": 2.5},
+    {"workers": True},
+    {"missing_threshold": False},
+], ids=["str_float", "null_int", "float_int", "bool_int", "bool_float"])
+def test_from_dict_rejects_wrong_types(raw):
+    with pytest.raises(ConfigError, match=f"{next(iter(raw))} must be"):
+        PipelineConfig.from_dict(raw)
+
+
+def test_int_accepted_for_float_field():
+    assert PipelineConfig.from_dict({"timeout_s": 45}).timeout_s == 45
+
+
 def test_override_returns_new_config():
     c = DEFAULT_CONFIG.override(repair_budget=5, workers=None)
     assert c.repair_budget == 5

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from optverify.errors import ExtractionError, GenerationError, LlmError
@@ -64,6 +66,14 @@ def test_auth_error_not_retried():
         _client(denied).complete("s", "u")
     assert err.value.kind == "auth"
     assert len(calls) == 1
+
+
+def test_llm_error_survives_pickling():
+    # A pipeline worker process sends its LlmError back to the CLI by pickle.
+    err = pickle.loads(pickle.dumps(LlmError("network", "boom")))
+    assert isinstance(err, LlmError)
+    assert err.kind == "network"
+    assert str(err) == "network: boom"
 
 
 def test_empty_reply_raises():

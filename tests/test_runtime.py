@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import json
+import logging
 import os
+import resource
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import optverify
+import optverify.runtime
 from optverify.errors import SandboxSetupError
 from optverify.runtime import (
     COMPLETED,
@@ -109,10 +115,13 @@ def test_scenario_instance_serialized(runtime, base):
     assert outcome.objective == 303
 
 
-def test_missing_interpreter_raises_setup_error():
-    rt = CandidateRuntime(interpreter=["/nonexistent/python-binary"])
+def test_fork_failure_raises_setup_error(monkeypatch):
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(SandboxSetupError):
-        rt.execute(CandidateProgram("print('hi')"), timeout_s=5)
+        CandidateRuntime().execute(CandidateProgram("print('hi')"), timeout_s=5)
 
 
 def test_artifacts_persisted(tmp_path, base):
@@ -154,10 +163,11 @@ def test_child_imports_running_optverify_from_any_cwd(
     else:
         monkeypatch.delenv("PYTHONPATH", raising=False)
     src = (
-        "import pathlib, sys\n"
+        "import json, os, pathlib, sys\n"
         "import optverify\n"
         "print(f'package: {pathlib.Path(optverify.__file__).resolve()}')\n"
-        "print('\\n'.join(sys.path))\n"
+        "print(f'cwd: {os.getcwd()}')\n"
+        "print(f'path: {json.dumps(sys.path)}')\n"
         "print('status: 2')\n"
     )
     outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
@@ -165,5 +175,161 @@ def test_child_imports_running_optverify_from_any_cwd(
     assert outcome.status_code == 2
     lines = outcome.stdout.splitlines()
     assert f"package: {Path(optverify.__file__).resolve()}" in lines
-    if caller_pythonpath == "relative":
-        assert str(package_root.parent / unrelated) in lines
+    cwd = next(line[len("cwd: "):] for line in lines if line.startswith("cwd: "))
+    child_path = json.loads(
+        next(line[len("path: "):] for line in lines if line.startswith("path: ")))
+    assert Path(child_path[0]).resolve() == Path(cwd).resolve()
+    assert child_path[1:] == sys.path
+
+
+@pytest.mark.parametrize("src,exit_kind,stderr_text", [
+    ("print('status: 2')\nimport sys\nsys.exit()", COMPLETED, ""),
+    ("print('status: 2')\nimport sys\nsys.exit(0)", COMPLETED, ""),
+    ("print('status: 2')\nimport sys\nsys.exit('bad input file')", CRASH, "bad input file"),
+    ("import sys\nsys.exit(256)", COMPLETED, ""),
+], ids=["none", "zero", "message", "wraps_to_zero"])
+def test_sys_exit_maps_like_an_interpreter(runtime, src, exit_kind, stderr_text):
+    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    assert outcome.exit_kind == exit_kind
+    assert outcome.stderr.strip() == stderr_text
+
+
+def test_uncaught_exception_traceback_starts_at_candidate(runtime):
+    outcome = runtime.execute(
+        CandidateProgram("x = 1\nraise ValueError('bad shape')"), timeout_s=30)
+    assert outcome.exit_kind == CRASH
+    lines = outcome.stderr.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[1].endswith('candidate.py", line 2, in <module>')
+    assert lines[-1] == "ValueError: bad shape"
+    assert "runpy" not in outcome.stderr
+
+
+@pytest.mark.parametrize("src", [
+    "import os\nos.write(1, b'status: 2\\nobjective: 7\\n')",
+    "if __name__ == '__main__':\n    print('status: 2')\n    print('objective: 7')",
+], ids=["fd_write", "main_block"])
+def test_contract_reached_through_fd_and_main_block(runtime, src):
+    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    assert outcome.exit_kind == COMPLETED, outcome.stderr
+    assert (outcome.status_code, outcome.objective) == (2, 7.0)
+
+
+def test_parent_unflushed_output_stays_out_of_candidate(runtime, monkeypatch):
+    # The parent's stdout writes fd 1 through a buffer the child inherits,
+    # and a logging handler lets the candidate write through that buffer.
+    parent_out = open(1, "w", buffering=1 << 16, encoding="utf-8", closefd=False)
+    monkeypatch.setattr(sys, "stdout", parent_out)
+    logger = logging.getLogger("optverify.test_runtime")
+    handler = logging.StreamHandler(parent_out)
+    logger.addHandler(handler)
+    try:
+        print("parent-only-text")
+        src = (
+            "import logging\n"
+            "logging.getLogger('optverify.test_runtime').warning('candidate-line')\n"
+            "print('status: 2')"
+        )
+        outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    finally:
+        logger.removeHandler(handler)
+    assert outcome.exit_kind == COMPLETED
+    assert "candidate-line" in outcome.stdout
+    assert "parent-only-text" not in outcome.stdout
+    assert outcome.status_code == 2
+
+
+def test_candidate_cannot_write_parent_descriptors(runtime, tmp_path):
+    log = tmp_path / "parent.log"
+    with open(log, "w") as fh:
+        src = f"import os\nos.write({fh.fileno()}, b'leak')"
+        outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    assert outcome.exit_kind == CRASH
+    assert "Bad file descriptor" in outcome.stderr
+    assert log.read_text() == ""
+
+
+def test_candidate_cannot_rebind_parent_globals(runtime):
+    src = (
+        "import optverify.runtime\n"
+        "optverify.runtime.DEFAULT_TIMEOUT_S = 1.0\n"
+        "print('status: 2')"
+    )
+    before = optverify.runtime.DEFAULT_TIMEOUT_S
+    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    assert outcome.exit_kind == COMPLETED
+    assert optverify.runtime.DEFAULT_TIMEOUT_S == before == 60.0
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_timeout_kills_grandchildren(runtime):
+    src = (
+        "import subprocess, sys\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(120)'])\n"
+        "print(f'grandchild: {child.pid}', flush=True)\n"
+        "while True:\n"
+        "    pass\n"
+    )
+    outcome = runtime.execute(CandidateProgram(src), timeout_s=2)
+    assert outcome.exit_kind == TIMEOUT
+    pid = int(outcome.stdout.split("grandchild: ")[1].split()[0])
+    deadline = time.monotonic() + 5
+    while not _gone_or_zombie(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone_or_zombie(pid)
+
+
+def test_run_cost_reported_and_persisted(tmp_path):
+    rt = CandidateRuntime(artifact_root=tmp_path)
+    src = (
+        "import time\n"
+        "end = time.process_time() + 0.3\n"
+        "while time.process_time() < end:\n"
+        "    pass\n"
+        "print('status: 2')"
+    )
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    outcome = rt.execute(CandidateProgram(src), timeout_s=30, run_label="probe")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert outcome.exit_kind == COMPLETED
+    assert outcome.cpu_s >= 0.25
+    assert outcome.maxrss_mb > 0
+    # The child was reaped before execute returned, so the caller's
+    # children account holds exactly its CPU time.
+    children_cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert children_cpu == pytest.approx(outcome.cpu_s, abs=1e-3)
+    cost = json.loads((tmp_path / "probe" / "exec.json").read_text())
+    assert cost == {"duration_s": outcome.duration_s, "cpu_s": outcome.cpu_s,
+                    "maxrss_mb": outcome.maxrss_mb}
+
+
+def test_mip_candidate_after_threaded_parent_solve(runtime):
+    # A parent whose HiGHS already runs worker threads, as after any solve
+    # on a machine with three or more cores.
+    highs = pytest.importorskip("scipy.optimize._highspy._core")._Highs
+    h = highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("threads", 4)
+    h.run()
+    src = (
+        "import numpy as np\n"
+        "from scipy.optimize import Bounds, LinearConstraint, milp\n"
+        "rng = np.random.default_rng(1)\n"
+        "a = rng.random((40, 80))\n"
+        "res = milp(-rng.random(80), integrality=np.ones(80), bounds=Bounds(0, 1),\n"
+        "           constraints=LinearConstraint(a, -np.inf, a.sum(axis=1) / 3))\n"
+        "print(f'status: {res.status}')\n"
+    )
+    try:
+        outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    finally:
+        highs.resetGlobalScheduler(True)
+    assert outcome.exit_kind == COMPLETED, outcome.stderr
+    assert outcome.status_code == 0
