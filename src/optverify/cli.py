@@ -64,6 +64,22 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _map(fn, items, workers: int):
+    """``fn`` over ``items`` in order: in this process when ``workers`` is 1,
+    else on a pool of that many spawned processes.
+
+    A forked worker would copy this process's memory but not its threads,
+    such as the pool HiGHS keeps after any solve here, and a MIP it solved
+    could wait on them forever.  Spawning needs a picklable ``fn``: a
+    module-level function or a partial of one."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield from pool.map(fn, items)
+
+
 def _ground_truth_worker(path_str: str) -> tuple[str, dict]:
     inst = _load_instance(Path(path_str))
     return inst.name, ground_truth(inst)
@@ -75,16 +91,9 @@ def cmd_ground_truth(args: argparse.Namespace) -> int:
         print(f"no instance files under {args.instances}", file=sys.stderr)
         return EXIT_CONFIG
     results: dict[str, dict] = {}
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for name, gt in pool.map(_ground_truth_worker, [str(f) for f in files]):
-                results[name] = gt
-                print(f"{name}: {gt['status']} {gt.get('objective', '')}")
-    else:
-        for f in files:
-            name, gt = _ground_truth_worker(str(f))
-            results[name] = gt
-            print(f"{name}: {gt['status']} {gt.get('objective', '')}")
+    for name, gt in _map(_ground_truth_worker, [str(f) for f in files], args.workers):
+        results[name] = gt
+        print(f"{name}: {gt['status']} {gt.get('objective', '')}")
     failures = sum(1 for gt in results.values() if gt["status"] not in ("optimal", "infeasible"))
     Path(args.out).write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -92,20 +101,36 @@ def cmd_ground_truth(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
+# Every provider-config key with its default; the default's type is the
+# key's type (an int is accepted for a float, a bool for neither).
+_PROVIDER_DEFAULTS = {
+    "endpoint": "", "model_name": "unknown", "temperature": 0.0, "max_tokens": 8192,
+    "api_key_env": "OPTVERIFY_API_KEY", "retry_attempts": 3, "backoff_s": 1.0,
+}
+
+
 def _provider_config(path: str | None) -> LlmConfig:
     if path is None:
         return REPLAY_CONFIG
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ConfigError("provider config must hold a JSON object")
+    for key, value in raw.items():
+        if key not in _PROVIDER_DEFAULTS:
+            raise ConfigError(f"unknown provider key: {key}")
+        expected = type(_PROVIDER_DEFAULTS[key])
+        accepted = (int, float) if expected is float else (expected,)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(
+                f"{key} must be {expected.__name__}, not {type(value).__name__}")
+    values = {**_PROVIDER_DEFAULTS, **raw}
     return LlmConfig(
-        endpoint=raw.get("endpoint", ""),
-        model_name=raw.get("model_name", raw.get("model", "unknown")),
-        temperature=raw.get("temperature", 0.0),
-        max_tokens=raw.get("max_tokens", 8192),
-        api_key_ref=raw.get("api_key_env", raw.get("api_key_ref", "OPTVERIFY_API_KEY")),
-        retry=RetryPolicy(
-            attempts=raw.get("retry_attempts", 3),
-            backoff_s=raw.get("backoff_s", 1.0),
-        ),
+        endpoint=values["endpoint"],
+        model_name=values["model_name"],
+        temperature=values["temperature"],
+        max_tokens=values["max_tokens"],
+        api_key_ref=values["api_key_env"],
+        retry=RetryPolicy(attempts=values["retry_attempts"], backoff_s=values["backoff_s"]),
     )
 
 
@@ -165,20 +190,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         _run_worker, args=args, config=config, llm_config=llm_config)
     statuses: dict[str, str] = {}
     try:
-        if config.workers > 1:
-            # Candidates fork from the worker, and forking a threaded process
-            # can deadlock the child: so the workers are processes, spawned
-            # because the pool's own thread makes forking them unsafe too.
-            with ProcessPoolExecutor(max_workers=config.workers,
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
-                for name, status in pool.map(run_one, files):
-                    statuses[name] = status
-                    print(f"{name}: {status}")
-        else:
-            for path in files:
-                name, status = run_one(path)
-                statuses[name] = status
-                print(f"{name}: {status}")
+        # Candidates fork from the worker, and forking a threaded process can
+        # deadlock the child: so parallel workers are processes, not threads.
+        for name, status in _map(run_one, files, config.workers):
+            statuses[name] = status
+            print(f"{name}: {status}")
     except LlmError as exc:
         print(f"llm failure: {exc}", file=sys.stderr)
         return EXIT_PARTIAL

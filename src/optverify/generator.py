@@ -37,17 +37,6 @@ SKU_SHORTLIFE = "SKU_ShortLife"
 PRODUCTS = (SKU_BASIC, SKU_PREMIUM, SKU_SHORTLIFE)
 DCS = ("DC1", "DC2", "DC3", "DC4", "DC5")
 
-FAMILY_NAMES = {
-    "F1": "Core Operations",
-    "F2": "Assortment & Substitution",
-    "F3": "Resource Constraints",
-    "F4": "Demand Dynamics",
-    "F5": "Feasibility Stress",
-    "F6": "Discrete Logistics",
-    "F7": "Network & Multi-Echelon",
-    "F8": "Omni-channel",
-}
-
 # Seasonal demand: Gaussian peak at mid-horizon plus a floor, per-SKU scaling
 # applied before the final floor-to-int.
 _DEMAND_MULT = {SKU_BASIC: 1.0, SKU_PREMIUM: 0.5, SKU_SHORTLIFE: 0.4}

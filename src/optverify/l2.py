@@ -6,6 +6,10 @@ scale the parameter to an extreme, re-run the candidate, and measure the
 objective response.  A parameter that should matter but moves the objective
 by almost nothing marks its component as likely missing.
 
+Constraints (CPT) and objective terms (OPT) share one extractor and one
+tester; a :class:`Layer` record holds what differs between them (prompt,
+factor table, issue names, what an infeasible perturbed run means).
+
 L2 is diagnostic, never blocking: whatever it finds, the L1-verified program
 and its baseline objective survive.
 
@@ -55,16 +59,11 @@ OPT_FACTORS = {"cost": 0.001, "revenue": 100.0, "other": 0.01}
 
 
 @dataclass(frozen=True)
-class CandidateConstraint:
-    description: str
-    ctype: str
-    parameters: tuple[str, ...]
+class Candidate:
+    """A component the model should contain, with its governing parameters."""
 
-
-@dataclass(frozen=True)
-class CandidateObjectiveTerm:
     description: str
-    role: str
+    kind: str  # factor-table key: CPT "type", OPT "role"
     parameters: tuple[str, ...]
 
 
@@ -142,36 +141,60 @@ Return ONLY the JSON array, no explanation.
 EXTRACTION_SYSTEM = "You analyze optimization problems."
 
 
-def build_cpt_extraction_prompt(problem: str, data_keys: Sequence[str]) -> str:
-    return _CPT_EXTRACTION_TEMPLATE.format(problem=problem, data_keys=list(data_keys))
+@dataclass(frozen=True)
+class Layer:
+    """Everything that differs between constraint and objective-term testing."""
+
+    name: str
+    template: str
+    kind_field: str  # the JSON field of an extracted entry that names its kind
+    factors: Mapping[str, float]
+    issue_prefix: str
+    infeasible_is_pass: bool  # else an infeasible perturbed run gives no result
+    failed_target: str  # target and evidence of the extraction_failed Info
+    failed_evidence: str  # {} is the error
 
 
-def build_opt_extraction_prompt(problem: str, data_keys: Sequence[str]) -> str:
-    return _OPT_EXTRACTION_TEMPLATE.format(problem=problem, data_keys=list(data_keys))
+CPT = Layer(
+    name=LAYER_CPT, template=_CPT_EXTRACTION_TEMPLATE, kind_field="type",
+    factors=CPT_FACTORS, issue_prefix="constraint", infeasible_is_pass=True,
+    failed_target="constraints",
+    failed_evidence="constraint extraction produced no usable list ({}); CPT skipped")
+OPT = Layer(
+    name=LAYER_OPT, template=_OPT_EXTRACTION_TEMPLATE, kind_field="role",
+    factors=OPT_FACTORS, issue_prefix="objective_term", infeasible_is_pass=False,
+    failed_target="objective terms",
+    failed_evidence="objective-term extraction produced no usable list ({}); OPT skipped")
 
 
-def _parse_entries(reply: str, kind_field: str) -> list[dict[str, Any]]:
-    payload = find_json_payload(reply, "[")
+def extract(
+    layer: Layer,
+    problem: str,
+    data_keys: Sequence[str],
+    llm: LlmClient,
+    max_candidates: int = MAX_CANDIDATES,
+) -> list[Candidate]:
+    """Ask the LLM for the layer's components; keeps the first ``max_candidates``
+    well-formed entries."""
+    prompt = layer.template.format(problem=problem, data_keys=list(data_keys))
+    payload = find_json_payload(llm.complete(EXTRACTION_SYSTEM, prompt), "[")
     if not isinstance(payload, list):
         raise ExtractionError("extraction reply is not a JSON array")
-    entries = []
+    candidates = []
     for item in payload:
         if not isinstance(item, dict):
             continue
         desc = item.get("description")
         params = item.get("parameters")
-        if not isinstance(desc, str) or not desc.strip():
-            continue
-        if not isinstance(params, list) or not params:
+        if not isinstance(desc, str) or not desc.strip() or not isinstance(params, list):
             continue
         params = [str(p) for p in params if isinstance(p, (str, int))]
         if not params:
             continue
-        kind = item.get(kind_field, "other")
+        kind = item.get(layer.kind_field, "other")
         kind = kind.strip().lower() if isinstance(kind, str) else "other"
-        entries.append({"description": desc.strip(), kind_field: kind,
-                        "parameters": params})
-    return entries
+        candidates.append(Candidate(desc.strip(), kind, tuple(params)))
+    return candidates[:max_candidates]
 
 
 def extract_constraints(
@@ -179,13 +202,8 @@ def extract_constraints(
     data_keys: Sequence[str],
     llm: LlmClient,
     max_candidates: int = MAX_CANDIDATES,
-) -> list[CandidateConstraint]:
-    reply = llm.complete(EXTRACTION_SYSTEM, build_cpt_extraction_prompt(problem, data_keys))
-    entries = _parse_entries(reply, "type")
-    return [
-        CandidateConstraint(e["description"], e["type"], tuple(e["parameters"]))
-        for e in entries[:max_candidates]
-    ]
+) -> list[Candidate]:
+    return extract(CPT, problem, data_keys, llm, max_candidates)
 
 
 def extract_objective_terms(
@@ -193,13 +211,32 @@ def extract_objective_terms(
     data_keys: Sequence[str],
     llm: LlmClient,
     max_candidates: int = MAX_CANDIDATES,
-) -> list[CandidateObjectiveTerm]:
-    reply = llm.complete(EXTRACTION_SYSTEM, build_opt_extraction_prompt(problem, data_keys))
-    entries = _parse_entries(reply, "role")
-    return [
-        CandidateObjectiveTerm(e["description"], e["role"], tuple(e["parameters"]))
-        for e in entries[:max_candidates]
-    ]
+) -> list[Candidate]:
+    return extract(OPT, problem, data_keys, llm, max_candidates)
+
+
+Extraction = list[tuple[Layer, list[Candidate] | Diagnostic]]
+
+
+def extract_candidates(
+    problem: str,
+    data: Any,
+    llm: LlmClient,
+    max_candidates: int = MAX_CANDIDATES,
+) -> Extraction:
+    """Both layers' candidate lists, CPT first.  A layer whose extraction
+    failed holds its ``extraction_failed`` Info instead of a list."""
+    record = _as_record(data)
+    data_keys = list(record.keys()) if record else []
+    found: Extraction = []
+    for layer, extract_layer in ((CPT, extract_constraints), (OPT, extract_objective_terms)):
+        try:
+            found.append((layer, extract_layer(problem, data_keys, llm, max_candidates)))
+        except (ExtractionError, LlmError) as exc:
+            found.append((layer, Diagnostic(
+                layer.name, INFO, "extraction_failed", layer.failed_target,
+                layer.failed_evidence.format(exc))))
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -457,41 +494,38 @@ def _evidence(factor: float, ratio: float) -> str:
     return f"perturbation x{factor:g} caused only {ratio * 100:.1f}% objective change"
 
 
-def _test_candidates(
-    layer: str,
-    factors: Mapping[str, float],
-    issue_prefix: str,
-    infeasible_is_pass: bool,
+def probe(
+    layer: Layer,
     program: CandidateProgram,
     data: Any,
     z_star: float,
-    candidates: Iterable[Any],
-    kind_attr: str,
-    runtime: CandidateRuntime,
+    candidates: Iterable[Candidate],
+    runtime: CandidateRuntime | None = None,
     *,
-    timeout_s: float,
-    tau_low: float,
-    tau_high: float,
-    max_candidates: int,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
+    tau_low: float = MISSING_THRESHOLD,
+    tau_high: float = UNCERTAIN_THRESHOLD,
 ) -> list[Diagnostic]:
+    """Presence test of each candidate: perturb its first locatable parameter
+    by the layer's factor and classify the objective response."""
+    runtime = runtime or CandidateRuntime()
     diags: list[Diagnostic] = []
-    for idx, cand in enumerate(list(candidates)[:max_candidates]):
-        kind = getattr(cand, kind_attr)
-        factor = factors.get(kind, factors["other"])
+    for idx, cand in enumerate(candidates):
+        factor = layer.factors.get(cand.kind, layer.factors["other"])
         run: PerturbationRun | None = None
         for key in cand.parameters:
             try:
                 run = perturb_parameter(
                     program, data, key, factor, runtime,
                     timeout_s=timeout_s, baseline_objective=z_star,
-                    run_label=f"{layer.lower()}_{idx}",
+                    run_label=f"{layer.name.lower()}_{idx}",
                 )
                 break
             except ParameterNotFound:
                 continue
         if run is None:
             diags.append(Diagnostic(
-                layer, INFO, "parameter_not_found", cand.description,
+                layer.name, INFO, "parameter_not_found", cand.description,
                 f"none of the listed parameters {list(cand.parameters)} could be located; test skipped",
             ))
             continue
@@ -499,14 +533,14 @@ def _test_candidates(
         outcome = run.outcome
         if outcome.exit_kind != COMPLETED or outcome.status_code is None:
             diags.append(Diagnostic(
-                layer, INFO, "perturbation_inconclusive", cand.description,
+                layer.name, INFO, "perturbation_inconclusive", cand.description,
                 f"perturbed run ended in {outcome.exit_kind}; test inconclusive",
             ))
             continue
         if outcome.status_code == 3:
-            if infeasible_is_pass:
+            if layer.infeasible_is_pass:
                 diags.append(Diagnostic(
-                    layer, PASS, f"{issue_prefix}_present", cand.description,
+                    layer.name, PASS, f"{layer.issue_prefix}_present", cand.description,
                     f"perturbation x{factor:g} made the model infeasible; component is enforced",
                 ))
             # Objective perturbation is not expected to cause infeasibility;
@@ -514,7 +548,7 @@ def _test_candidates(
             continue
         if outcome.status_code != 2 or outcome.objective is None:
             diags.append(Diagnostic(
-                layer, INFO, "perturbation_inconclusive", cand.description,
+                layer.name, INFO, "perturbation_inconclusive", cand.description,
                 f"perturbed run returned solver status {outcome.status_code}; test inconclusive",
             ))
             continue
@@ -523,102 +557,32 @@ def _test_candidates(
         severity = classify_change_ratio(ratio, False, tau_low, tau_high)
         suffix = {PASS: "present", INFO: "uncertain"}.get(severity, "missing")
         diags.append(Diagnostic(
-            layer, severity, f"{issue_prefix}_{suffix}", cand.description,
+            layer.name, severity, f"{layer.issue_prefix}_{suffix}", cand.description,
             _evidence(factor, ratio),
         ))
     return diags
-
-
-def cpt(
-    program: CandidateProgram,
-    data: Any,
-    z_star: float,
-    candidates: Sequence[CandidateConstraint],
-    runtime: CandidateRuntime | None = None,
-    *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    tau_low: float = MISSING_THRESHOLD,
-    tau_high: float = UNCERTAIN_THRESHOLD,
-    max_candidates: int = MAX_CANDIDATES,
-) -> list[Diagnostic]:
-    """Constraint presence testing; infeasibility under perturbation passes."""
-    return _test_candidates(
-        LAYER_CPT, CPT_FACTORS, "constraint", True,
-        program, data, z_star, candidates, "ctype",
-        runtime or CandidateRuntime(),
-        timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
-        max_candidates=max_candidates,
-    )
-
-
-def opt_test(
-    program: CandidateProgram,
-    data: Any,
-    z_star: float,
-    candidates: Sequence[CandidateObjectiveTerm],
-    runtime: CandidateRuntime | None = None,
-    *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    tau_low: float = MISSING_THRESHOLD,
-    tau_high: float = UNCERTAIN_THRESHOLD,
-    max_candidates: int = MAX_CANDIDATES,
-) -> list[Diagnostic]:
-    """Objective presence testing; infeasible perturbed runs are skipped."""
-    return _test_candidates(
-        LAYER_OPT, OPT_FACTORS, "objective_term", False,
-        program, data, z_star, candidates, "role",
-        runtime or CandidateRuntime(),
-        timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
-        max_candidates=max_candidates,
-    )
 
 
 def run_l2(
     program: CandidateProgram,
     data: Any,
     z_star: float,
-    problem: str,
-    llm: LlmClient,
+    extraction: Extraction,
     runtime: CandidateRuntime | None = None,
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
     tau_low: float = MISSING_THRESHOLD,
     tau_high: float = UNCERTAIN_THRESHOLD,
-    max_candidates: int = MAX_CANDIDATES,
 ) -> list[Diagnostic]:
-    """Full L2 pass: extract candidates, run CPT then OPT."""
+    """Full L2 pass over extracted candidates: CPT then OPT."""
     runtime = runtime or CandidateRuntime()
-    record = _as_record(data)
-    data_keys = list(record.keys()) if record else []
     diags: list[Diagnostic] = []
-
-    try:
-        constraints = extract_constraints(problem, data_keys, llm, max_candidates)
-    except (ExtractionError, LlmError) as exc:
-        diags.append(Diagnostic(
-            LAYER_CPT, INFO, "extraction_failed", "constraints",
-            f"constraint extraction produced no usable list ({exc}); CPT skipped",
-        ))
-        constraints = []
-    if constraints:
-        diags.extend(cpt(
-            program, data, z_star, constraints, runtime,
-            timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
-            max_candidates=max_candidates,
-        ))
-
-    try:
-        terms = extract_objective_terms(problem, data_keys, llm, max_candidates)
-    except (ExtractionError, LlmError) as exc:
-        diags.append(Diagnostic(
-            LAYER_OPT, INFO, "extraction_failed", "objective terms",
-            f"objective-term extraction produced no usable list ({exc}); OPT skipped",
-        ))
-        terms = []
-    if terms:
-        diags.extend(opt_test(
-            program, data, z_star, terms, runtime,
-            timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
-            max_candidates=max_candidates,
-        ))
+    for layer, candidates in extraction:
+        if isinstance(candidates, Diagnostic):
+            diags.append(candidates)
+        else:
+            diags.extend(probe(
+                layer, program, data, z_star, candidates, runtime,
+                timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
+            ))
     return diags

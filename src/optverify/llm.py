@@ -302,22 +302,6 @@ def build_cot_prompt(problem: str, data_schema: Mapping[str, str] | None = None)
     return "\n".join(parts)
 
 
-def build_base_prompt(problem: str) -> str:
-    """Minimal direct-generation prompt (no reasoning scaffold)."""
-    return (
-        "Solve this optimization problem.\n"
-        "\n"
-        f"## Problem\n{problem}\n"
-        "\n"
-        "## Output Format\n"
-        "- Write Python code using gurobipy; model variable must be named `m`\n"
-        "- Set `m.Params.OutputFlag = 0`\n"
-        '- Print exactly: `print(f"status: {m.Status}")` and, when optimal,\n'
-        '  `print(f"objective: {m.ObjVal}")`\n'
-        "- Provide the final code in a ```python block.\n"
-    )
-
-
 EXTRACTION_SYSTEM_PROMPT = (
     "You extract numerical data from optimization problem statements."
 )

@@ -24,7 +24,7 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .diagnostics import INFO, Diagnostic, VerificationReport, change_ratio
 from .errors import LlmError
 from .l1 import l1_verify
-from .l2 import run_l2
+from .l2 import extract_candidates, run_l2
 from .llm import LlmClient, extract_code
 from .runtime import EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 
@@ -296,14 +296,17 @@ def repair_loop(
     diags: list[Diagnostic] = []
     adopted_untested = False
     iterations = 0
+    # The extraction prompts depend only on the problem and the data keys, so
+    # every L2 pass tests the same lists.  Without a budget there is no pass.
+    extraction = (extract_candidates(problem, data, llm, config.max_candidates)
+                  if config.repair_budget else [])
 
     def l2_pass() -> list[Diagnostic]:
         return run_l2(
-            current, data, z, problem, llm, runtime,
+            current, data, z, extraction, runtime,
             timeout_s=config.timeout_s,
             tau_low=config.missing_threshold,
             tau_high=config.uncertain_threshold,
-            max_candidates=config.max_candidates,
         )
 
     for j in range(1, config.repair_budget + 1):

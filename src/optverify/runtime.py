@@ -14,9 +14,12 @@ since a fork from a threaded process can deadlock the child; the child
 drops the thread pool HiGHS keeps.  Requires Linux (``fork``, ``setsid``,
 ``pidfd_open``).
 
-In ``external_dict`` mode the instance record is serialized into the run
-directory and a generated preamble parses it and binds it to ``data`` before
-the candidate source runs, so a candidate can never mutate the caller's copy.
+The run directory holds the program as written, ``candidate.py``, which the
+child runs by that relative name: tracebacks carry the program's own line
+numbers and no temp path, so crash evidence is the same on every run.  In
+``external_dict`` mode the instance record is serialized into the run
+directory and the child parses it into the script's ``data`` global, so a
+candidate can never mutate the caller's copy.
 
 Stdout is scanned for the output contract lines ``status: <int>`` and
 ``objective: <float>``; they may appear anywhere (solvers print noise) and
@@ -64,13 +67,8 @@ _OBJECTIVE_RE = re.compile(
     re.MULTILINE,
 )
 
+_SCRIPT = "candidate.py"
 _DATA_FILE = "instance.json"
-_PREAMBLE = (
-    "import json as _ov_json\n"
-    f"with open({_DATA_FILE!r}, encoding='utf-8') as _ov_fh:\n"
-    "    data = _ov_json.load(_ov_fh)\n"
-    "del _ov_json, _ov_fh\n"
-)
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,12 @@ class CandidateRuntime:
 
         with tempfile.TemporaryDirectory(prefix="optverify-run-") as tmp:
             workdir = Path(tmp)
-            source = program.source
-            if program.data_mode == EXTERNAL_DICT:
+            injected = program.data_mode == EXTERNAL_DICT
+            if injected:
                 record = to_json_dict(data) if isinstance(data, ScenarioInstance) else data
                 (workdir / _DATA_FILE).write_text(
                     json.dumps(record), encoding="utf-8")
-                source = _PREAMBLE + "\n" + program.source
-            script = workdir / "candidate.py"
-            script.write_text(source, encoding="utf-8")
+            (workdir / _SCRIPT).write_text(program.source, encoding="utf-8")
 
             # The parent holds the capture files open, so it reads them back
             # whatever the candidate does to its directory.
@@ -152,7 +148,7 @@ class CandidateRuntime:
                 except OSError as exc:
                     raise SandboxSetupError(f"cannot fork a candidate: {exc}") from exc
                 if pid == 0:
-                    _run_child(script, out.fileno(), err.fileno())
+                    _run_child(workdir, injected, out.fileno(), err.fileno())
                 exited, status, usage = _reap(pid, timeout_s)
                 duration = time.monotonic() - start
                 out.seek(0)
@@ -193,7 +189,7 @@ class CandidateRuntime:
             dest = self.artifact_root / f"{name}_{n:04d}"
             n += 1
         dest.mkdir(parents=True)
-        for fname in ("candidate.py", _DATA_FILE):
+        for fname in (_SCRIPT, _DATA_FILE):
             src = workdir / fname
             if src.exists():
                 shutil.copy(src, dest / fname)
@@ -233,8 +229,9 @@ def _reap(pid: int, timeout_s: float) -> tuple[bool, int, resource.struct_rusage
     return exited, status, usage
 
 
-def _run_child(script: Path, out_fd: int, err_fd: int) -> NoReturn:
-    """Body of the forked child: run the script, then exit without returning
+def _run_child(workdir: Path, injected: bool, out_fd: int, err_fd: int) -> NoReturn:
+    """Body of the forked child: run the script in ``workdir``, with the
+    record bound to ``data`` when ``injected``, then exit without returning
     into the caller's stack."""
     code = 1
     try:
@@ -245,7 +242,7 @@ def _run_child(script: Path, out_fd: int, err_fd: int) -> NoReturn:
             # workers forever.  Drop the pool without joining it; HiGHS
             # starts a new one on its next solve.
             _Highs.resetGlobalScheduler(False)
-        os.chdir(script.parent)
+        os.chdir(workdir)
         null_fd = os.open(os.devnull, os.O_RDONLY)
         for fd, target in ((null_fd, 0), (out_fd, 1), (err_fd, 2)):
             os.dup2(fd, target)
@@ -256,17 +253,22 @@ def _run_child(script: Path, out_fd: int, err_fd: int) -> NoReturn:
         sys.stdout = sys.__stdout__ = open(1, "w", encoding="utf-8", closefd=False)
         sys.stderr = sys.__stderr__ = open(2, "w", buffering=1, encoding="utf-8",
                                            errors="backslashreplace", closefd=False)
-        sys.argv = [script.name]
-        sys.path.insert(0, str(script.parent))
-        code = _run_script(script)
+        sys.argv = [_SCRIPT]
+        sys.path.insert(0, str(workdir))
+        init_globals = None
+        if injected:
+            with open(_DATA_FILE, encoding="utf-8") as fh:
+                init_globals = {"data": json.load(fh)}
+        code = _run_script(init_globals)
     finally:
         os._exit(code)
 
 
-def _run_script(script: Path) -> int:
-    """Run ``script`` as ``__main__``; the exit status ``python script`` gives."""
+def _run_script(init_globals: dict[str, Any] | None) -> int:
+    """Run ``candidate.py`` of the working directory as ``__main__``; the exit
+    status ``python candidate.py`` gives."""
     try:
-        runpy.run_path(str(script), run_name="__main__")
+        runpy.run_path(_SCRIPT, init_globals, run_name="__main__")
         code = 0
     except SystemExit as exc:
         if exc.code is None:
@@ -279,7 +281,7 @@ def _run_script(script: Path) -> int:
     except BaseException as exc:  # an uncaught exception ends the program
         # Drop the runtime's and runpy's frames: ``python script`` shows none.
         tb = exc.__traceback__
-        while tb is not None and tb.tb_frame.f_code.co_filename != str(script):
+        while tb is not None and tb.tb_frame.f_code.co_filename != _SCRIPT:
             tb = tb.tb_next
         traceback.print_exception(type(exc), exc, tb)
         code = 1

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import shutil
@@ -33,7 +34,7 @@ from optverify.diagnostics import INFO, PASS, WARNING, classify_change_ratio
 from optverify.evaluation import aggregate, build_record, silent_failure_metrics
 from optverify.generator import build_instance, generate_suite
 from optverify.l1 import l1_verify
-from optverify.l2 import CandidateConstraint, CandidateObjectiveTerm, cpt, opt_test
+from optverify.l2 import CPT, OPT, Candidate, probe
 from optverify.llm import (
     REPLAY_CONFIG,
     CallableTransport,
@@ -111,7 +112,10 @@ def suite_ground_truth(suite_dir):
     assert len(files) == 190
     workers = max(1, min(4, os.cpu_count() or 1))
     start = time.monotonic()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Spawned, not forked: HiGHS threads started by earlier tests in this
+    # process would not survive a fork, and a worker's MIP would wait on them.
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
         summaries = {s["name"]: s for s in pool.map(_solve_summary, files)}
     wall = time.monotonic() - start
     return summaries, wall
@@ -257,7 +261,7 @@ def test_acceptance_iis_oracle():
 
 def test_acceptance_cpt_mutation_detection(runtime):
     start = time.monotonic()
-    candidates = [CandidateConstraint(
+    candidates = [Candidate(
         "cold storage capacity limit", "capacity", ("cold_capacity",))]
     hits = 0
     total = 0
@@ -268,7 +272,7 @@ def test_acceptance_cpt_mutation_detection(runtime):
             program = CandidateProgram(candidate_source(drop=drop), EXTERNAL_DICT)
             l1 = l1_verify(program, inst, runtime, timeout_s=90)
             assert l1.passed
-            diags = cpt(program, inst, l1.objective, candidates, runtime, timeout_s=90)
+            diags = probe(CPT, program, inst, l1.objective, candidates, runtime, timeout_s=90)
             severity = diags[0].severity
             if expect_warning and severity == WARNING:
                 hits += 1
@@ -281,7 +285,7 @@ def test_acceptance_cpt_mutation_detection(runtime):
 
 def test_acceptance_opt_mutation_detection(runtime):
     start = time.monotonic()
-    terms = [CandidateObjectiveTerm(
+    terms = [Candidate(
         "inventory holding cost", "cost", ("inventory",))]
     hits = 0
     total = 0
@@ -292,12 +296,12 @@ def test_acceptance_opt_mutation_detection(runtime):
             candidate_source(drop=("holding_cost",)), EXTERNAL_DICT)
         l1_mut = l1_verify(mutant, inst, runtime, timeout_s=90)
         assert l1_mut.passed
-        mut_diags = opt_test(mutant, inst, l1_mut.objective, terms, runtime, timeout_s=90)
+        mut_diags = probe(OPT, mutant, inst, l1_mut.objective, terms, runtime, timeout_s=90)
 
         intact = CandidateProgram(candidate_source(), EXTERNAL_DICT)
         l1_ok = l1_verify(intact, inst, runtime, timeout_s=90)
         assert l1_ok.passed
-        ok_diags = opt_test(intact, inst, l1_ok.objective, terms, runtime, timeout_s=90)
+        ok_diags = probe(OPT, intact, inst, l1_ok.objective, terms, runtime, timeout_s=90)
 
         if (mut_diags and mut_diags[0].severity == WARNING
                 and ok_diags and ok_diags[0].severity in (PASS, INFO)):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,14 @@ import pytest
 from optverify import cli
 from optverify.cli import EXIT_CONFIG, EXIT_OK, main
 from optverify.generator import generate_suite
-from optverify.llm import CallableTransport, LlmClient, RecordingTransport, REPLAY_CONFIG
+from optverify.llm import (
+    REPLAY_CONFIG,
+    CallableTransport,
+    LlmClient,
+    LlmConfig,
+    RecordingTransport,
+    RetryPolicy,
+)
 from optverify.pipeline import run_instance
 from optverify.prompts import SCHEMA_BASED
 from optverify.scenario import validate_instance
@@ -106,6 +114,35 @@ def test_run_replay_evaluate_report_flow(bench_dir, tmp_path, capsys):
     assert "F1" in out
 
 
+def test_replay_of_crashed_first_candidate_is_byte_identical(bench_dir, tmp_path):
+    # The regeneration prompt quotes the crash traceback; it must not vary
+    # between the recording run and the replay, or the replay misses.
+    name = "retail_f1_base_v0"
+    mini = _mini_instances(bench_dir, tmp_path, [name])
+    inner = scripted_reference_provider()
+    state = {"first": True}
+
+    def crash_first(payload):
+        if "STEP 1: UNDERSTAND" in payload["user"] and state["first"]:
+            state["first"] = False
+            return "```python\nx = 1\ny = data['missing_key']\n```"
+        return inner(payload)
+
+    fixtures = tmp_path / "fixtures"
+    inst = validate_instance(json.loads((mini / f"{name}.json").read_text()))
+    client = LlmClient(REPLAY_CONFIG, RecordingTransport(fixtures, CallableTransport(crash_first)))
+    recorded = run_instance(inst, (mini / f"{name}.scenario.txt").read_text(), SCHEMA_BASED,
+                            client, run_dir=tmp_path / "recorded")
+    assert recorded.status == "verified"
+    assert sum(e.get("event") == "regeneration" for e in recorded.events) == 1
+
+    assert main(["run", "--instances", str(mini), "--format", "schema",
+                 "--out", str(tmp_path / "replayed"), "--llm-replay", str(fixtures)]) == EXIT_OK
+    for fname in ("report.json", "result.json", "code.py"):
+        assert (tmp_path / "replayed" / name / fname).read_bytes() == \
+            (tmp_path / "recorded" / fname).read_bytes(), fname
+
+
 def test_run_workers_match_serial_run(bench_dir, tmp_path):
     names = ["retail_f1_base_v0", "retail_f1_base_v1"]
     mini = _mini_instances(bench_dir, tmp_path, names)
@@ -152,6 +189,32 @@ def test_run_renders_missing_prompt(bench_dir, tmp_path, monkeypatch, fmt, suffi
                  "--out", str(tmp_path / "runs"),
                  "--llm-replay", str(tmp_path / "fixtures")]) == EXIT_OK
     assert seen == [((bench_dir / f"{name}{suffix}").read_text(encoding="utf-8"), fmt)]
+
+
+def test_provider_config_reads_readme_example(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"### Provider config.*?```json\n(.*?)```", readme, re.DOTALL).group(1)
+    path = tmp_path / "provider.json"
+    path.write_text(example)
+    assert cli._provider_config(str(path)) == LlmConfig(
+        endpoint="https://api.example.com/v1/chat/completions", model_name="some-model",
+        temperature=0.0, max_tokens=8192, api_key_ref="OPTVERIFY_API_KEY",
+        retry=RetryPolicy(attempts=3, backoff_s=1.0))
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"endpiont": "https://api.example.com"}, "unknown provider key: endpiont"),
+    ({"max_tokens": "8192"}, "max_tokens must be int, not str"),
+], ids=["unknown_key", "wrong_type"])
+def test_run_rejects_bad_provider_config(bench_dir, tmp_path, capsys, entry, message):
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    provider = tmp_path / "provider.json"
+    provider.write_text(json.dumps({"model_name": "some-model", **entry}))
+    code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),
+                 "--provider", str(provider)])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_requires_provider_or_replay(bench_dir, tmp_path):

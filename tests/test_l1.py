@@ -49,6 +49,18 @@ def test_crash_fatal_with_stderr(runtime):
     assert "model exploded" in result.fatal.evidence
 
 
+def test_crash_evidence_is_stable_and_names_program_lines(runtime):
+    # The record is bound without source lines of its own, and the script
+    # runs by a relative name: evidence carries no temp path, so a
+    # regeneration prompt built from it is the same on every run.
+    prog = CandidateProgram("x = 1\ny = data['missing_key']\n", EXTERNAL_DICT)
+    evidence = [l1_verify(prog, {"present": 1}, runtime, timeout_s=30).fatal.evidence
+                for _ in range(2)]
+    assert evidence[0] == evidence[1]
+    assert 'File "candidate.py", line 2, in <module>' in evidence[0]
+    assert "optverify-run-" not in evidence[0]
+
+
 def test_timeout_fatal(runtime):
     prog = CandidateProgram("while True: pass")
     result = l1_verify(prog, None, runtime, timeout_s=1.0)

@@ -5,19 +5,18 @@ import pytest
 from optverify.diagnostics import INFO, PASS, WARNING
 from optverify.errors import ExtractionError, ParameterNotFound
 from optverify.l2 import (
+    CPT,
     CPT_FACTORS,
+    OPT,
     OPT_FACTORS,
-    CandidateConstraint,
-    CandidateObjectiveTerm,
-    build_cpt_extraction_prompt,
-    build_opt_extraction_prompt,
-    cpt,
+    Candidate,
+    extract_candidates,
     extract_constraints,
     extract_objective_terms,
-    opt_test,
     perturb_parameter,
     perturb_record,
     perturb_source,
+    probe,
     run_l2,
 )
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
@@ -46,8 +45,8 @@ _GOOD_ARRAY = """Here you go:
 def test_extract_constraints_parses_reply():
     out = extract_constraints("p", ["capacity"], _client(lambda _: _GOOD_ARRAY))
     assert out == [
-        CandidateConstraint("minimum protein requirement", "demand", ("min_protein",)),
-        CandidateConstraint("capacity limit on production", "capacity", ("capacity",)),
+        Candidate("minimum protein requirement", "demand", ("min_protein",)),
+        Candidate("capacity limit on production", "capacity", ("capacity",)),
     ]
 
 
@@ -76,7 +75,7 @@ def test_extract_drops_malformed_entries():
     out = extract_constraints("p", [], _client(lambda _: reply))
     assert len(out) == 1
     assert out[0].description == "keep me"
-    assert out[0].ctype == "weird"
+    assert out[0].kind == "weird"
 
 
 def test_extract_objective_terms():
@@ -85,8 +84,8 @@ def test_extract_objective_terms():
       {"description": "sales revenue per unit", "role": "revenue", "parameters": ["selling_price"]}
     ]"""
     out = extract_objective_terms("p", [], _client(lambda _: reply))
-    assert out[0].role == "cost"
-    assert out[1].role == "revenue"
+    assert out[0].kind == "cost"
+    assert out[1].kind == "revenue"
 
 
 def test_extract_empty_array_gives_empty_list():
@@ -94,13 +93,20 @@ def test_extract_empty_array_gives_empty_list():
 
 
 def test_extraction_prompts_carry_problem_and_keys():
-    text = build_cpt_extraction_prompt("THE PROBLEM", ["a", "b"])
-    assert "THE PROBLEM" in text
-    assert "['a', 'b']" in text
-    assert "KEY CONSTRAINTS" in text
-    text = build_opt_extraction_prompt("THE PROBLEM", ["a"])
-    assert "KEY OBJECTIVE" in text
-    assert "MUST appear in the objective" in text
+    prompts = []
+
+    def capture(payload):
+        prompts.append(payload["user"])
+        return "[]"
+
+    extract_candidates("THE PROBLEM", {"a": 1, "b": 2}, _client(capture))
+    cpt_text, opt_text = prompts
+    assert "THE PROBLEM" in cpt_text
+    assert "['a', 'b']" in cpt_text
+    assert "KEY CONSTRAINTS" in cpt_text
+    assert "THE PROBLEM" in opt_text
+    assert "KEY OBJECTIVE" in opt_text
+    assert "MUST appear in the objective" in opt_text
 
 
 def test_factor_tables_are_total():
@@ -269,15 +275,15 @@ def test_parameter_not_found_anywhere(runtime):
 # --------------------------------------------------------------------------
 
 
-def _constraint(param="capacity", ctype="capacity"):
-    return [CandidateConstraint(f"{param} limit", ctype, (param,))]
+def _constraint(param="capacity", kind="capacity"):
+    return [Candidate(f"{param} limit", kind, (param,))]
 
 
 def test_cpt_missing_constraint_warning(runtime):
     # Ignores capacity entirely: extreme perturbation moves nothing.
     src = "print('status: 2')\nprint(f\"objective: {data['demand']}\")\n"
     prog = CandidateProgram(src, EXTERNAL_DICT)
-    diags = cpt(prog, _RECORD, 100.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, _RECORD, 100.0, _constraint(), runtime, timeout_s=30)
     assert len(diags) == 1
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "constraint_missing"
@@ -286,7 +292,7 @@ def test_cpt_missing_constraint_warning(runtime):
 
 def test_cpt_present_constraint_passes(runtime):
     prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    diags = cpt(prog, _RECORD, 50.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, _RECORD, 50.0, _constraint(), runtime, timeout_s=30)
     assert diags[0].severity == PASS
     assert diags[0].issue_type == "constraint_present"
 
@@ -297,7 +303,7 @@ def test_cpt_infeasible_outcome_passes(runtime):
         "print('objective: 10')\n"
     )
     prog = CandidateProgram(src, EXTERNAL_DICT)
-    diags = cpt(prog, _RECORD, 10.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, _RECORD, 10.0, _constraint(), runtime, timeout_s=30)
     assert diags[0].severity == PASS
     assert "infeasible" in diags[0].evidence
 
@@ -305,25 +311,31 @@ def test_cpt_infeasible_outcome_passes(runtime):
 def test_cpt_crash_is_inconclusive_info(runtime):
     src = "assert data['capacity'] >= 1\nprint('status: 2')\nprint('objective: 10')\n"
     prog = CandidateProgram(src, EXTERNAL_DICT)
-    diags = cpt(prog, _RECORD, 10.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, _RECORD, 10.0, _constraint(), runtime, timeout_s=30)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "perturbation_inconclusive"
 
 
 def test_cpt_unknown_parameter_skipped_with_info(runtime):
     prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    diags = cpt(prog, _RECORD, 50.0,
-                [CandidateConstraint("phantom", "capacity", ("ghost",))],
-                runtime, timeout_s=30)
+    diags = probe(CPT, prog, _RECORD, 50.0,
+                  [Candidate("phantom", "capacity", ("ghost",))],
+                  runtime, timeout_s=30)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "parameter_not_found"
 
 
 def test_cpt_respects_max_candidates(runtime):
+    # The cap applies once, at extraction; the tester runs every candidate.
+    entries = ",".join(
+        f'{{"description": "c{i}", "type": "capacity", "parameters": ["capacity"]}}'
+        for i in range(12)
+    )
+    llm = _client(lambda payload: f"[{entries}]" if "KEY CONSTRAINTS" in payload["user"] else "[]")
     prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    cands = [CandidateConstraint(f"c{i}", "capacity", ("capacity",)) for i in range(12)]
-    diags = cpt(prog, _RECORD, 50.0, cands, runtime, timeout_s=30)
-    assert len(diags) == 10
+    extraction = extract_candidates("p", _RECORD, llm, max_candidates=3)
+    diags = run_l2(prog, _RECORD, 50.0, extraction, runtime, timeout_s=30)
+    assert [d.target for d in diags] == ["c0", "c1", "c2"]
 
 
 def test_opt_missing_term_warning(runtime):
@@ -331,8 +343,8 @@ def test_opt_missing_term_warning(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
     prog = CandidateProgram(src, EXTERNAL_DICT)
     record = {"purchase_cost": 5.0, "holding_cost": 2.0}
-    terms = [CandidateObjectiveTerm("holding cost", "cost", ("holding_cost",))]
-    diags = opt_test(prog, record, 50.0, terms, runtime, timeout_s=30)
+    terms = [Candidate("holding cost", "cost", ("holding_cost",))]
+    diags = probe(OPT, prog, record, 50.0, terms, runtime, timeout_s=30)
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "objective_term_missing"
 
@@ -341,23 +353,24 @@ def test_opt_present_term_passes(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
     prog = CandidateProgram(src, EXTERNAL_DICT)
     record = {"purchase_cost": 5.0}
-    terms = [CandidateObjectiveTerm("purchasing cost", "cost", ("purchase_cost",))]
-    diags = opt_test(prog, record, 50.0, terms, runtime, timeout_s=30)
+    terms = [Candidate("purchasing cost", "cost", ("purchase_cost",))]
+    diags = probe(OPT, prog, record, 50.0, terms, runtime, timeout_s=30)
     assert diags[0].severity == PASS
 
 
 def test_opt_infeasible_outcome_skipped(runtime):
     src = "print('status: 3')\n"
     prog = CandidateProgram(src, EXTERNAL_DICT)
-    terms = [CandidateObjectiveTerm("cost", "cost", ("purchase_cost",))]
-    diags = opt_test(prog, {"purchase_cost": 1.0}, 10.0, terms, runtime, timeout_s=30)
+    terms = [Candidate("cost", "cost", ("purchase_cost",))]
+    diags = probe(OPT, prog, {"purchase_cost": 1.0}, 10.0, terms, runtime, timeout_s=30)
     assert diags == []  # skipped, no diagnostic at all
 
 
 def test_run_l2_extraction_failure_degrades_to_info(runtime):
     prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
     llm = _client(lambda payload: "I cannot help with that")
-    diags = run_l2(prog, _RECORD, 50.0, "problem", llm, runtime, timeout_s=30)
+    extraction = extract_candidates("problem", _RECORD, llm)
+    diags = run_l2(prog, _RECORD, 50.0, extraction, runtime, timeout_s=30)
     assert {d.issue_type for d in diags} == {"extraction_failed"}
     assert all(d.severity == INFO for d in diags)
 
@@ -369,6 +382,7 @@ def test_run_l2_full_pass(runtime):
         return '[{"description": "demand value", "role": "cost", "parameters": ["demand"]}]'
 
     prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    diags = run_l2(prog, _RECORD, 50.0, "problem", _client(scripted), runtime, timeout_s=30)
+    extraction = extract_candidates("problem", _RECORD, _client(scripted))
+    diags = run_l2(prog, _RECORD, 50.0, extraction, runtime, timeout_s=30)
     layers = {d.layer for d in diags}
     assert layers == {"L2_CPT", "L2_OPT"}

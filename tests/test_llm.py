@@ -12,7 +12,6 @@ from optverify.llm import (
     RecordingTransport,
     ReplayTransport,
     RetryPolicy,
-    build_base_prompt,
     build_cot_prompt,
     build_extraction_prompt,
     canonical_request,
@@ -137,12 +136,6 @@ def test_cot_prompts_are_pure():
     assert build_cot_prompt("x") == build_cot_prompt("x")
     schema = {"a": "int"}
     assert build_cot_prompt("x", schema) == build_cot_prompt("x", schema)
-
-
-def test_base_prompt_minimal():
-    text = build_base_prompt("THE PROBLEM")
-    assert "THE PROBLEM" in text
-    assert "STEP 1" not in text
 
 
 def test_extraction_prompt():

@@ -153,15 +153,17 @@ _CONSTRAINT_REPLY = (
 _EMPTY_REPLY = "[]"
 
 
-def _scripted_llm(repair_replies):
+def _scripted_llm(repair_replies, sent=None):
     """CPT extraction yields one untestable candidate (Info); OPT extraction
     yields a term whose parameter the base source ignores, producing a
     Warning that triggers repair.  ``repair_replies`` feed the repair calls
-    in order."""
+    in order; ``sent`` collects every user prompt."""
     replies = list(repair_replies)
 
     def fn(payload):
         user = payload["user"]
+        if sent is not None:
+            sent.append(user)
         if "KEY CONSTRAINTS" in user:
             return _EMPTY_REPLY
         if "KEY OBJECTIVE" in user:
@@ -216,6 +218,19 @@ def test_small_shift_accepted():
     out = _loop(program, llm)
     assert out.objective == pytest.approx(103.9)
     assert any(e.get("decision") == "adopted" for e in out.events)
+
+
+def test_each_extraction_prompt_sent_once():
+    # The adopted repair still ignores holding cost, so a second L2 pass
+    # warns again and the next repair returns identical code.
+    shifted = _BASE_SOURCE.replace(
+        "data['unit_cost']", "(data['unit_cost'] * 1.039)")
+    sent = []
+    llm = _scripted_llm(["```python\n" + shifted + "```"] * 3, sent)
+    out = _loop(CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT), llm)
+    assert [e["decision"] for e in out.events] == ["adopted", "identical_code"]
+    assert sum("KEY CONSTRAINTS" in user for user in sent) == 1
+    assert sum("KEY OBJECTIVE" in user for user in sent) == 1
 
 
 def test_identical_code_terminates():
