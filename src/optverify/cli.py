@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -33,7 +34,6 @@ from .llm import (
     LlmConfig,
     RecordingTransport,
     ReplayTransport,
-    RetryPolicy,
 )
 from .pipeline import run_instance
 from .prompts import PROMPT_FORMATS, SCHEMA_BASED, render_prompt, split_instance_name
@@ -101,37 +101,25 @@ def cmd_ground_truth(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-# Every provider-config key with its default; the default's type is the
-# key's type (an int is accepted for a float, a bool for neither).
-_PROVIDER_DEFAULTS = {
-    "endpoint": "", "model_name": "unknown", "temperature": 0.0, "max_tokens": 8192,
-    "api_key_env": "OPTVERIFY_API_KEY", "retry_attempts": 3, "backoff_s": 1.0,
-}
-
-
 def _provider_config(path: str | None) -> LlmConfig:
+    """The ``--provider`` file's settings over ``LlmConfig``'s defaults.  Each
+    key's type is its default's type (an int is accepted for a float, a bool
+    for neither)."""
     if path is None:
         return REPLAY_CONFIG
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ConfigError("provider config must hold a JSON object")
+    defaults = asdict(LlmConfig())
     for key, value in raw.items():
-        if key not in _PROVIDER_DEFAULTS:
+        if key not in defaults:
             raise ConfigError(f"unknown provider key: {key}")
-        expected = type(_PROVIDER_DEFAULTS[key])
+        expected = type(defaults[key])
         accepted = (int, float) if expected is float else (expected,)
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(
                 f"{key} must be {expected.__name__}, not {type(value).__name__}")
-    values = {**_PROVIDER_DEFAULTS, **raw}
-    return LlmConfig(
-        endpoint=values["endpoint"],
-        model_name=values["model_name"],
-        temperature=values["temperature"],
-        max_tokens=values["max_tokens"],
-        api_key_ref=values["api_key_env"],
-        retry=RetryPolicy(attempts=values["retry_attempts"], backoff_s=values["backoff_s"]),
-    )
+    return LlmConfig(**raw)
 
 
 def _build_client(args: argparse.Namespace, config: LlmConfig) -> LlmClient:
@@ -162,12 +150,9 @@ def _run_worker(path: Path, args: argparse.Namespace, config: PipelineConfig,
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = (PipelineConfig.from_file(args.config)
-                  if args.config else DEFAULT_CONFIG)
-        if args.budget is not None:
-            config = config.override(
-                max_regenerations=args.budget, repair_budget=args.budget)
-        if args.workers:
-            config = config.override(workers=args.workers)
+                  if args.config else DEFAULT_CONFIG).override(
+            max_regenerations=args.budget, repair_budget=args.budget,
+            workers=args.workers)
         llm_config = _provider_config(args.provider)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

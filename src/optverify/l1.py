@@ -13,16 +13,15 @@ candidates cannot, and then the Fatal carries the raw status only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, replace
 
 from .backend import DEFAULT_BACKEND, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
 from .errors import LlmError
+from .llm import data_key_lines, extract_code
 from .runtime import (
     CRASH,
     DEFAULT_TIMEOUT_S,
-    EXTERNAL_DICT,
     TIMEOUT,
     CandidateProgram,
     CandidateRuntime,
@@ -75,7 +74,6 @@ def _stderr_excerpt(outcome: ExecutionOutcome) -> str:
 
 def l1_verify(
     program: CandidateProgram,
-    data: Any = None,
     runtime: CandidateRuntime | None = None,
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
@@ -90,7 +88,7 @@ def l1_verify(
     if syntax_diag is not None:
         return L1Result(False, None, None, [syntax_diag], None)
 
-    outcome = runtime.execute(program, data, timeout_s=timeout_s, run_label=run_label)
+    outcome = runtime.execute(program, timeout_s=timeout_s, run_label=run_label)
 
     if outcome.exit_kind == TIMEOUT:
         diags.append(Diagnostic(
@@ -193,16 +191,12 @@ Return ONLY the corrected Python code in a ```python block.
 """
 
 
-def _data_instructions(data_mode: str, data_schema: Mapping[str, str] | None) -> str:
-    if data_mode == EXTERNAL_DICT:
-        if data_schema:
-            schema = "\n".join(f"- {k}: {v}" for k, v in data_schema.items())
-        else:
-            schema = "(schema unavailable)"
+def _data_instructions(program: CandidateProgram) -> str:
+    if program.data is not None:
         return (
             "## Data Structure\n"
             "The `data` variable is PRE-DEFINED with these keys:\n"
-            f"{schema}\n"
+            f"{data_key_lines(program.data)}\n"
             'CRITICAL: Do NOT create data = {...}. Just use data["key"] directly.'
         )
     return (
@@ -211,52 +205,42 @@ def _data_instructions(data_mode: str, data_schema: Mapping[str, str] | None) ->
     )
 
 
-def build_regeneration_prompt(
-    problem: str,
-    failed_code: str,
-    error: str,
-    data_mode: str,
-    data_schema: Mapping[str, str] | None = None,
-) -> str:
+def build_regeneration_prompt(problem: str, failed: CandidateProgram, error: str) -> str:
     return _REGENERATION_TEMPLATE.format(
         problem=problem,
-        failed_code=failed_code,
+        failed_code=failed.source,
         error=error,
-        data_instructions=_data_instructions(data_mode, data_schema),
+        data_instructions=_data_instructions(failed),
     )
 
 
 def l1_verify_with_regeneration(
     program: CandidateProgram,
-    data: Any,
     problem: str,
     llm,
     runtime: CandidateRuntime | None = None,
     *,
     max_regenerations: int = MAX_REGENERATIONS,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    data_schema: Mapping[str, str] | None = None,
     audit: list | None = None,
 ) -> tuple[CandidateProgram, L1Result]:
     """Phase-1 loop: verify, regenerate on Fatal, give up after the budget.
 
     At most ``max_regenerations`` LLM regenerations happen; the returned
     result is the last verification outcome (failed when the budget ran out
-    or the LLM became unavailable).
+    or the LLM became unavailable).  A regenerated program keeps the data
+    record of the one it replaces.
     """
-    from .llm import extract_code  # local import to avoid a cycle
-
     runtime = runtime or CandidateRuntime()
     current = program
     result = l1_verify(
-        current, data, runtime, timeout_s=timeout_s, run_label="l1_initial")
+        current, runtime, timeout_s=timeout_s, run_label="l1_initial")
     attempts = 0
     while not result.passed and attempts < max_regenerations:
         attempts += 1
         fatal = result.fatal
         error = fatal.evidence if fatal else "unknown failure"
-        prompt = build_regeneration_prompt(
-            problem, current.source, error, current.data_mode, data_schema)
+        prompt = build_regeneration_prompt(problem, current, error)
         try:
             reply = llm.complete(REGENERATION_SYSTEM_PROMPT, prompt)
         except LlmError:
@@ -267,8 +251,8 @@ def l1_verify_with_regeneration(
         code = extract_code(reply)
         if code is None:
             continue
-        current = CandidateProgram(code, current.data_mode)
+        current = replace(current, source=code)
         result = l1_verify(
-            current, data, runtime, timeout_s=timeout_s,
+            current, runtime, timeout_s=timeout_s,
             run_label=f"l1_regen_{attempts}")
     return current, result

@@ -13,19 +13,20 @@ factor table, issue names, what an infeasible perturbed run means).
 L2 is diagnostic, never blocking: whatever it finds, the L1-verified program
 and its baseline objective survive.
 
-Perturbation is dual-strategy.  Strategy 1 rewrites the injected data record
-and re-runs the original source; Strategy 2 rewrites the parameter's literal
-assignment inside the source (fuzzy name match) and re-runs that.  Programs
-that read the data dict use Strategy 1, self-contained programs Strategy 2,
-and hybrids fall back from 1 to 2 when the data-side perturbation barely
-moved the objective (the value was probably hardcoded).
+Perturbation is dual-strategy.  Strategy 1 runs the original source on a
+rewritten copy of the program's data record; Strategy 2 rewrites the
+parameter's literal assignment inside the source (fuzzy name match) and runs
+that on the unchanged record.  Programs that carry a record use Strategy 1,
+self-contained programs Strategy 2, and hybrids fall back from 1 to 2 when
+the data-side perturbation barely moved the objective (the value was
+probably hardcoded).
 """
 
 from __future__ import annotations
 
 import ast
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from .diagnostics import (
@@ -44,12 +45,10 @@ from .llm import LlmClient, find_json_payload
 from .runtime import (
     COMPLETED,
     DEFAULT_TIMEOUT_S,
-    EXTERNAL_DICT,
     CandidateProgram,
     CandidateRuntime,
     ExecutionOutcome,
 )
-from .scenario import ScenarioInstance, to_json_dict
 
 MAX_CANDIDATES = 10
 HYBRID_FALLBACK_RATIO = 0.01
@@ -220,14 +219,12 @@ Extraction = list[tuple[Layer, list[Candidate] | Diagnostic]]
 
 def extract_candidates(
     problem: str,
-    data: Any,
+    data_keys: Sequence[str],
     llm: LlmClient,
     max_candidates: int = MAX_CANDIDATES,
 ) -> Extraction:
     """Both layers' candidate lists, CPT first.  A layer whose extraction
     failed holds its ``extraction_failed`` Info instead of a list."""
-    record = _as_record(data)
-    data_keys = list(record.keys()) if record else []
     found: Extraction = []
     for layer, extract_layer in ((CPT, extract_constraints), (OPT, extract_objective_terms)):
         try:
@@ -424,17 +421,8 @@ class PerturbationRun:
     factor: float
 
 
-def _as_record(data: Any) -> dict[str, Any] | None:
-    if data is None:
-        return None
-    if isinstance(data, ScenarioInstance):
-        return to_json_dict(data)
-    return dict(data)
-
-
 def perturb_parameter(
     program: CandidateProgram,
-    data: Any,
     param_key: str,
     factor: float,
     runtime: CandidateRuntime | None = None,
@@ -449,14 +437,13 @@ def perturb_parameter(
     parameter.
     """
     runtime = runtime or CandidateRuntime()
-    record = _as_record(data)
 
     data_run: PerturbationRun | None = None
-    if program.data_mode == EXTERNAL_DICT and record is not None:
-        perturbed = perturb_record(record, param_key, factor)
+    if program.data is not None:
+        perturbed = perturb_record(program.data, param_key, factor)
         if perturbed is not None:
             outcome = runtime.execute(
-                program, perturbed, timeout_s=timeout_s, run_label=run_label)
+                replace(program, data=perturbed), timeout_s=timeout_s, run_label=run_label)
             data_run = PerturbationRun(outcome, "data", param_key, factor)
             ratio = None
             if (
@@ -477,8 +464,7 @@ def perturb_parameter(
             return data_run
         raise ParameterNotFound(param_key)
     outcome = runtime.execute(
-        CandidateProgram(rewritten, program.data_mode),
-        record,
+        replace(program, source=rewritten),
         timeout_s=timeout_s,
         run_label=f"{run_label}_src" if run_label else None,
     )
@@ -497,7 +483,6 @@ def _evidence(factor: float, ratio: float) -> str:
 def probe(
     layer: Layer,
     program: CandidateProgram,
-    data: Any,
     z_star: float,
     candidates: Iterable[Candidate],
     runtime: CandidateRuntime | None = None,
@@ -516,7 +501,7 @@ def probe(
         for key in cand.parameters:
             try:
                 run = perturb_parameter(
-                    program, data, key, factor, runtime,
+                    program, key, factor, runtime,
                     timeout_s=timeout_s, baseline_objective=z_star,
                     run_label=f"{layer.name.lower()}_{idx}",
                 )
@@ -565,7 +550,6 @@ def probe(
 
 def run_l2(
     program: CandidateProgram,
-    data: Any,
     z_star: float,
     extraction: Extraction,
     runtime: CandidateRuntime | None = None,
@@ -582,7 +566,7 @@ def run_l2(
             diags.append(candidates)
         else:
             diags.extend(probe(
-                layer, program, data, z_star, candidates, runtime,
+                layer, program, z_star, candidates, runtime,
                 timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
             ))
     return diags

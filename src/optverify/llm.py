@@ -20,37 +20,34 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
 import requests
 
 from .errors import ExtractionError, GenerationError, LlmError
-from .runtime import EXTERNAL_DICT, SELF_CONTAINED, CandidateProgram
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    backoff_s: float = 1.0
+from .runtime import CandidateProgram
 
 
 @dataclass(frozen=True)
 class LlmConfig:
+    """Provider settings; the field names are the ``--provider`` file's keys."""
+
     endpoint: str = ""
-    model_name: str = "replay"
+    model_name: str = "unknown"
     temperature: float = 0.0
     max_tokens: int = 8192
-    api_key_ref: str = "OPTVERIFY_API_KEY"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    api_key_env: str = "OPTVERIFY_API_KEY"
+    retry_attempts: int = 3
+    backoff_s: float = 1.0
 
 
 # Config used when running purely from recorded fixtures; recording and
 # replaying sides must share the hashed fields (model, temperature,
 # max_tokens) so request hashes line up.  A fixture miss is permanent, so
 # no retries.
-REPLAY_CONFIG = LlmConfig(retry=RetryPolicy(attempts=1, backoff_s=0.0))
+REPLAY_CONFIG = LlmConfig(model_name="replay", retry_attempts=1, backoff_s=0.0)
 
 
 def canonical_request(config: LlmConfig, system: str, user: str) -> dict[str, Any]:
@@ -80,7 +77,7 @@ class HttpTransport:
 
     def send(self, payload: dict[str, Any]) -> str:
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.config.api_key_ref, "")
+        key = os.environ.get(self.config.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {
@@ -162,7 +159,7 @@ class LlmClient:
 
     def complete(self, system: str, user: str) -> str:
         payload = canonical_request(self.config, system, user)
-        attempts = max(1, self.config.retry.attempts)
+        attempts = max(1, self.config.retry_attempts)
         last: LlmError | None = None
         for attempt in range(attempts):
             try:
@@ -175,7 +172,7 @@ class LlmClient:
                     raise
                 last = exc
                 if attempt < attempts - 1:
-                    time.sleep(self.config.retry.backoff_s * (attempt + 1))
+                    time.sleep(self.config.backoff_s * (attempt + 1))
         assert last is not None
         raise last
 
@@ -251,12 +248,13 @@ provide the final code in a ```python block.
 """
 
 
-def build_cot_prompt(problem: str, data_schema: Mapping[str, str] | None = None) -> str:
+def build_cot_prompt(problem: str, record: Mapping[str, Any] | None = None) -> str:
     """Four-stage chain-of-thought generation prompt.
 
-    ``data_schema`` maps data keys to short type descriptions; when given,
-    the prompt switches to the data-reference variant (pre-loaded ``data``
-    dict, no embedded values), otherwise code must be self-contained.
+    With a data ``record`` the prompt is the data-reference variant: the
+    code reads the pre-loaded ``data`` dict, whose keys the prompt lists
+    with their types (see :func:`data_key_lines`).  Without one the
+    code must be self-contained.
     """
     parts = [
         "Solve this optimization problem using chain-of-thought reasoning.\n",
@@ -264,7 +262,7 @@ def build_cot_prompt(problem: str, data_schema: Mapping[str, str] | None = None)
         "---",
         _COT_STEP1,
     ]
-    if data_schema is None:
+    if record is None:
         parts.append(_COT_STEP2_TEMPLATE.format(
             parameters_line="Parameters (extract all numerical values from the problem\n  description)"))
         parts.append(
@@ -294,8 +292,7 @@ def build_cot_prompt(problem: str, data_schema: Mapping[str, str] | None = None)
             "   Python dict.\n"
         )
         parts.append(_COT_GUIDELINES)
-        key_lines = "\n".join(f"- {k}: {v}" for k, v in data_schema.items())
-        parts.append(f"## Available Data Keys\n{key_lines}\n")
+        parts.append(f"## Available Data Keys\n{data_key_lines(record)}\n")
         parts.append(_COT_STEP4_TEMPLATE.format(
             values_line="Are data keys accessed correctly?"))
     parts.append(_COT_CLOSING)
@@ -419,25 +416,24 @@ def describe_data_keys(record: Mapping[str, Any]) -> dict[str, str]:
     return {k: describe(v) for k, v in record.items()}
 
 
+def data_key_lines(record: Mapping[str, Any]) -> str:
+    """A record's keys as the prompts list them, one ``- key: type`` line each."""
+    return "\n".join(f"- {k}: {v}" for k, v in describe_data_keys(record).items())
+
+
 def _embeds_data_parse(code: str) -> bool:
     return "json.loads" in code or "json.load(" in code
 
 
-@dataclass
-class GenerationResult:
-    program: CandidateProgram
-    extracted_data: dict[str, Any] | None = None
-
-
-def generate(problem: str, llm: LlmClient) -> GenerationResult:
+def generate(problem: str, llm: LlmClient) -> CandidateProgram:
     """Extraction-first candidate generation with self-contained fallback.
 
     Step 1 extracts numeric parameters into a record; on success the code is
-    generated against the pre-loaded ``data`` dict.  Any failure along that
-    path (bad JSON, empty record, no code fence, code that re-parses
-    embedded data) falls back to self-contained generation.
+    generated against the pre-loaded ``data`` dict and the program carries
+    that record.  Any failure along that path (bad JSON, empty record, no
+    code fence, code that re-parses embedded data) falls back to
+    self-contained generation, a program without a record.
     """
-    extracted: dict[str, Any] | None = None
     try:
         reply = llm.complete(EXTRACTION_SYSTEM_PROMPT, build_extraction_prompt(problem))
         extracted = parse_extraction_reply(reply)
@@ -445,26 +441,24 @@ def generate(problem: str, llm: LlmClient) -> GenerationResult:
         extracted = None
 
     if extracted is not None:
-        user = build_cot_prompt(problem, data_schema=describe_data_keys(extracted))
-        reply = llm.complete(COT_SYSTEM_PROMPT, user)
+        reply = llm.complete(COT_SYSTEM_PROMPT, build_cot_prompt(problem, extracted))
         code = extract_code(reply)
         if code is not None and not _embeds_data_parse(code):
-            return GenerationResult(
-                CandidateProgram(code, EXTERNAL_DICT), extracted)
+            return CandidateProgram(code, extracted)
 
     reply = llm.complete(COT_SYSTEM_PROMPT, build_cot_prompt(problem))
     code = extract_code(reply)
     if code is None:
         raise GenerationError("no code block found in any generation reply")
-    return GenerationResult(CandidateProgram(code, SELF_CONTAINED), None)
+    return CandidateProgram(code)
 
 
 def generate_with_schema(
-    problem: str, llm: LlmClient, data_schema: Mapping[str, str]
+    problem: str, llm: LlmClient, record: dict[str, Any]
 ) -> CandidateProgram:
-    """Data-reference generation against a known schema (no extraction step)."""
-    reply = llm.complete(COT_SYSTEM_PROMPT, build_cot_prompt(problem, data_schema))
+    """Data-reference generation against a known record (no extraction step)."""
+    reply = llm.complete(COT_SYSTEM_PROMPT, build_cot_prompt(problem, record))
     code = extract_code(reply)
     if code is None:
         raise GenerationError("no code block found in generation reply")
-    return CandidateProgram(code, EXTERNAL_DICT)
+    return CandidateProgram(code, record)

@@ -20,16 +20,10 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .diagnostics import FAILED, VerificationReport
 from .errors import GenerationError, LlmError
 from .l1 import l1_verify_with_regeneration
-from .llm import (
-    GenerationResult,
-    LlmClient,
-    describe_data_keys,
-    generate,
-    generate_with_schema,
-)
+from .llm import LlmClient, generate, generate_with_schema
 from .prompts import DATA_EMBEDDED, SCHEMA_BASED
 from .repair import RepairOutcome, repair_loop
-from .runtime import COMPLETED, EXTERNAL_DICT, CandidateProgram, CandidateRuntime
+from .runtime import COMPLETED, CandidateProgram, CandidateRuntime
 from .scenario import ScenarioInstance, to_json_dict
 
 
@@ -74,19 +68,13 @@ def run_instance(
     events: list[dict] = []
 
     # Generation: schema prompts pair with the pre-validated instance record;
-    # data-embedded prompts go through extraction-first generation.
-    record = to_json_dict(inst)
-    schema_desc = describe_data_keys(record)
+    # data-embedded prompts go through extraction-first generation.  Either
+    # way the program carries the record it runs on from here to the end.
     try:
         if prompt_format == SCHEMA_BASED:
-            program = generate_with_schema(problem, llm, schema_desc)
-            data: Any = inst
+            program = generate_with_schema(problem, llm, to_json_dict(inst))
         elif prompt_format == DATA_EMBEDDED:
-            gen: GenerationResult = generate(problem, llm)
-            program = gen.program
-            data = gen.extracted_data
-            if program.data_mode == EXTERNAL_DICT and data is not None:
-                schema_desc = describe_data_keys(data)
+            program = generate(problem, llm)
         else:
             raise ValueError(f"unknown prompt format {prompt_format!r}")
     except (GenerationError, LlmError) as exc:
@@ -102,10 +90,9 @@ def run_instance(
 
     # Phase 1: blocking execution verification with regeneration.
     program, l1_result = l1_verify_with_regeneration(
-        program, data, problem, llm, runtime,
+        program, problem, llm, runtime,
         max_regenerations=config.max_regenerations,
         timeout_s=config.timeout_s,
-        data_schema=schema_desc if program.data_mode == EXTERNAL_DICT else None,
         audit=events,
     )
     executed = bool(
@@ -126,10 +113,7 @@ def run_instance(
 
     # Phase 2: behavioral testing plus guarded repair.
     outcome: RepairOutcome = repair_loop(
-        program, data, z_star, problem, llm, runtime,
-        config=config,
-        data_schema=schema_desc if program.data_mode == EXTERNAL_DICT else None,
-    )
+        program, z_star, problem, llm, runtime, config=config)
     events.extend(outcome.events)
     # Info diagnostics from L1 (duality gap) ride along in the final report.
     report = VerificationReport(

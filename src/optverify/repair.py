@@ -17,15 +17,15 @@ The loop therefore never returns anything worse than its L1-verified input.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Sequence
 
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .diagnostics import INFO, Diagnostic, VerificationReport, change_ratio
 from .errors import LlmError
 from .l1 import l1_verify
 from .l2 import extract_candidates, run_l2
-from .llm import LlmClient, extract_code
+from .llm import LlmClient, data_key_lines, extract_code
 from .runtime import EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 
 PLATEAU_TOLERANCE = 1e-9
@@ -171,28 +171,22 @@ _SAFETY_RULES_SELF = """\
 """
 
 
-def _data_section(data_mode: str, data_schema: Mapping[str, str] | None) -> str:
-    if data_mode == EXTERNAL_DICT:
-        if data_schema:
-            lines = "\n".join(f"- {k}: {v}" for k, v in data_schema.items())
-        else:
-            lines = "(schema unavailable)"
+def _data_section(program: CandidateProgram) -> str:
+    if program.data is not None:
         return (
             "## Data Structure\n"
             "The `data` variable is PRE-LOADED with these keys (types only,\n"
-            f"values are supplied at runtime):\n{lines}"
+            f"values are supplied at runtime):\n{data_key_lines(program.data)}"
         )
     return "## Data\nCode is self-contained."
 
 
 def build_repair_prompt(
     problem: str,
-    code: str,
+    program: CandidateProgram,
     current_objective: float | None,
     actionable: Sequence[Diagnostic],
     reference_only: Sequence[Diagnostic],
-    data_mode: str,
-    data_schema: Mapping[str, str] | None = None,
 ) -> str:
     issue_blocks = []
     for i, d in enumerate(actionable, start=1):
@@ -215,7 +209,7 @@ def build_repair_prompt(
         if reference_blocks
         else "(none)"
     )
-    safety = _SAFETY_RULES_EXTERNAL if data_mode == EXTERNAL_DICT else _SAFETY_RULES_SELF
+    safety = _SAFETY_RULES_EXTERNAL if program.data_mode == EXTERNAL_DICT else _SAFETY_RULES_SELF
     return (
         f"{_REPAIR_RULES}\n"
         "Fix this optimization code based on the behavioral verification\n"
@@ -223,9 +217,9 @@ def build_repair_prompt(
         "\n"
         f"## Problem\n{problem}\n"
         "\n"
-        f"{_data_section(data_mode, data_schema)}\n"
+        f"{_data_section(program)}\n"
         "\n"
-        f"## Current Code\n```python\n{code}\n```\n"
+        f"## Current Code\n```python\n{program.source}\n```\n"
         "\n"
         f"## Current objective value: {current_objective}\n"
         "\n"
@@ -275,53 +269,48 @@ class RepairOutcome:
 
 def repair_loop(
     program: CandidateProgram,
-    data: Any,
     z_star: float,
     problem: str,
     llm: LlmClient,
     runtime: CandidateRuntime | None = None,
     config: PipelineConfig = DEFAULT_CONFIG,
-    data_schema: Mapping[str, str] | None = None,
 ) -> RepairOutcome:
     """Phase 2: L2 testing plus targeted repair under guards.
 
     ``program`` must already be L1-verified with baseline objective
-    ``z_star``.  The returned state is never worse than that baseline:
+    ``z_star``.  L2 tests it once and again after each adopted repair, so
+    the report always describes the program returned; the budget bounds
+    the repairs only.  The returned state is never worse than the baseline:
     repairs are adopted only after passing L1 again and the regression
     guard, and a rollback halts repair entirely.
     """
     runtime = runtime or CandidateRuntime()
     current, z = program, z_star
     events: list[dict] = []
-    diags: list[Diagnostic] = []
-    adopted_untested = False
     iterations = 0
     # The extraction prompts depend only on the problem and the data keys, so
-    # every L2 pass tests the same lists.  Without a budget there is no pass.
-    extraction = (extract_candidates(problem, data, llm, config.max_candidates)
-                  if config.repair_budget else [])
+    # every L2 pass tests the same lists.
+    extraction = extract_candidates(
+        problem, list(program.data or ()), llm, config.max_candidates)
 
     def l2_pass() -> list[Diagnostic]:
         return run_l2(
-            current, data, z, extraction, runtime,
+            current, z, extraction, runtime,
             timeout_s=config.timeout_s,
             tau_low=config.missing_threshold,
             tau_high=config.uncertain_threshold,
         )
 
+    diags = l2_pass()
     for j in range(1, config.repair_budget + 1):
-        diags = l2_pass()
-        adopted_untested = False
         warnings = [d for d in diags if d.triggers_repair]
         if not warnings:
             events.append({"iteration": j, "decision": "skip_guard"})
-            return RepairOutcome(current, z, VerificationReport(diags, z), iterations, events)
+            break
 
         iterations = j
         reference = [d for d in diags if d.severity == INFO]
-        prompt = build_repair_prompt(
-            problem, current.source, z, warnings, reference,
-            current.data_mode, data_schema)
+        prompt = build_repair_prompt(problem, current, z, warnings, reference)
         try:
             reply = llm.complete(REPAIR_SYSTEM_PROMPT, prompt)
         except LlmError as exc:
@@ -351,16 +340,16 @@ def repair_loop(
             if repaired is None or violations:
                 event["decision"] = "unsafe_repair_discarded"
                 events.append(event)
-                continue  # keep pre-repair code, move to next iteration
+                continue  # keep pre-repair code and its report, try again
 
         if repaired.rstrip() == current.source.rstrip():
             event["decision"] = "identical_code"
             events.append(event)
             break
 
-        candidate = CandidateProgram(repaired, current.data_mode)
+        candidate = replace(current, source=repaired)
         l1_result = l1_verify(
-            candidate, data, runtime, timeout_s=config.timeout_s,
+            candidate, runtime, timeout_s=config.timeout_s,
             run_label=f"repair_{j}")
         event["l1_passed"] = l1_result.passed
         event["l1_objective"] = l1_result.objective
@@ -372,17 +361,10 @@ def repair_loop(
 
         plateau = abs(l1_result.objective - z) <= PLATEAU_TOLERANCE
         current, z = candidate, l1_result.objective
-        adopted_untested = True
-        if plateau:
-            event["decision"] = "plateau"
-            events.append(event)
-            break
-        event["decision"] = "adopted"
-        events.append(event)
-
-    if adopted_untested:
-        # A plateau stop or an adoption in the last budgeted iteration: the
-        # report must describe the program returned, not the one replaced.
         diags = l2_pass()
-    report = VerificationReport(diags, z)
-    return RepairOutcome(current, z, report, iterations, events)
+        event["decision"] = "plateau" if plateau else "adopted"
+        events.append(event)
+        if plateau:
+            break
+
+    return RepairOutcome(current, z, VerificationReport(diags, z), iterations, events)

@@ -16,10 +16,11 @@ drops the thread pool HiGHS keeps.  Requires Linux (``fork``, ``setsid``,
 
 The run directory holds the program as written, ``candidate.py``, which the
 child runs by that relative name: tracebacks carry the program's own line
-numbers and no temp path, so crash evidence is the same on every run.  In
-``external_dict`` mode the instance record is serialized into the run
-directory and the child parses it into the script's ``data`` global, so a
-candidate can never mutate the caller's copy.
+numbers and no temp path, so crash evidence is the same on every run.  A
+program that carries a data record (``external_dict`` mode) has it
+serialized into the run directory as ``instance.json``; the child parses it
+into the script's ``data`` global, so a candidate can never mutate the
+caller's copy.
 
 Stdout is scanned for the output contract lines ``status: <int>`` and
 ``objective: <float>``; they may appear anywhere (solvers print noise) and
@@ -42,10 +43,9 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, NoReturn
+from typing import Any, NoReturn
 
 from .errors import SandboxSetupError
-from .scenario import ScenarioInstance, to_json_dict
 
 try:  # scipy >= 1.15 exposes the HiGHS bindings that milp solves with
     from scipy.optimize._highspy._core import _Highs
@@ -73,8 +73,17 @@ _DATA_FILE = "instance.json"
 
 @dataclass(frozen=True)
 class CandidateProgram:
+    """Program text plus the data record bound to its ``data`` global.
+
+    A program without a record defines its data itself.
+    """
+
     source: str
-    data_mode: str = SELF_CONTAINED
+    data: dict[str, Any] | None = None
+
+    @property
+    def data_mode(self) -> str:
+        return SELF_CONTAINED if self.data is None else EXTERNAL_DICT
 
 
 @dataclass(frozen=True)
@@ -118,20 +127,15 @@ class CandidateRuntime:
     def execute(
         self,
         program: CandidateProgram,
-        data: ScenarioInstance | Mapping[str, Any] | None = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         run_label: str | None = None,
     ) -> ExecutionOutcome:
-        if program.data_mode == EXTERNAL_DICT and data is None:
-            raise ValueError("external_dict mode requires a data record")
-
         with tempfile.TemporaryDirectory(prefix="optverify-run-") as tmp:
             workdir = Path(tmp)
-            injected = program.data_mode == EXTERNAL_DICT
+            injected = program.data is not None
             if injected:
-                record = to_json_dict(data) if isinstance(data, ScenarioInstance) else data
                 (workdir / _DATA_FILE).write_text(
-                    json.dumps(record), encoding="utf-8")
+                    json.dumps(program.data), encoding="utf-8")
             (workdir / _SCRIPT).write_text(program.source, encoding="utf-8")
 
             # The parent holds the capture files open, so it reads them back

@@ -51,7 +51,7 @@ from optverify.reference import (
 )
 from optverify.repair import repair_loop, safety_check
 from optverify.runtime import EXTERNAL_DICT, CandidateProgram
-from optverify.scenario import validate_instance
+from optverify.scenario import to_json_dict, validate_instance
 
 from .helpers import scripted_reference_provider
 
@@ -269,10 +269,10 @@ def test_acceptance_cpt_mutation_detection(runtime):
         inst = build_instance("f3_storage_bottleneck", v)
         for drop, expect_warning in ((("storage_capacity",), True), ((), False)):
             total += 1
-            program = CandidateProgram(candidate_source(drop=drop), EXTERNAL_DICT)
-            l1 = l1_verify(program, inst, runtime, timeout_s=90)
+            program = CandidateProgram(candidate_source(drop=drop), to_json_dict(inst))
+            l1 = l1_verify(program, runtime, timeout_s=90)
             assert l1.passed
-            diags = probe(CPT, program, inst, l1.objective, candidates, runtime, timeout_s=90)
+            diags = probe(CPT, program, l1.objective, candidates, runtime, timeout_s=90)
             severity = diags[0].severity
             if expect_warning and severity == WARNING:
                 hits += 1
@@ -293,15 +293,15 @@ def test_acceptance_opt_mutation_detection(runtime):
         inst = build_instance("f1_jit_logic", v)
         total += 1
         mutant = CandidateProgram(
-            candidate_source(drop=("holding_cost",)), EXTERNAL_DICT)
-        l1_mut = l1_verify(mutant, inst, runtime, timeout_s=90)
+            candidate_source(drop=("holding_cost",)), to_json_dict(inst))
+        l1_mut = l1_verify(mutant, runtime, timeout_s=90)
         assert l1_mut.passed
-        mut_diags = probe(OPT, mutant, inst, l1_mut.objective, terms, runtime, timeout_s=90)
+        mut_diags = probe(OPT, mutant, l1_mut.objective, terms, runtime, timeout_s=90)
 
-        intact = CandidateProgram(candidate_source(), EXTERNAL_DICT)
-        l1_ok = l1_verify(intact, inst, runtime, timeout_s=90)
+        intact = CandidateProgram(candidate_source(), to_json_dict(inst))
+        l1_ok = l1_verify(intact, runtime, timeout_s=90)
         assert l1_ok.passed
-        ok_diags = probe(OPT, intact, inst, l1_ok.objective, terms, runtime, timeout_s=90)
+        ok_diags = probe(OPT, intact, l1_ok.objective, terms, runtime, timeout_s=90)
 
         if (mut_diags and mut_diags[0].severity == WARNING
                 and ok_diags and ok_diags[0].severity in (PASS, INFO)):
@@ -334,17 +334,17 @@ def test_acceptance_regression_guard():
 
         return LlmClient(REPLAY_CONFIG, CallableTransport(fn))
 
-    program = CandidateProgram(base_source, EXTERNAL_DICT)
+    program = CandidateProgram(base_source, record)
     config = PipelineConfig(timeout_s=30.0)
 
-    drifted = repair_loop(program, record, 100.0, "p", scripted(1.10), config=config)
+    drifted = repair_loop(program, 100.0, "p", scripted(1.10), config=config)
     rollback_ok = (
         drifted.objective == 100.0  # exactly the pre-repair baseline
         and drifted.program.source == base_source
         and any(e.get("decision") == "rollback" for e in drifted.events)
     )
 
-    nudged = repair_loop(program, record, 100.0, "p", scripted(1.039), config=config)
+    nudged = repair_loop(program, 100.0, "p", scripted(1.039), config=config)
     accepted_ok = (
         nudged.objective == pytest.approx(103.9)
         and any(e.get("decision") == "adopted" for e in nudged.events)
@@ -387,7 +387,7 @@ def test_acceptance_safety_validator():
         return '```python\ndata = {"quantity": 1}\n' + base_source + "```"
 
     out = repair_loop(
-        CandidateProgram(base_source, EXTERNAL_DICT), record, 100.0, "p",
+        CandidateProgram(base_source, record), 100.0, "p",
         LlmClient(REPLAY_CONFIG, CallableTransport(fn)),
         config=PipelineConfig(timeout_s=30.0, repair_budget=1))
     retry_ok = (

@@ -18,7 +18,6 @@ from optverify.llm import (
     LlmClient,
     LlmConfig,
     RecordingTransport,
-    RetryPolicy,
 )
 from optverify.pipeline import run_instance
 from optverify.prompts import SCHEMA_BASED
@@ -170,6 +169,15 @@ def test_run_rejects_wrong_typed_config(bench_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_rejects_zero_workers(bench_dir, tmp_path, capsys):
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),
+                 "--workers", "0", "--llm-replay", str(tmp_path / "fixtures")])
+    assert code == EXIT_CONFIG
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("fmt,suffix", [("schema", ".scenario.txt"), ("full", ".full.txt")])
 def test_run_renders_missing_prompt(bench_dir, tmp_path, monkeypatch, fmt, suffix):
     # Only the instance record is present, so `run` renders the prompt
@@ -198,8 +206,8 @@ def test_provider_config_reads_readme_example(tmp_path):
     path.write_text(example)
     assert cli._provider_config(str(path)) == LlmConfig(
         endpoint="https://api.example.com/v1/chat/completions", model_name="some-model",
-        temperature=0.0, max_tokens=8192, api_key_ref="OPTVERIFY_API_KEY",
-        retry=RetryPolicy(attempts=3, backoff_s=1.0))
+        temperature=0.0, max_tokens=8192, api_key_env="OPTVERIFY_API_KEY",
+        retry_attempts=3, backoff_s=1.0)
 
 
 @pytest.mark.parametrize("entry,message", [

@@ -12,7 +12,7 @@ from optverify.l1 import (
     l1_verify_with_regeneration,
 )
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
-from optverify.runtime import EXTERNAL_DICT, SELF_CONTAINED, CandidateProgram
+from optverify.runtime import CandidateProgram
 
 
 def _client(fn):
@@ -22,7 +22,7 @@ def _client(fn):
 def test_syntax_fatal_without_execution(tmp_path, runtime):
     marker = tmp_path / "executed.flag"
     src = f"open({str(marker)!r}, 'w').close(\n"  # unbalanced: SyntaxError
-    result = l1_verify(CandidateProgram(src), None, runtime, timeout_s=10)
+    result = l1_verify(CandidateProgram(src), runtime, timeout_s=10)
     assert not result.passed
     assert result.fatal.issue_type == "syntax"
     assert result.outcome is None
@@ -35,7 +35,7 @@ def test_check_syntax_clean():
 
 def test_pass_records_exact_objective(runtime):
     prog = CandidateProgram("print('status: 2')\nprint('objective: 17')")
-    result = l1_verify(prog, None, runtime, timeout_s=30)
+    result = l1_verify(prog, runtime, timeout_s=30)
     assert result.passed
     assert result.objective == 17.0
     assert result.fatal is None
@@ -43,7 +43,7 @@ def test_pass_records_exact_objective(runtime):
 
 def test_crash_fatal_with_stderr(runtime):
     prog = CandidateProgram("raise RuntimeError('model exploded')")
-    result = l1_verify(prog, None, runtime, timeout_s=30)
+    result = l1_verify(prog, runtime, timeout_s=30)
     assert not result.passed
     assert result.fatal.issue_type == "runtime_error"
     assert "model exploded" in result.fatal.evidence
@@ -53,8 +53,8 @@ def test_crash_evidence_is_stable_and_names_program_lines(runtime):
     # The record is bound without source lines of its own, and the script
     # runs by a relative name: evidence carries no temp path, so a
     # regeneration prompt built from it is the same on every run.
-    prog = CandidateProgram("x = 1\ny = data['missing_key']\n", EXTERNAL_DICT)
-    evidence = [l1_verify(prog, {"present": 1}, runtime, timeout_s=30).fatal.evidence
+    prog = CandidateProgram("x = 1\ny = data['missing_key']\n", {"present": 1})
+    evidence = [l1_verify(prog, runtime, timeout_s=30).fatal.evidence
                 for _ in range(2)]
     assert evidence[0] == evidence[1]
     assert 'File "candidate.py", line 2, in <module>' in evidence[0]
@@ -63,17 +63,17 @@ def test_crash_evidence_is_stable_and_names_program_lines(runtime):
 
 def test_timeout_fatal(runtime):
     prog = CandidateProgram("while True: pass")
-    result = l1_verify(prog, None, runtime, timeout_s=1.0)
+    result = l1_verify(prog, runtime, timeout_s=1.0)
     assert result.fatal.issue_type == "timeout"
 
 
 def test_missing_contract_fatal(runtime):
-    result = l1_verify(CandidateProgram("print('hello')"), None, runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('hello')"), runtime, timeout_s=30)
     assert result.fatal.issue_type == "no_status"
 
 
 def test_status2_without_objective_fatal(runtime):
-    result = l1_verify(CandidateProgram("print('status: 2')"), None, runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('status: 2')"), runtime, timeout_s=30)
     assert result.fatal.issue_type == "no_objective"
 
 
@@ -87,14 +87,14 @@ def test_infeasible_enriched_with_iis(runtime):
         objective=Objective("min", {"x": 1.0}),
     )
     prog = CandidateProgram("print('status: 3')")
-    result = l1_verify(prog, None, runtime, timeout_s=30, model_spec=model)
+    result = l1_verify(prog, runtime, timeout_s=30, model_spec=model)
     assert result.fatal.issue_type == "infeasible"
     assert "x_ge_1" in result.fatal.evidence
     assert "x_le_0" in result.fatal.evidence
 
 
 def test_infeasible_without_model_spec_raw_status(runtime):
-    result = l1_verify(CandidateProgram("print('status: 3')"), None, runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('status: 3')"), runtime, timeout_s=30)
     assert result.fatal.issue_type == "infeasible"
     assert "IIS" not in result.fatal.evidence
 
@@ -106,21 +106,21 @@ def test_unbounded_enriched_with_ray(runtime):
         objective=Objective("max", {"x": 1.0}),
     )
     result = l1_verify(
-        CandidateProgram("print('status: 5')"), None, runtime,
+        CandidateProgram("print('status: 5')"), runtime,
         timeout_s=30, model_spec=model)
     assert result.fatal.issue_type == "unbounded"
     assert "x" in result.fatal.evidence
 
 
 def test_solver_timeout_status_fatal(runtime):
-    result = l1_verify(CandidateProgram("print('status: 9')"), None, runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('status: 9')"), runtime, timeout_s=30)
     assert result.fatal.issue_type == "solver_timeout"
 
 
 def test_regeneration_prompt_external_mode():
     text = build_regeneration_prompt(
-        "problem text", "bad code", "KeyError: 'demand'",
-        EXTERNAL_DICT, {"demand": "list[float]"})
+        "problem text", CandidateProgram("bad code", {"demand": [1.0, 2.0]}),
+        "KeyError: 'demand'")
     assert "PRE-DEFINED with these keys" in text
     assert "- demand: list[float]" in text
     assert "KeyError: 'demand'" in text
@@ -128,7 +128,7 @@ def test_regeneration_prompt_external_mode():
 
 
 def test_regeneration_prompt_self_contained():
-    text = build_regeneration_prompt("p", "c", "err", SELF_CONTAINED)
+    text = build_regeneration_prompt("p", CandidateProgram("c"), "err")
     assert "all data is defined within the code itself" in text
     assert "PRE-DEFINED" not in text
 
@@ -142,10 +142,10 @@ def test_regeneration_prompt_carries_iis_names(runtime):
         ],
     )
     result = l1_verify(
-        CandidateProgram("print('status: 3')"), None, runtime,
+        CandidateProgram("print('status: 3')"), runtime,
         timeout_s=30, model_spec=model)
     prompt = build_regeneration_prompt(
-        "p", "code", result.fatal.evidence, SELF_CONTAINED)
+        "p", CandidateProgram("code"), result.fatal.evidence)
     assert "cap_limit" in prompt
     assert "min_demand" in prompt
 
@@ -159,7 +159,7 @@ def test_regeneration_loop_budget(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')")
     final, result = l1_verify_with_regeneration(
-        program, None, "problem", _client(always_broken), runtime,
+        program, "problem", _client(always_broken), runtime,
         max_regenerations=3, timeout_s=30)
     assert not result.passed
     assert len(calls) == 3  # exactly the budget, then give up
@@ -172,11 +172,25 @@ def test_regeneration_loop_recovers(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')")
     final, result = l1_verify_with_regeneration(
-        program, None, "problem", _client(fixer), runtime,
+        program, "problem", _client(fixer), runtime,
         max_regenerations=3, timeout_s=30)
     assert result.passed
     assert result.objective == 10.0
     assert "status: 2" in final.source
+
+
+def test_regenerated_program_keeps_record(runtime):
+    record = {"value": 4.5}
+
+    def fixer(payload):
+        assert "- value: float" in payload["user"]
+        return "```python\nprint('status: 2')\nprint(f\"objective: {data['value']}\")\n```"
+
+    program = CandidateProgram("raise RuntimeError('broken')", record)
+    final, result = l1_verify_with_regeneration(
+        program, "problem", _client(fixer), runtime, max_regenerations=1, timeout_s=30)
+    assert result.objective == 4.5
+    assert final.data is record
 
 
 def test_duality_gap_info_from_backend(runtime):
@@ -187,7 +201,7 @@ def test_duality_gap_info_from_backend(runtime):
         objective=Objective("min", {"x": 1.0}),
     )
     prog = CandidateProgram("print('status: 2')\nprint('objective: 3.0')")
-    result = l1_verify(prog, None, runtime, timeout_s=30, model_spec=model)
+    result = l1_verify(prog, runtime, timeout_s=30, model_spec=model)
     assert result.passed
     assert not [d for d in result.diagnostics if d.severity == INFO]
 

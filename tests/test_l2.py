@@ -20,7 +20,7 @@ from optverify.l2 import (
     run_l2,
 )
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
-from optverify.runtime import EXTERNAL_DICT, SELF_CONTAINED, CandidateProgram
+from optverify.runtime import CandidateProgram
 
 
 def _client(fn):
@@ -99,7 +99,7 @@ def test_extraction_prompts_carry_problem_and_keys():
         prompts.append(payload["user"])
         return "[]"
 
-    extract_candidates("THE PROBLEM", {"a": 1, "b": 2}, _client(capture))
+    extract_candidates("THE PROBLEM", ["a", "b"], _client(capture))
     cpt_text, opt_text = prompts
     assert "THE PROBLEM" in cpt_text
     assert "['a', 'b']" in cpt_text
@@ -231,16 +231,16 @@ _RECORD = {"demand": 100.0, "capacity": 50.0}
 
 
 def test_strategy1_used_for_external_dict(runtime):
-    prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    run = perturb_parameter(prog, _RECORD, "capacity", 0.001, runtime,
+    prog = CandidateProgram(_USES_DATA, _RECORD)
+    run = perturb_parameter(prog, "capacity", 0.001, runtime,
                             timeout_s=30, baseline_objective=50.0)
     assert run.strategy == "data"
     assert run.outcome.objective == pytest.approx(0.05)
 
 
 def test_hybrid_fallback_to_source(runtime):
-    prog = CandidateProgram(_HARDCODES, EXTERNAL_DICT)
-    run = perturb_parameter(prog, _RECORD, "capacity", 0.001, runtime,
+    prog = CandidateProgram(_HARDCODES, _RECORD)
+    run = perturb_parameter(prog, "capacity", 0.001, runtime,
                             timeout_s=30, baseline_objective=50.0)
     # Data-side change moved nothing; the literal in source was scaled.
     assert run.strategy == "source"
@@ -249,8 +249,8 @@ def test_hybrid_fallback_to_source(runtime):
 
 def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
     src = "served = data['demand'] * 0 + 7\nprint('status: 2')\nprint(f'objective: {served}')\n"
-    prog = CandidateProgram(src, EXTERNAL_DICT)
-    run = perturb_parameter(prog, {"demand": 3.0}, "demand", 100.0, runtime,
+    prog = CandidateProgram(src, {"demand": 3.0})
+    run = perturb_parameter(prog, "demand", 100.0, runtime,
                             timeout_s=30, baseline_objective=7.0)
     assert run.strategy == "data"
     assert run.outcome.objective == pytest.approx(7.0)
@@ -258,16 +258,16 @@ def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
 
 def test_self_contained_uses_source(runtime):
     src = "capacity = 500\nprint('status: 2')\nprint(f'objective: {capacity}')\n"
-    prog = CandidateProgram(src, SELF_CONTAINED)
-    run = perturb_parameter(prog, None, "capacity", 0.001, runtime, timeout_s=30)
+    prog = CandidateProgram(src)
+    run = perturb_parameter(prog, "capacity", 0.001, runtime, timeout_s=30)
     assert run.strategy == "source"
     assert run.outcome.objective == pytest.approx(0.5)
 
 
 def test_parameter_not_found_anywhere(runtime):
-    prog = CandidateProgram("print('status: 2')\nprint('objective: 1')\n", SELF_CONTAINED)
+    prog = CandidateProgram("print('status: 2')\nprint('objective: 1')\n")
     with pytest.raises(ParameterNotFound):
-        perturb_parameter(prog, None, "ghost_param", 2.0, runtime, timeout_s=30)
+        perturb_parameter(prog, "ghost_param", 2.0, runtime, timeout_s=30)
 
 
 # --------------------------------------------------------------------------
@@ -282,8 +282,8 @@ def _constraint(param="capacity", kind="capacity"):
 def test_cpt_missing_constraint_warning(runtime):
     # Ignores capacity entirely: extreme perturbation moves nothing.
     src = "print('status: 2')\nprint(f\"objective: {data['demand']}\")\n"
-    prog = CandidateProgram(src, EXTERNAL_DICT)
-    diags = probe(CPT, prog, _RECORD, 100.0, _constraint(), runtime, timeout_s=30)
+    prog = CandidateProgram(src, _RECORD)
+    diags = probe(CPT, prog, 100.0, _constraint(), runtime, timeout_s=30)
     assert len(diags) == 1
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "constraint_missing"
@@ -291,8 +291,8 @@ def test_cpt_missing_constraint_warning(runtime):
 
 
 def test_cpt_present_constraint_passes(runtime):
-    prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    diags = probe(CPT, prog, _RECORD, 50.0, _constraint(), runtime, timeout_s=30)
+    prog = CandidateProgram(_USES_DATA, _RECORD)
+    diags = probe(CPT, prog, 50.0, _constraint(), runtime, timeout_s=30)
     assert diags[0].severity == PASS
     assert diags[0].issue_type == "constraint_present"
 
@@ -302,23 +302,23 @@ def test_cpt_infeasible_outcome_passes(runtime):
         "print('status: 3' if data['capacity'] < 1 else 'status: 2')\n"
         "print('objective: 10')\n"
     )
-    prog = CandidateProgram(src, EXTERNAL_DICT)
-    diags = probe(CPT, prog, _RECORD, 10.0, _constraint(), runtime, timeout_s=30)
+    prog = CandidateProgram(src, _RECORD)
+    diags = probe(CPT, prog, 10.0, _constraint(), runtime, timeout_s=30)
     assert diags[0].severity == PASS
     assert "infeasible" in diags[0].evidence
 
 
 def test_cpt_crash_is_inconclusive_info(runtime):
     src = "assert data['capacity'] >= 1\nprint('status: 2')\nprint('objective: 10')\n"
-    prog = CandidateProgram(src, EXTERNAL_DICT)
-    diags = probe(CPT, prog, _RECORD, 10.0, _constraint(), runtime, timeout_s=30)
+    prog = CandidateProgram(src, _RECORD)
+    diags = probe(CPT, prog, 10.0, _constraint(), runtime, timeout_s=30)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "perturbation_inconclusive"
 
 
 def test_cpt_unknown_parameter_skipped_with_info(runtime):
-    prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    diags = probe(CPT, prog, _RECORD, 50.0,
+    prog = CandidateProgram(_USES_DATA, _RECORD)
+    diags = probe(CPT, prog, 50.0,
                   [Candidate("phantom", "capacity", ("ghost",))],
                   runtime, timeout_s=30)
     assert diags[0].severity == INFO
@@ -332,45 +332,43 @@ def test_cpt_respects_max_candidates(runtime):
         for i in range(12)
     )
     llm = _client(lambda payload: f"[{entries}]" if "KEY CONSTRAINTS" in payload["user"] else "[]")
-    prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    extraction = extract_candidates("p", _RECORD, llm, max_candidates=3)
-    diags = run_l2(prog, _RECORD, 50.0, extraction, runtime, timeout_s=30)
+    prog = CandidateProgram(_USES_DATA, _RECORD)
+    extraction = extract_candidates("p", list(_RECORD), llm, max_candidates=3)
+    diags = run_l2(prog, 50.0, extraction, runtime, timeout_s=30)
     assert [d.target for d in diags] == ["c0", "c1", "c2"]
 
 
 def test_opt_missing_term_warning(runtime):
     # Holding cost absent from the "objective": scaling it changes nothing.
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
-    prog = CandidateProgram(src, EXTERNAL_DICT)
-    record = {"purchase_cost": 5.0, "holding_cost": 2.0}
+    prog = CandidateProgram(src, {"purchase_cost": 5.0, "holding_cost": 2.0})
     terms = [Candidate("holding cost", "cost", ("holding_cost",))]
-    diags = probe(OPT, prog, record, 50.0, terms, runtime, timeout_s=30)
+    diags = probe(OPT, prog, 50.0, terms, runtime, timeout_s=30)
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "objective_term_missing"
 
 
 def test_opt_present_term_passes(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
-    prog = CandidateProgram(src, EXTERNAL_DICT)
-    record = {"purchase_cost": 5.0}
+    prog = CandidateProgram(src, {"purchase_cost": 5.0})
     terms = [Candidate("purchasing cost", "cost", ("purchase_cost",))]
-    diags = probe(OPT, prog, record, 50.0, terms, runtime, timeout_s=30)
+    diags = probe(OPT, prog, 50.0, terms, runtime, timeout_s=30)
     assert diags[0].severity == PASS
 
 
 def test_opt_infeasible_outcome_skipped(runtime):
     src = "print('status: 3')\n"
-    prog = CandidateProgram(src, EXTERNAL_DICT)
+    prog = CandidateProgram(src, {"purchase_cost": 1.0})
     terms = [Candidate("cost", "cost", ("purchase_cost",))]
-    diags = probe(OPT, prog, {"purchase_cost": 1.0}, 10.0, terms, runtime, timeout_s=30)
+    diags = probe(OPT, prog, 10.0, terms, runtime, timeout_s=30)
     assert diags == []  # skipped, no diagnostic at all
 
 
 def test_run_l2_extraction_failure_degrades_to_info(runtime):
-    prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
+    prog = CandidateProgram(_USES_DATA, _RECORD)
     llm = _client(lambda payload: "I cannot help with that")
-    extraction = extract_candidates("problem", _RECORD, llm)
-    diags = run_l2(prog, _RECORD, 50.0, extraction, runtime, timeout_s=30)
+    extraction = extract_candidates("problem", list(_RECORD), llm)
+    diags = run_l2(prog, 50.0, extraction, runtime, timeout_s=30)
     assert {d.issue_type for d in diags} == {"extraction_failed"}
     assert all(d.severity == INFO for d in diags)
 
@@ -381,8 +379,8 @@ def test_run_l2_full_pass(runtime):
             return '[{"description": "capacity limit", "type": "capacity", "parameters": ["capacity"]}]'
         return '[{"description": "demand value", "role": "cost", "parameters": ["demand"]}]'
 
-    prog = CandidateProgram(_USES_DATA, EXTERNAL_DICT)
-    extraction = extract_candidates("problem", _RECORD, _client(scripted))
-    diags = run_l2(prog, _RECORD, 50.0, extraction, runtime, timeout_s=30)
+    prog = CandidateProgram(_USES_DATA, _RECORD)
+    extraction = extract_candidates("problem", list(_RECORD), _client(scripted))
+    diags = run_l2(prog, 50.0, extraction, runtime, timeout_s=30)
     layers = {d.layer for d in diags}
     assert layers == {"L2_CPT", "L2_OPT"}

@@ -11,7 +11,6 @@ from optverify.llm import (
     LlmConfig,
     RecordingTransport,
     ReplayTransport,
-    RetryPolicy,
     build_cot_prompt,
     build_extraction_prompt,
     canonical_request,
@@ -27,7 +26,7 @@ from optverify.runtime import EXTERNAL_DICT, SELF_CONTAINED
 
 
 def _client(fn, **config_kwargs):
-    config_kwargs.setdefault("retry", RetryPolicy(attempts=3, backoff_s=0.0))
+    config_kwargs.setdefault("backoff_s", 0.0)
     return LlmClient(LlmConfig(**config_kwargs), CallableTransport(fn))
 
 
@@ -92,7 +91,7 @@ def test_record_then_replay_byte_exact(tmp_path):
 
 
 def test_replay_miss_is_transport_error(tmp_path):
-    client = LlmClient(LlmConfig(retry=RetryPolicy(attempts=1)), ReplayTransport(tmp_path))
+    client = LlmClient(LlmConfig(retry_attempts=1), ReplayTransport(tmp_path))
     with pytest.raises(LlmError) as err:
         client.complete("sys", "never recorded")
     assert err.value.kind == "transport"
@@ -122,7 +121,7 @@ def test_cot_prompt_self_contained_markers():
 
 
 def test_cot_prompt_data_reference_markers():
-    text = build_cot_prompt("PROBLEM", {"capacity": "float", "demand": "list[float] (length 3)"})
+    text = build_cot_prompt("PROBLEM", {"capacity": 1.5, "demand": [1.0, 2.0, 3.0]})
     assert "The `data` variable is PRE-LOADED" in text
     assert "STEP 4: VERIFY COMPLETENESS" in text
     assert "## Available Data Keys" in text
@@ -134,8 +133,8 @@ def test_cot_prompt_data_reference_markers():
 
 def test_cot_prompts_are_pure():
     assert build_cot_prompt("x") == build_cot_prompt("x")
-    schema = {"a": "int"}
-    assert build_cot_prompt("x", schema) == build_cot_prompt("x", schema)
+    record = {"a": 1}
+    assert build_cot_prompt("x", record) == build_cot_prompt("x", record)
 
 
 def test_extraction_prompt():
@@ -219,10 +218,10 @@ def test_generate_extraction_first_path():
         assert "PRE-LOADED" in payload["user"]
         return _CODE_REPLY
 
-    result = generate("problem", _client(fn))
-    assert result.program.data_mode == EXTERNAL_DICT
-    assert result.extracted_data == {"capacity": 100, "demand": [1, 2, 3]}
-    assert "m = 1" in result.program.source
+    program = generate("problem", _client(fn))
+    assert program.data_mode == EXTERNAL_DICT
+    assert program.data == {"capacity": 100, "demand": [1, 2, 3]}
+    assert "m = 1" in program.source
 
 
 def test_generate_falls_back_on_bad_extraction():
@@ -232,9 +231,9 @@ def test_generate_falls_back_on_bad_extraction():
         assert "self-contained" in payload["user"]
         return _CODE_REPLY
 
-    result = generate("problem", _client(fn))
-    assert result.program.data_mode == SELF_CONTAINED
-    assert result.extracted_data is None
+    program = generate("problem", _client(fn))
+    assert program.data_mode == SELF_CONTAINED
+    assert program.data is None
 
 
 def test_generate_falls_back_when_code_parses_embedded_data():
@@ -248,8 +247,9 @@ def test_generate_falls_back_when_code_parses_embedded_data():
             return "```python\nimport json\ndata = json.loads(raw)\n```"
         return _CODE_REPLY
 
-    result = generate("problem", _client(fn))
-    assert result.program.data_mode == SELF_CONTAINED
+    program = generate("problem", _client(fn))
+    assert program.data_mode == SELF_CONTAINED
+    assert program.data is None
     assert len(calls) == 3  # extraction, data-reference attempt, fallback
 
 
@@ -268,5 +268,7 @@ def test_generate_with_schema():
         assert "PRE-LOADED" in payload["user"]
         return _CODE_REPLY
 
-    program = generate_with_schema("problem", _client(fn), {"capacity": "float"})
+    record = {"capacity": 1.5}
+    program = generate_with_schema("problem", _client(fn), record)
     assert program.data_mode == EXTERNAL_DICT
+    assert program.data is record

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from optverify.config import PipelineConfig
-from optverify.diagnostics import FAILED, VERIFIED
+from optverify.diagnostics import FAILED, NEEDS_REPAIR, VERIFIED, WARNING
 from optverify.generator import build_instance
 from optverify.llm import CallableTransport, LlmClient, REPLAY_CONFIG
 from optverify.pipeline import run_instance
@@ -136,3 +136,17 @@ def test_plateau_report_describes_adopted_program(f1_v0, tmp_path):
     assert result.status == VERIFIED
     assert not any(d.issue_type == "constraint_missing"
                    for d in result.report.diagnostics)
+
+
+def test_budget_zero_still_runs_l2(f3_bottleneck_v0, tmp_path):
+    # A zero budget disables regeneration and repair, not behavioural
+    # verification: the dropped storage limit is still reported.
+    problem = render_prompt(f3_bottleneck_v0, SCHEMA_BASED)
+    llm = _client(scripted_reference_provider(drop=("storage_capacity",)))
+    config = PipelineConfig(timeout_s=90.0, max_regenerations=0, repair_budget=0)
+    result = run_instance(f3_bottleneck_v0, problem, SCHEMA_BASED, llm,
+                          config=config, run_dir=tmp_path / "run")
+    assert result.status == NEEDS_REPAIR
+    assert result.events == []
+    assert [d.issue_type for d in result.report.diagnostics
+            if d.severity == WARNING] == ["constraint_missing"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from optverify import l2
 from optverify.config import PipelineConfig
 from optverify.diagnostics import INFO, NEEDS_REPAIR, VERIFIED, WARNING, Diagnostic
 from optverify.errors import ConfigError
@@ -80,9 +81,8 @@ def _info(target="waste cost term"):
 
 def test_repair_prompt_counts_and_sections():
     text = build_repair_prompt(
-        "problem", "code body", 1234.5,
-        [_warning()], [_info(), _info("labor term")],
-        EXTERNAL_DICT, {"capacity": "float"})
+        "problem", CandidateProgram("code body", {"capacity": 1.5}), 1234.5,
+        [_warning()], [_info(), _info("labor term")])
     assert "ISSUES DETECTED (1 actionable)" in text
     assert "REFERENCE ONLY (DO NOT FIX)" in text
     assert text.count("Action: DO NOT FIX") == 2
@@ -92,15 +92,15 @@ def test_repair_prompt_counts_and_sections():
 
 
 def test_repair_prompt_safety_rules_by_mode():
-    ext = build_repair_prompt("p", "c", 1.0, [_warning()], [], EXTERNAL_DICT)
+    ext = build_repair_prompt("p", CandidateProgram("c", {"a": 1}), 1.0, [_warning()], [])
     assert "Do NOT redefine the `data` variable" in ext
-    selfc = build_repair_prompt("p", "c", 1.0, [_warning()], [], SELF_CONTAINED)
+    selfc = build_repair_prompt("p", CandidateProgram("c"), 1.0, [_warning()], [])
     assert "Code is self-contained." in selfc
     assert "Do NOT redefine the `data` variable" not in selfc
 
 
 def test_repair_prompt_reference_section_empty():
-    text = build_repair_prompt("p", "c", 1.0, [_warning()], [], SELF_CONTAINED)
+    text = build_repair_prompt("p", CandidateProgram("c"), 1.0, [_warning()], [])
     assert "(none)" in text
 
 
@@ -119,7 +119,7 @@ def test_regression_on_status_degradation(runtime):
     # A repair that no longer reaches an optimal status fails L1, and a
     # failed L1 carries no objective, which the guard treats as regression.
     for src in ("raise RuntimeError('broken repair')\n", "print('status: 3')\n"):
-        result = l1_verify(CandidateProgram(src), None, runtime, timeout_s=30.0)
+        result = l1_verify(CandidateProgram(src), runtime, timeout_s=30.0)
         assert not result.passed and result.objective is None
         assert regression_check(result.objective, 100.0, 0.04) is True
 
@@ -145,7 +145,7 @@ _BASE_SOURCE = (
     "print('status: 2')\n"
     "print(f\"objective: {total}\")\n"
 )
-_RECORD = {"unit_cost": 10.0, "quantity": 10.0}
+_RECORD = {"unit_cost": 10.0, "quantity": 10.0, "holding_cost": 3.0}
 
 _CONSTRAINT_REPLY = (
     '[{"description": "capacity limit", "type": "capacity", "parameters": ["missing_cap"]}]'
@@ -178,9 +178,7 @@ def _scripted_llm(repair_replies, sent=None):
 
 def _loop(program, llm, budget=3):
     config = PipelineConfig(repair_budget=budget, timeout_s=30.0)
-    return repair_loop(
-        program, dict(_RECORD, holding_cost=3.0), 100.0, "problem", llm,
-        config=config)
+    return repair_loop(program, 100.0, "problem", llm, config=config)
 
 
 def test_skip_guard_returns_immediately():
@@ -188,7 +186,7 @@ def test_skip_guard_returns_immediately():
     def fn(payload):
         return _EMPTY_REPLY
 
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, _client(fn))
     assert out.report.status == VERIFIED
     assert out.program is program
@@ -201,7 +199,7 @@ def test_rollback_on_objective_drift():
     drifted = _BASE_SOURCE.replace(
         "data['unit_cost']", "(data['unit_cost'] * 1.10)")
     llm = _scripted_llm(["```python\n" + drifted + "```"])
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm)
     assert out.program.source == _BASE_SOURCE  # pre-repair code kept
     assert out.objective == 100.0
@@ -214,7 +212,7 @@ def test_small_shift_accepted():
     shifted = _BASE_SOURCE.replace(
         "data['unit_cost']", "(data['unit_cost'] * 1.039)")
     llm = _scripted_llm(["```python\n" + shifted + "```"] * 3)
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm)
     assert out.objective == pytest.approx(103.9)
     assert any(e.get("decision") == "adopted" for e in out.events)
@@ -227,7 +225,7 @@ def test_each_extraction_prompt_sent_once():
         "data['unit_cost']", "(data['unit_cost'] * 1.039)")
     sent = []
     llm = _scripted_llm(["```python\n" + shifted + "```"] * 3, sent)
-    out = _loop(CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT), llm)
+    out = _loop(CandidateProgram(_BASE_SOURCE, _RECORD), llm)
     assert [e["decision"] for e in out.events] == ["adopted", "identical_code"]
     assert sum("KEY CONSTRAINTS" in user for user in sent) == 1
     assert sum("KEY OBJECTIVE" in user for user in sent) == 1
@@ -235,7 +233,7 @@ def test_each_extraction_prompt_sent_once():
 
 def test_identical_code_terminates():
     llm = _scripted_llm(["```python\n" + _BASE_SOURCE + "```"] * 5)
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm)
     assert out.iterations == 1
     assert any(e.get("decision") == "identical_code" for e in out.events)
@@ -265,7 +263,7 @@ def test_guided_retry_does_not_consume_budget():
             return "```python\n" + fixed + "```"
         return "```python\n" + unsafe + "```"
 
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, _client(fn), budget=1)  # one budgeted iteration only
     assert len(repair_calls) == 2  # original + safety retry
     assert "SAFETY VIOLATIONS DETECTED" in repair_calls[1]
@@ -273,14 +271,21 @@ def test_guided_retry_does_not_consume_budget():
     assert out.objective == pytest.approx(100.0)
 
 
-def test_unsafe_retry_keeps_pre_repair_code():
+def test_unsafe_retry_keeps_pre_repair_code(monkeypatch):
+    perturbed = []
+    perturb = l2.perturb_parameter
+    monkeypatch.setattr(l2, "perturb_parameter",
+                        lambda program, key, *a, **kw: perturbed.append(key)
+                        or perturb(program, key, *a, **kw))
     unsafe = 'data = {"quantity": 1}\n' + _BASE_SOURCE
     llm = _scripted_llm(["```python\n" + unsafe + "```"] * 10)
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm, budget=2)
     assert out.program.source == _BASE_SOURCE
     assert sum(1 for e in out.events
                if e.get("decision") == "unsafe_repair_discarded") == 2
+    # A discarded repair leaves the program as L2 tested it: no second pass.
+    assert perturbed == ["holding_cost"]
 
 
 def test_unparseable_repair_rolls_back():
@@ -289,7 +294,7 @@ def test_unparseable_repair_rolls_back():
     broken = "data = {broken syntax\nimport os\n"
     assert safety_check(broken, EXTERNAL_DICT) == []
     llm = _scripted_llm(["```python\n" + broken + "```"])
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm)
     assert [e["decision"] for e in out.events] == ["rollback"]
     assert out.events[0]["l1_passed"] is False
@@ -301,7 +306,7 @@ def test_plateau_terminates():
     # Textually different repair, behaviorally identical objective.
     plateau = _BASE_SOURCE + "# retuned\n"
     llm = _scripted_llm(["```python\n" + plateau + "```"] * 5)
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm)
     assert out.iterations == 1
     assert any(e.get("decision") == "plateau" for e in out.events)
@@ -319,7 +324,7 @@ def test_budget_exhaustion_returns_verified_state():
     s2 = v2.replace("data['unit_cost']", "(data['unit_cost'] * 0.99)")
     s3 = v3.replace("data['unit_cost']", "(data['unit_cost'] * 1.02)")
     llm = _scripted_llm(["```python\n" + s + "```" for s in (s1, s2, s3)])
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, llm, budget=3)
     assert out.iterations == 3
     assert out.report.status == NEEDS_REPAIR
@@ -327,6 +332,6 @@ def test_budget_exhaustion_returns_verified_state():
 
 
 def test_outcome_type():
-    program = CandidateProgram(_BASE_SOURCE, EXTERNAL_DICT)
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
     out = _loop(program, _client(lambda _: _EMPTY_REPLY))
     assert isinstance(out, RepairOutcome)

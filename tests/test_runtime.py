@@ -17,12 +17,12 @@ from optverify.runtime import (
     COMPLETED,
     CRASH,
     EXTERNAL_DICT,
-    SELF_CONTAINED,
     TIMEOUT,
     CandidateProgram,
     CandidateRuntime,
     parse_contract,
 )
+from optverify.scenario import to_json_dict
 
 
 def test_contract_lines_parsed(runtime):
@@ -84,24 +84,17 @@ def test_crash_captures_stderr(runtime):
 
 def test_external_dict_injection(runtime):
     src = 'print(f"status: {data[\'answer\']}")\nprint(f"objective: {data[\'value\']}")'
-    outcome = runtime.execute(
-        CandidateProgram(src, EXTERNAL_DICT),
-        {"answer": 2, "value": 3.5},
-        timeout_s=30,
-    )
+    program = CandidateProgram(src, {"answer": 2, "value": 3.5})
+    assert program.data_mode == EXTERNAL_DICT
+    outcome = runtime.execute(program, timeout_s=30)
     assert outcome.status_code == 2
     assert outcome.objective == 3.5
-
-
-def test_external_dict_requires_data(runtime):
-    with pytest.raises(ValueError):
-        runtime.execute(CandidateProgram("pass", EXTERNAL_DICT), None)
 
 
 def test_caller_record_is_isolated(runtime):
     record = {"value": 1}
     src = "data['value'] = 999\nprint('status: 2')\nprint(f\"objective: {data['value']}\")"
-    outcome = runtime.execute(CandidateProgram(src, EXTERNAL_DICT), record, timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src, record), timeout_s=30)
     assert outcome.objective == 999
     assert record == {"value": 1}
 
@@ -111,7 +104,7 @@ def test_scenario_instance_serialized(runtime, base):
         "print('status: 2')\n"
         "print(f\"objective: {data['demand_curve']['SKU_Basic'][0]}\")"
     )
-    outcome = runtime.execute(CandidateProgram(src, EXTERNAL_DICT), base, timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src, to_json_dict(base)), timeout_s=30)
     assert outcome.objective == 303
 
 
@@ -127,7 +120,7 @@ def test_fork_failure_raises_setup_error(monkeypatch):
 def test_artifacts_persisted(tmp_path, base):
     rt = CandidateRuntime(artifact_root=tmp_path)
     rt.execute(
-        CandidateProgram("print('status: 2')\nprint('objective: 1')", SELF_CONTAINED),
+        CandidateProgram("print('status: 2')\nprint('objective: 1')"),
         timeout_s=30, run_label="probe")
     assert (tmp_path / "probe" / "candidate.py").exists()
     assert "status: 2" in (tmp_path / "probe" / "stdout.txt").read_text()
@@ -137,7 +130,7 @@ def test_repeated_label_keeps_every_run(tmp_path):
     rt = CandidateRuntime(artifact_root=tmp_path)
     sources = [f"print('status: 2')\nprint('objective: {z}')" for z in (1, 2)]
     for src in sources:
-        rt.execute(CandidateProgram(src, SELF_CONTAINED), timeout_s=30, run_label="probe")
+        rt.execute(CandidateProgram(src), timeout_s=30, run_label="probe")
     dirs = sorted(tmp_path.iterdir())
     assert [d.name for d in dirs] == ["probe", "probe_0002"]
     assert [(d / "candidate.py").read_text() for d in dirs] == sources
