@@ -83,10 +83,10 @@ def classify_change_ratio(
     return PASS
 
 
-def change_ratio(z_new: float, z_base: float, eps: float = SMALL_OBJECTIVE_EPS) -> float:
+def change_ratio(z_new: float, z_base: float) -> float:
     """|z_new - z_base| / |z_base|, falling back to absolute change near zero."""
     delta = abs(z_new - z_base)
-    if abs(z_base) < eps:
+    if abs(z_base) < SMALL_OBJECTIVE_EPS:
         return delta
     return delta / abs(z_base)
 

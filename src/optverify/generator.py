@@ -491,28 +491,29 @@ def perturb_variant(
     inst: ScenarioInstance,
     archetype_name_: str,
     variant: int,
-    alpha: float = PERTURBATION_ALPHA,
 ) -> ScenarioInstance:
     """Seeded numeric variant of one archetype instance.
 
     v0 returns the instance unchanged.  v1..v4 scale each demand entry by an
-    independent U(1-alpha, 1+alpha) draw and floor it, then scale each storage
-    capacity by a further draw; nothing else changes.
+    independent U(1-alpha, 1+alpha) draw (alpha = ``PERTURBATION_ALPHA``) and
+    floor it, then scale each storage capacity by a further draw; nothing else
+    changes.
     """
     if variant not in VARIANTS:
         raise BadVariantIndex(f"variant {variant} outside {VARIANTS}")
     if variant == 0:
         return inst
 
+    lo, hi = 1.0 - PERTURBATION_ALPHA, 1.0 + PERTURBATION_ALPHA
     rng = np.random.default_rng(variant_seed(archetype_name_, variant))
     raw = json.loads(dumps_instance(inst))
     for p in raw["products"]:
-        draws = rng.uniform(1.0 - alpha, 1.0 + alpha, size=len(raw["demand_curve"][p]))
+        draws = rng.uniform(lo, hi, size=len(raw["demand_curve"][p]))
         raw["demand_curve"][p] = [
             math.floor(d * u) for d, u in zip(raw["demand_curve"][p], draws)
         ]
     for l in raw["locations"]:
-        raw["cold_capacity"][l] = raw["cold_capacity"][l] * rng.uniform(1.0 - alpha, 1.0 + alpha)
+        raw["cold_capacity"][l] = raw["cold_capacity"][l] * rng.uniform(lo, hi)
     return validate_instance(raw)
 
 

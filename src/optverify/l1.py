@@ -9,6 +9,10 @@ Infeasible and unbounded statuses are enriched with IIS constraint names /
 ray variable names when the caller can supply a rebuilt ``ModelSpec`` of the
 candidate's model (the reference-mutation tests can; arbitrary black-box
 candidates cannot, and then the Fatal carries the raw status only).
+
+Every run goes through the caller's :class:`CandidateRuntime`, whose
+``timeout_s`` is the limit L1 reports on a timeout and gives an enrichment
+re-solve.
 """
 
 from __future__ import annotations
@@ -19,14 +23,7 @@ from .backend import DEFAULT_BACKEND, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
 from .errors import LlmError
 from .llm import data_key_lines, extract_code
-from .runtime import (
-    CRASH,
-    DEFAULT_TIMEOUT_S,
-    TIMEOUT,
-    CandidateProgram,
-    CandidateRuntime,
-    ExecutionOutcome,
-)
+from .runtime import CRASH, TIMEOUT, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
 DUALITY_GAP_THRESHOLD = 0.01
 MAX_REGENERATIONS = 3
@@ -74,26 +71,23 @@ def _stderr_excerpt(outcome: ExecutionOutcome) -> str:
 
 def l1_verify(
     program: CandidateProgram,
-    runtime: CandidateRuntime | None = None,
+    runtime: CandidateRuntime,
     *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
     model_spec: ModelSpec | None = None,
-    backend=DEFAULT_BACKEND,
     run_label: str | None = None,
 ) -> L1Result:
-    runtime = runtime or CandidateRuntime()
     diags: list[Diagnostic] = []
 
     syntax_diag = check_syntax(program.source)
     if syntax_diag is not None:
         return L1Result(False, None, None, [syntax_diag], None)
 
-    outcome = runtime.execute(program, timeout_s=timeout_s, run_label=run_label)
+    outcome = runtime.execute(program, run_label=run_label)
 
     if outcome.exit_kind == TIMEOUT:
         diags.append(Diagnostic(
             LAYER_L1, FATAL, "timeout", "execution",
-            f"candidate exceeded {timeout_s:g}s wall clock",
+            f"candidate exceeded {runtime.timeout_s:g}s wall clock",
         ))
         return L1Result(False, None, None, diags, outcome)
     if outcome.exit_kind == CRASH:
@@ -114,14 +108,14 @@ def l1_verify(
     if code == 3:
         evidence = "solver reported the model infeasible"
         if model_spec is not None:
-            iis = backend.compute_iis(model_spec)
+            iis = DEFAULT_BACKEND.compute_iis(model_spec)
             evidence += "; IIS constraints: " + ", ".join(sorted(iis))
         diags.append(Diagnostic(LAYER_L1, FATAL, "infeasible", "model", evidence))
         return L1Result(False, None, code, diags, outcome)
     if code == 5:
         evidence = "solver reported the model unbounded"
         if model_spec is not None:
-            result = backend.solve(model_spec, SolveParams(time_limit_s=timeout_s))
+            result = DEFAULT_BACKEND.solve(model_spec, SolveParams(time_limit_s=runtime.timeout_s))
             if result.ray_vars:
                 evidence += "; unbounded ray variables: " + ", ".join(sorted(result.ray_vars))
         diags.append(Diagnostic(LAYER_L1, FATAL, "unbounded", "model", evidence))
@@ -147,7 +141,7 @@ def l1_verify(
         return L1Result(False, None, code, diags, outcome)
 
     if model_spec is not None:
-        result = backend.solve(model_spec, SolveParams(time_limit_s=timeout_s))
+        result = DEFAULT_BACKEND.solve(model_spec, SolveParams(time_limit_s=runtime.timeout_s))
         if result.duality_gap is not None and result.duality_gap > DUALITY_GAP_THRESHOLD:
             diags.append(Diagnostic(
                 LAYER_L1, INFO, "duality_gap", "model",
@@ -218,10 +212,9 @@ def l1_verify_with_regeneration(
     program: CandidateProgram,
     problem: str,
     llm,
-    runtime: CandidateRuntime | None = None,
+    runtime: CandidateRuntime,
     *,
     max_regenerations: int = MAX_REGENERATIONS,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
     audit: list | None = None,
 ) -> tuple[CandidateProgram, L1Result]:
     """Phase-1 loop: verify, regenerate on Fatal, give up after the budget.
@@ -231,10 +224,8 @@ def l1_verify_with_regeneration(
     or the LLM became unavailable).  A regenerated program keeps the data
     record of the one it replaces.
     """
-    runtime = runtime or CandidateRuntime()
     current = program
-    result = l1_verify(
-        current, runtime, timeout_s=timeout_s, run_label="l1_initial")
+    result = l1_verify(current, runtime, run_label="l1_initial")
     attempts = 0
     while not result.passed and attempts < max_regenerations:
         attempts += 1
@@ -252,7 +243,5 @@ def l1_verify_with_regeneration(
         if code is None:
             continue
         current = replace(current, source=code)
-        result = l1_verify(
-            current, runtime, timeout_s=timeout_s,
-            run_label=f"l1_regen_{attempts}")
+        result = l1_verify(current, runtime, run_label=f"l1_regen_{attempts}")
     return current, result

@@ -19,7 +19,8 @@ parameter's literal assignment inside the source (fuzzy name match) and runs
 that on the unchanged record.  Programs that carry a record use Strategy 1,
 self-contained programs Strategy 2, and hybrids fall back from 1 to 2 when
 the data-side perturbation barely moved the objective (the value was
-probably hardcoded).
+probably hardcoded).  Every perturbed run goes through the caller's
+:class:`CandidateRuntime` and so under its timeout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import ast
 import copy
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .diagnostics import (
     INFO,
@@ -42,13 +43,7 @@ from .diagnostics import (
 )
 from .errors import ExtractionError, LlmError, ParameterNotFound
 from .llm import LlmClient, find_json_payload
-from .runtime import (
-    COMPLETED,
-    DEFAULT_TIMEOUT_S,
-    CandidateProgram,
-    CandidateRuntime,
-    ExecutionOutcome,
-)
+from .runtime import COMPLETED, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
 MAX_CANDIDATES = 10
 HYBRID_FALLBACK_RATIO = 0.01
@@ -317,17 +312,28 @@ def perturb_record(record: Mapping[str, Any], param_key: str, factor: float) -> 
 # --------------------------------------------------------------------------
 
 
-def _numeric_literal_count(node: ast.AST) -> int:
-    count = 0
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, (int, float)) \
-                and not isinstance(sub.value, bool):
-            count += 1
-    return count
+_SEQUENCES = (ast.List, ast.Tuple, ast.ListComp)
+
+
+def _data_literals(node: ast.AST) -> list[ast.Constant]:
+    """Numeric literals below ``node`` that hold data.
+
+    Shapes are not data: a ``range`` argument, the count of a sequence
+    repetition (``[0] * 20``) and a dict key are left out.
+    """
+    if isinstance(node, ast.Constant):
+        value = node.value
+        return [node] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range":
+        return []
+    children = node.values if isinstance(node, ast.Dict) else list(ast.iter_child_nodes(node))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        children = [c for c in children if isinstance(c, _SEQUENCES)] or children
+    return [lit for child in children for lit in _data_literals(child)]
 
 
 def _fuzzy_rank(name: str, param_key: str) -> tuple[int, int] | None:
-    """Match quality of an assignment target name for the parameter.
+    """Match quality of a binding's name for the parameter.
 
     Rank 0 exact (case-insensitive), 1 normalized equality, 2 token subset;
     ties broken by longest common prefix (larger wins).  None means no match.
@@ -351,52 +357,48 @@ def _fuzzy_rank(name: str, param_key: str) -> tuple[int, int] | None:
     return None
 
 
-class _ScaleLiterals(ast.NodeTransformer):
-    def __init__(self, factor: float):
-        self.factor = factor
-
-    def visit_Constant(self, node: ast.Constant):
-        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            return ast.copy_location(ast.Constant(node.value * self.factor), node)
-        return node
+def _bindings(tree: ast.AST) -> Iterator[tuple[str, ast.expr]]:
+    """(name, value) of each ``name = value`` assignment and of each
+    string-keyed entry of a dict literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            yield node.targets[0].id, node.value
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    yield key.value, value
 
 
 def perturb_source(source: str, param_key: str, factor: float) -> str | None:
-    """Scale the numeric literal(s) assigned to the fuzzily-matched name.
+    """Scale the data literal(s) bound to the fuzzily-matched name.
 
-    Only simple ``name = <numeric literal or container of them>`` bindings
-    qualify.  Returns the rewritten source, or None when no assignment
-    matches.
+    A binding is a ``name = value`` assignment or a string key of a dict
+    literal whose value holds at least one data literal.  Returns the
+    rewritten source, or None when no binding matches.
     """
     try:
         tree = ast.parse(source)
     except SyntaxError:
         return None
 
-    best: tuple[tuple[int, int], ast.Assign] | None = None
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if _numeric_literal_count(node.value) == 0:
-            continue
-        rank = _fuzzy_rank(target.id, param_key)
-        if rank is None:
+    best: tuple[tuple[int, int], ast.expr] | None = None
+    for name, value in _bindings(tree):
+        rank = _fuzzy_rank(name, param_key)
+        if rank is None or not _data_literals(value):
             continue
         # Lower rank wins; within a rank the longer common prefix wins.
         key = (rank[0], -rank[1])
-        if best is None or key < (best[0][0], -best[0][1]):
-            best = (rank, node)
+        if best is None or key < best[0]:
+            best = (key, value)
 
     if best is None:
         return None
-    node = best[1]
-    scaled_value = _ScaleLiterals(factor).visit(copy.deepcopy(node.value))
-    ast.fix_missing_locations(scaled_value)
-    new_expr = ast.unparse(scaled_value)
-    return _splice(source, node.value, new_expr)
+    value = best[1]
+    scaled = copy.deepcopy(value)
+    for literal in _data_literals(scaled):
+        literal.value *= factor
+    return _splice(source, value, ast.unparse(scaled))
 
 
 def _splice(source: str, node: ast.AST, replacement: str) -> str:
@@ -417,17 +419,14 @@ def _splice(source: str, node: ast.AST, replacement: str) -> str:
 class PerturbationRun:
     outcome: ExecutionOutcome
     strategy: str  # "data" | "source"
-    param_key: str
-    factor: float
 
 
 def perturb_parameter(
     program: CandidateProgram,
     param_key: str,
     factor: float,
-    runtime: CandidateRuntime | None = None,
+    runtime: CandidateRuntime,
     *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
     baseline_objective: float | None = None,
     run_label: str | None = None,
 ) -> PerturbationRun:
@@ -436,15 +435,12 @@ def perturb_parameter(
     Raises :class:`ParameterNotFound` when neither strategy locates the
     parameter.
     """
-    runtime = runtime or CandidateRuntime()
-
     data_run: PerturbationRun | None = None
     if program.data is not None:
         perturbed = perturb_record(program.data, param_key, factor)
         if perturbed is not None:
-            outcome = runtime.execute(
-                replace(program, data=perturbed), timeout_s=timeout_s, run_label=run_label)
-            data_run = PerturbationRun(outcome, "data", param_key, factor)
+            outcome = runtime.execute(replace(program, data=perturbed), run_label=run_label)
+            data_run = PerturbationRun(outcome, "data")
             ratio = None
             if (
                 baseline_objective is not None
@@ -465,10 +461,9 @@ def perturb_parameter(
         raise ParameterNotFound(param_key)
     outcome = runtime.execute(
         replace(program, source=rewritten),
-        timeout_s=timeout_s,
         run_label=f"{run_label}_src" if run_label else None,
     )
-    return PerturbationRun(outcome, "source", param_key, factor)
+    return PerturbationRun(outcome, "source")
 
 
 # --------------------------------------------------------------------------
@@ -485,15 +480,13 @@ def probe(
     program: CandidateProgram,
     z_star: float,
     candidates: Iterable[Candidate],
-    runtime: CandidateRuntime | None = None,
+    runtime: CandidateRuntime,
     *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
     tau_low: float = MISSING_THRESHOLD,
     tau_high: float = UNCERTAIN_THRESHOLD,
 ) -> list[Diagnostic]:
     """Presence test of each candidate: perturb its first locatable parameter
     by the layer's factor and classify the objective response."""
-    runtime = runtime or CandidateRuntime()
     diags: list[Diagnostic] = []
     for idx, cand in enumerate(candidates):
         factor = layer.factors.get(cand.kind, layer.factors["other"])
@@ -501,8 +494,7 @@ def probe(
         for key in cand.parameters:
             try:
                 run = perturb_parameter(
-                    program, key, factor, runtime,
-                    timeout_s=timeout_s, baseline_objective=z_star,
+                    program, key, factor, runtime, baseline_objective=z_star,
                     run_label=f"{layer.name.lower()}_{idx}",
                 )
                 break
@@ -552,14 +544,12 @@ def run_l2(
     program: CandidateProgram,
     z_star: float,
     extraction: Extraction,
-    runtime: CandidateRuntime | None = None,
+    runtime: CandidateRuntime,
     *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
     tau_low: float = MISSING_THRESHOLD,
     tau_high: float = UNCERTAIN_THRESHOLD,
 ) -> list[Diagnostic]:
     """Full L2 pass over extracted candidates: CPT then OPT."""
-    runtime = runtime or CandidateRuntime()
     diags: list[Diagnostic] = []
     for layer, candidates in extraction:
         if isinstance(candidates, Diagnostic):
@@ -567,6 +557,6 @@ def run_l2(
         else:
             diags.extend(probe(
                 layer, program, z_star, candidates, runtime,
-                timeout_s=timeout_s, tau_low=tau_low, tau_high=tau_high,
+                tau_low=tau_low, tau_high=tau_high,
             ))
     return diags

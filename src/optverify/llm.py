@@ -337,48 +337,24 @@ def extract_code(reply: str) -> str | None:
 
 
 def find_json_payload(text: str, opener: str = "{") -> Any:
-    """First balanced JSON object/array in free-form text.
+    """First JSON object/array in free-form text: the whole text, else a
+    fenced block, else the first ``opener`` in the text that starts one.
 
     Raises :class:`ExtractionError` when nothing parses.
     """
-    closer = "]" if opener == "[" else "}"
-    candidates = [text.strip()]
-    for block in _FENCE_RE.findall(text):
-        candidates.append(block.strip())
+    for cand in [text.strip(), *(block.strip() for block in _FENCE_RE.findall(text))]:
+        if cand.startswith(opener):
+            try:
+                return json.loads(cand)
+            except ValueError:
+                pass
+    decoder = json.JSONDecoder()
     start = text.find(opener)
     while start != -1:
-        depth = 0
-        in_str = False
-        escape = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_str:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_str = False
-                continue
-            if ch == '"':
-                in_str = True
-            elif ch == opener:
-                depth += 1
-            elif ch == closer:
-                depth -= 1
-                if depth == 0:
-                    candidates.append(text[start:i + 1])
-                    break
-        start = text.find(opener, start + 1)
-        if len(candidates) > 16:
-            break
-    for cand in candidates:
-        if not cand.startswith(opener):
-            continue
         try:
-            return json.loads(cand)
+            return decoder.raw_decode(text, start)[0]
         except ValueError:
-            continue
+            start = text.find(opener, start + 1)
     raise ExtractionError(f"no parseable JSON payload opening with {opener!r}")
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .config import DEFAULT_CONFIG, PipelineConfig
-from .diagnostics import FAILED, VerificationReport
+from .diagnostics import FATAL, LAYER_L1, Diagnostic, VerificationReport
 from .errors import GenerationError, LlmError
 from .l1 import l1_verify_with_regeneration
 from .llm import LlmClient, generate, generate_with_schema
@@ -30,7 +30,6 @@ from .scenario import ScenarioInstance, to_json_dict
 @dataclass
 class InstanceRunResult:
     instance: str
-    status: str
     program: CandidateProgram | None
     baseline_objective: float | None
     final_objective: float | None
@@ -38,6 +37,10 @@ class InstanceRunResult:
     executed: bool
     report: VerificationReport
     events: list[dict] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        return self.report.status
 
     def to_result_dict(self) -> dict[str, Any]:
         return {
@@ -64,7 +67,7 @@ def run_instance(
     if run_path:
         run_path.mkdir(parents=True, exist_ok=True)
     runtime = CandidateRuntime(
-        artifact_root=run_path / "runs" if run_path else None)
+        artifact_root=run_path / "runs" if run_path else None, timeout_s=config.timeout_s)
     events: list[dict] = []
 
     # Generation: schema prompts pair with the pre-validated instance record;
@@ -79,11 +82,12 @@ def run_instance(
             raise ValueError(f"unknown prompt format {prompt_format!r}")
     except (GenerationError, LlmError) as exc:
         events.append({"phase": "generation", "decision": "failed", "detail": str(exc)})
+        fatal = Diagnostic(LAYER_L1, FATAL, "generation_failed", "generation", str(exc))
         result = InstanceRunResult(
-            instance=inst.name, status=FAILED, program=None,
+            instance=inst.name, program=None,
             baseline_objective=None, final_objective=None,
             status_code=None, executed=False,
-            report=VerificationReport([], None), events=events,
+            report=VerificationReport([fatal], None), events=events,
         )
         _persist(run_path, result, events)
         return result
@@ -92,14 +96,13 @@ def run_instance(
     program, l1_result = l1_verify_with_regeneration(
         program, problem, llm, runtime,
         max_regenerations=config.max_regenerations,
-        timeout_s=config.timeout_s,
         audit=events,
     )
     executed = bool(
         l1_result.outcome and l1_result.outcome.exit_kind == COMPLETED)
     if not l1_result.passed:
         result = InstanceRunResult(
-            instance=inst.name, status=FAILED, program=program,
+            instance=inst.name, program=program,
             baseline_objective=None, final_objective=None,
             status_code=l1_result.status_code, executed=executed,
             report=VerificationReport(l1_result.diagnostics, None),
@@ -121,7 +124,7 @@ def run_instance(
         outcome.objective,
     )
     result = InstanceRunResult(
-        instance=inst.name, status=report.status, program=outcome.program,
+        instance=inst.name, program=outcome.program,
         baseline_objective=z_star, final_objective=outcome.objective,
         status_code=l1_result.status_code, executed=True,
         report=report, events=events,

@@ -444,9 +444,7 @@ def check_flow_conservation(
     return violations
 
 
-def candidate_source(
-    drop: Iterable[str] = (), time_limit_s: float = 55.0
-) -> str:
+def candidate_source(drop: Iterable[str] = ()) -> str:
     """Source text of a candidate program backed by the reference builder.
 
     The emitted script expects the instance record pre-bound to ``data``,
@@ -462,7 +460,7 @@ def candidate_source(
         "\n"
         "inst = validate_instance(data)\n"
         f"model = build_reference_model(inst, drop={drops!r})\n"
-        f"result = DEFAULT_BACKEND.solve(model, SolveParams(time_limit_s={time_limit_s!r}))\n"
+        "result = DEFAULT_BACKEND.solve(model, SolveParams(time_limit_s=55.0))\n"
         "code = status_to_code(result.status)\n"
         'print(f"status: {code}")\n'
         "if code == 2:\n"

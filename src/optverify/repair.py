@@ -272,7 +272,7 @@ def repair_loop(
     z_star: float,
     problem: str,
     llm: LlmClient,
-    runtime: CandidateRuntime | None = None,
+    runtime: CandidateRuntime,
     config: PipelineConfig = DEFAULT_CONFIG,
 ) -> RepairOutcome:
     """Phase 2: L2 testing plus targeted repair under guards.
@@ -284,7 +284,6 @@ def repair_loop(
     repairs are adopted only after passing L1 again and the regression
     guard, and a rollback halts repair entirely.
     """
-    runtime = runtime or CandidateRuntime()
     current, z = program, z_star
     events: list[dict] = []
     iterations = 0
@@ -296,7 +295,6 @@ def repair_loop(
     def l2_pass() -> list[Diagnostic]:
         return run_l2(
             current, z, extraction, runtime,
-            timeout_s=config.timeout_s,
             tau_low=config.missing_threshold,
             tau_high=config.uncertain_threshold,
         )
@@ -348,9 +346,7 @@ def repair_loop(
             break
 
         candidate = replace(current, source=repaired)
-        l1_result = l1_verify(
-            candidate, runtime, timeout_s=config.timeout_s,
-            run_label=f"repair_{j}")
+        l1_result = l1_verify(candidate, runtime, run_label=f"repair_{j}")
         event["l1_passed"] = l1_result.passed
         event["l1_objective"] = l1_result.objective
 

@@ -2,6 +2,8 @@
 
 Each run forks the calling process, which already holds numpy, scipy and
 ``optverify``, so a candidate starts without importing them again.  The
+runtime carries the wall-clock limit of its runs; the pipeline builds one
+per instance, and every layer that runs the candidate uses it.  The
 child gets its own session (the timeout kills its whole process group), a
 fresh temp working directory first on ``sys.path``, ``/dev/null`` as stdin,
 ``stdout.txt``/``stderr.txt`` in that directory as fds 1 and 2 (so C code
@@ -114,22 +116,21 @@ def parse_contract(stdout: str) -> tuple[int | None, float | None]:
 class CandidateRuntime:
     """Forking runner for candidate programs.
 
-    ``artifact_root``, when set, receives per-run copies of the assembled
-    script, the captured streams and the run's cost (``exec.json``), one
-    directory per run: a label already used gets the run counter appended,
-    so no run overwrites another.
+    One runtime serves every run of an instance: L1, each L2 perturbation
+    and each repair re-verification run under its wall-clock limit
+    ``timeout_s``.  ``artifact_root``, when set, receives per-run copies of
+    the assembled script, the captured streams and the run's cost
+    (``exec.json``), one directory per run: a label already used gets the
+    run counter appended, so no run overwrites another.
     """
 
-    def __init__(self, artifact_root: str | Path | None = None):
+    def __init__(self, artifact_root: str | Path | None = None,
+                 timeout_s: float = DEFAULT_TIMEOUT_S):
         self.artifact_root = Path(artifact_root) if artifact_root else None
+        self.timeout_s = timeout_s
         self._run_counter = 0
 
-    def execute(
-        self,
-        program: CandidateProgram,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        run_label: str | None = None,
-    ) -> ExecutionOutcome:
+    def execute(self, program: CandidateProgram, run_label: str | None = None) -> ExecutionOutcome:
         with tempfile.TemporaryDirectory(prefix="optverify-run-") as tmp:
             workdir = Path(tmp)
             injected = program.data is not None
@@ -153,7 +154,7 @@ class CandidateRuntime:
                     raise SandboxSetupError(f"cannot fork a candidate: {exc}") from exc
                 if pid == 0:
                     _run_child(workdir, injected, out.fileno(), err.fileno())
-                exited, status, usage = _reap(pid, timeout_s)
+                exited, status, usage = _reap(pid, self.timeout_s)
                 duration = time.monotonic() - start
                 out.seek(0)
                 err.seek(0)

@@ -50,7 +50,7 @@ from optverify.reference import (
     solve_reference,
 )
 from optverify.repair import repair_loop, safety_check
-from optverify.runtime import EXTERNAL_DICT, CandidateProgram
+from optverify.runtime import EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 from optverify.scenario import to_json_dict, validate_instance
 
 from .helpers import scripted_reference_provider
@@ -259,7 +259,8 @@ def test_acceptance_iis_oracle():
         f"irreducible {irreducible}/{n}, min-cardinality {cardinality}/{n}, {elapsed:.1f}s")
 
 
-def test_acceptance_cpt_mutation_detection(runtime):
+def test_acceptance_cpt_mutation_detection():
+    runtime = CandidateRuntime(timeout_s=90)
     start = time.monotonic()
     candidates = [Candidate(
         "cold storage capacity limit", "capacity", ("cold_capacity",))]
@@ -270,9 +271,9 @@ def test_acceptance_cpt_mutation_detection(runtime):
         for drop, expect_warning in ((("storage_capacity",), True), ((), False)):
             total += 1
             program = CandidateProgram(candidate_source(drop=drop), to_json_dict(inst))
-            l1 = l1_verify(program, runtime, timeout_s=90)
+            l1 = l1_verify(program, runtime)
             assert l1.passed
-            diags = probe(CPT, program, l1.objective, candidates, runtime, timeout_s=90)
+            diags = probe(CPT, program, l1.objective, candidates, runtime)
             severity = diags[0].severity
             if expect_warning and severity == WARNING:
                 hits += 1
@@ -283,7 +284,8 @@ def test_acceptance_cpt_mutation_detection(runtime):
     _criterion("CPT mutation detection", ok, f"{hits}/{total} in {elapsed:.1f}s")
 
 
-def test_acceptance_opt_mutation_detection(runtime):
+def test_acceptance_opt_mutation_detection():
+    runtime = CandidateRuntime(timeout_s=90)
     start = time.monotonic()
     terms = [Candidate(
         "inventory holding cost", "cost", ("inventory",))]
@@ -294,14 +296,14 @@ def test_acceptance_opt_mutation_detection(runtime):
         total += 1
         mutant = CandidateProgram(
             candidate_source(drop=("holding_cost",)), to_json_dict(inst))
-        l1_mut = l1_verify(mutant, runtime, timeout_s=90)
+        l1_mut = l1_verify(mutant, runtime)
         assert l1_mut.passed
-        mut_diags = probe(OPT, mutant, l1_mut.objective, terms, runtime, timeout_s=90)
+        mut_diags = probe(OPT, mutant, l1_mut.objective, terms, runtime)
 
         intact = CandidateProgram(candidate_source(), to_json_dict(inst))
-        l1_ok = l1_verify(intact, runtime, timeout_s=90)
+        l1_ok = l1_verify(intact, runtime)
         assert l1_ok.passed
-        ok_diags = probe(OPT, intact, l1_ok.objective, terms, runtime, timeout_s=90)
+        ok_diags = probe(OPT, intact, l1_ok.objective, terms, runtime)
 
         if (mut_diags and mut_diags[0].severity == WARNING
                 and ok_diags and ok_diags[0].severity in (PASS, INFO)):
@@ -337,14 +339,15 @@ def test_acceptance_regression_guard():
     program = CandidateProgram(base_source, record)
     config = PipelineConfig(timeout_s=30.0)
 
-    drifted = repair_loop(program, 100.0, "p", scripted(1.10), config=config)
+    runtime = CandidateRuntime(timeout_s=30.0)
+    drifted = repair_loop(program, 100.0, "p", scripted(1.10), runtime, config=config)
     rollback_ok = (
         drifted.objective == 100.0  # exactly the pre-repair baseline
         and drifted.program.source == base_source
         and any(e.get("decision") == "rollback" for e in drifted.events)
     )
 
-    nudged = repair_loop(program, 100.0, "p", scripted(1.039), config=config)
+    nudged = repair_loop(program, 100.0, "p", scripted(1.039), runtime, config=config)
     accepted_ok = (
         nudged.objective == pytest.approx(103.9)
         and any(e.get("decision") == "adopted" for e in nudged.events)
@@ -388,7 +391,7 @@ def test_acceptance_safety_validator():
 
     out = repair_loop(
         CandidateProgram(base_source, record), 100.0, "p",
-        LlmClient(REPLAY_CONFIG, CallableTransport(fn)),
+        LlmClient(REPLAY_CONFIG, CallableTransport(fn)), CandidateRuntime(timeout_s=30.0),
         config=PipelineConfig(timeout_s=30.0, repair_budget=1))
     retry_ok = (
         len(repair_calls) == 2

@@ -12,7 +12,7 @@ from optverify.l1 import (
     l1_verify_with_regeneration,
 )
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
-from optverify.runtime import CandidateProgram
+from optverify.runtime import CandidateProgram, CandidateRuntime
 
 
 def _client(fn):
@@ -22,7 +22,7 @@ def _client(fn):
 def test_syntax_fatal_without_execution(tmp_path, runtime):
     marker = tmp_path / "executed.flag"
     src = f"open({str(marker)!r}, 'w').close(\n"  # unbalanced: SyntaxError
-    result = l1_verify(CandidateProgram(src), runtime, timeout_s=10)
+    result = l1_verify(CandidateProgram(src), runtime)
     assert not result.passed
     assert result.fatal.issue_type == "syntax"
     assert result.outcome is None
@@ -35,7 +35,7 @@ def test_check_syntax_clean():
 
 def test_pass_records_exact_objective(runtime):
     prog = CandidateProgram("print('status: 2')\nprint('objective: 17')")
-    result = l1_verify(prog, runtime, timeout_s=30)
+    result = l1_verify(prog, runtime)
     assert result.passed
     assert result.objective == 17.0
     assert result.fatal is None
@@ -43,7 +43,7 @@ def test_pass_records_exact_objective(runtime):
 
 def test_crash_fatal_with_stderr(runtime):
     prog = CandidateProgram("raise RuntimeError('model exploded')")
-    result = l1_verify(prog, runtime, timeout_s=30)
+    result = l1_verify(prog, runtime)
     assert not result.passed
     assert result.fatal.issue_type == "runtime_error"
     assert "model exploded" in result.fatal.evidence
@@ -54,26 +54,26 @@ def test_crash_evidence_is_stable_and_names_program_lines(runtime):
     # runs by a relative name: evidence carries no temp path, so a
     # regeneration prompt built from it is the same on every run.
     prog = CandidateProgram("x = 1\ny = data['missing_key']\n", {"present": 1})
-    evidence = [l1_verify(prog, runtime, timeout_s=30).fatal.evidence
-                for _ in range(2)]
+    evidence = [l1_verify(prog, runtime).fatal.evidence for _ in range(2)]
     assert evidence[0] == evidence[1]
     assert 'File "candidate.py", line 2, in <module>' in evidence[0]
     assert "optverify-run-" not in evidence[0]
 
 
-def test_timeout_fatal(runtime):
+def test_timeout_fatal():
     prog = CandidateProgram("while True: pass")
-    result = l1_verify(prog, runtime, timeout_s=1.0)
+    result = l1_verify(prog, CandidateRuntime(timeout_s=1.0))
     assert result.fatal.issue_type == "timeout"
+    assert result.fatal.evidence == "candidate exceeded 1s wall clock"
 
 
 def test_missing_contract_fatal(runtime):
-    result = l1_verify(CandidateProgram("print('hello')"), runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('hello')"), runtime)
     assert result.fatal.issue_type == "no_status"
 
 
 def test_status2_without_objective_fatal(runtime):
-    result = l1_verify(CandidateProgram("print('status: 2')"), runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('status: 2')"), runtime)
     assert result.fatal.issue_type == "no_objective"
 
 
@@ -87,14 +87,14 @@ def test_infeasible_enriched_with_iis(runtime):
         objective=Objective("min", {"x": 1.0}),
     )
     prog = CandidateProgram("print('status: 3')")
-    result = l1_verify(prog, runtime, timeout_s=30, model_spec=model)
+    result = l1_verify(prog, runtime, model_spec=model)
     assert result.fatal.issue_type == "infeasible"
     assert "x_ge_1" in result.fatal.evidence
     assert "x_le_0" in result.fatal.evidence
 
 
 def test_infeasible_without_model_spec_raw_status(runtime):
-    result = l1_verify(CandidateProgram("print('status: 3')"), runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('status: 3')"), runtime)
     assert result.fatal.issue_type == "infeasible"
     assert "IIS" not in result.fatal.evidence
 
@@ -105,15 +105,13 @@ def test_unbounded_enriched_with_ray(runtime):
         constraints=[],
         objective=Objective("max", {"x": 1.0}),
     )
-    result = l1_verify(
-        CandidateProgram("print('status: 5')"), runtime,
-        timeout_s=30, model_spec=model)
+    result = l1_verify(CandidateProgram("print('status: 5')"), runtime, model_spec=model)
     assert result.fatal.issue_type == "unbounded"
     assert "x" in result.fatal.evidence
 
 
 def test_solver_timeout_status_fatal(runtime):
-    result = l1_verify(CandidateProgram("print('status: 9')"), runtime, timeout_s=30)
+    result = l1_verify(CandidateProgram("print('status: 9')"), runtime)
     assert result.fatal.issue_type == "solver_timeout"
 
 
@@ -141,9 +139,7 @@ def test_regeneration_prompt_carries_iis_names(runtime):
             Constraint("min_demand", {"x": 1.0}, ">=", 1.0),
         ],
     )
-    result = l1_verify(
-        CandidateProgram("print('status: 3')"), runtime,
-        timeout_s=30, model_spec=model)
+    result = l1_verify(CandidateProgram("print('status: 3')"), runtime, model_spec=model)
     prompt = build_regeneration_prompt(
         "p", CandidateProgram("code"), result.fatal.evidence)
     assert "cap_limit" in prompt
@@ -159,8 +155,7 @@ def test_regeneration_loop_budget(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')")
     final, result = l1_verify_with_regeneration(
-        program, "problem", _client(always_broken), runtime,
-        max_regenerations=3, timeout_s=30)
+        program, "problem", _client(always_broken), runtime, max_regenerations=3)
     assert not result.passed
     assert len(calls) == 3  # exactly the budget, then give up
     assert result.fatal is not None
@@ -172,8 +167,7 @@ def test_regeneration_loop_recovers(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')")
     final, result = l1_verify_with_regeneration(
-        program, "problem", _client(fixer), runtime,
-        max_regenerations=3, timeout_s=30)
+        program, "problem", _client(fixer), runtime, max_regenerations=3)
     assert result.passed
     assert result.objective == 10.0
     assert "status: 2" in final.source
@@ -188,7 +182,7 @@ def test_regenerated_program_keeps_record(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')", record)
     final, result = l1_verify_with_regeneration(
-        program, "problem", _client(fixer), runtime, max_regenerations=1, timeout_s=30)
+        program, "problem", _client(fixer), runtime, max_regenerations=1)
     assert result.objective == 4.5
     assert final.data is record
 
@@ -201,7 +195,7 @@ def test_duality_gap_info_from_backend(runtime):
         objective=Objective("min", {"x": 1.0}),
     )
     prog = CandidateProgram("print('status: 2')\nprint('objective: 3.0')")
-    result = l1_verify(prog, runtime, timeout_s=30, model_spec=model)
+    result = l1_verify(prog, runtime, model_spec=model)
     assert result.passed
     assert not [d for d in result.diagnostics if d.severity == INFO]
 

@@ -200,6 +200,19 @@ def test_perturb_source_prefers_exact_match():
     assert "capacity_limit = 7" in out
 
 
+@pytest.mark.parametrize("src,key,factor,name,expected", [
+    ('data = {"cold_capacity": {"DC1": 4000}, "periods": 20}\n', "cold_capacity", 0.001,
+     "data", {"cold_capacity": {"DC1": 4000 * 0.001}, "periods": 20}),
+    ("production_cap = [800] * 20\n", "production_cap", 0.001,
+     "production_cap", [800 * 0.001] * 20),
+    ("demand = [100 for _ in range(20)]\n", "demand", 100.0, "demand", [100 * 100.0] * 20),
+], ids=["dict_literal_key", "repetition_count", "range_argument"])
+def test_perturb_source_scales_data_not_shape(src, key, factor, name, expected):
+    scope = {}
+    exec(perturb_source(src, key, factor), scope)
+    assert scope[name] == expected
+
+
 def test_perturb_source_no_match():
     assert perturb_source("x = 1\n", "capacity", 2.0) is None
 
@@ -233,7 +246,7 @@ _RECORD = {"demand": 100.0, "capacity": 50.0}
 def test_strategy1_used_for_external_dict(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
     run = perturb_parameter(prog, "capacity", 0.001, runtime,
-                            timeout_s=30, baseline_objective=50.0)
+                            baseline_objective=50.0)
     assert run.strategy == "data"
     assert run.outcome.objective == pytest.approx(0.05)
 
@@ -241,7 +254,7 @@ def test_strategy1_used_for_external_dict(runtime):
 def test_hybrid_fallback_to_source(runtime):
     prog = CandidateProgram(_HARDCODES, _RECORD)
     run = perturb_parameter(prog, "capacity", 0.001, runtime,
-                            timeout_s=30, baseline_objective=50.0)
+                            baseline_objective=50.0)
     # Data-side change moved nothing; the literal in source was scaled.
     assert run.strategy == "source"
     assert run.outcome.objective == pytest.approx(0.05)
@@ -251,7 +264,7 @@ def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
     src = "served = data['demand'] * 0 + 7\nprint('status: 2')\nprint(f'objective: {served}')\n"
     prog = CandidateProgram(src, {"demand": 3.0})
     run = perturb_parameter(prog, "demand", 100.0, runtime,
-                            timeout_s=30, baseline_objective=7.0)
+                            baseline_objective=7.0)
     assert run.strategy == "data"
     assert run.outcome.objective == pytest.approx(7.0)
 
@@ -259,7 +272,7 @@ def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
 def test_self_contained_uses_source(runtime):
     src = "capacity = 500\nprint('status: 2')\nprint(f'objective: {capacity}')\n"
     prog = CandidateProgram(src)
-    run = perturb_parameter(prog, "capacity", 0.001, runtime, timeout_s=30)
+    run = perturb_parameter(prog, "capacity", 0.001, runtime)
     assert run.strategy == "source"
     assert run.outcome.objective == pytest.approx(0.5)
 
@@ -267,7 +280,7 @@ def test_self_contained_uses_source(runtime):
 def test_parameter_not_found_anywhere(runtime):
     prog = CandidateProgram("print('status: 2')\nprint('objective: 1')\n")
     with pytest.raises(ParameterNotFound):
-        perturb_parameter(prog, "ghost_param", 2.0, runtime, timeout_s=30)
+        perturb_parameter(prog, "ghost_param", 2.0, runtime)
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +296,7 @@ def test_cpt_missing_constraint_warning(runtime):
     # Ignores capacity entirely: extreme perturbation moves nothing.
     src = "print('status: 2')\nprint(f\"objective: {data['demand']}\")\n"
     prog = CandidateProgram(src, _RECORD)
-    diags = probe(CPT, prog, 100.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, 100.0, _constraint(), runtime)
     assert len(diags) == 1
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "constraint_missing"
@@ -292,7 +305,7 @@ def test_cpt_missing_constraint_warning(runtime):
 
 def test_cpt_present_constraint_passes(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    diags = probe(CPT, prog, 50.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, 50.0, _constraint(), runtime)
     assert diags[0].severity == PASS
     assert diags[0].issue_type == "constraint_present"
 
@@ -303,7 +316,7 @@ def test_cpt_infeasible_outcome_passes(runtime):
         "print('objective: 10')\n"
     )
     prog = CandidateProgram(src, _RECORD)
-    diags = probe(CPT, prog, 10.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, 10.0, _constraint(), runtime)
     assert diags[0].severity == PASS
     assert "infeasible" in diags[0].evidence
 
@@ -311,7 +324,7 @@ def test_cpt_infeasible_outcome_passes(runtime):
 def test_cpt_crash_is_inconclusive_info(runtime):
     src = "assert data['capacity'] >= 1\nprint('status: 2')\nprint('objective: 10')\n"
     prog = CandidateProgram(src, _RECORD)
-    diags = probe(CPT, prog, 10.0, _constraint(), runtime, timeout_s=30)
+    diags = probe(CPT, prog, 10.0, _constraint(), runtime)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "perturbation_inconclusive"
 
@@ -320,7 +333,7 @@ def test_cpt_unknown_parameter_skipped_with_info(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
     diags = probe(CPT, prog, 50.0,
                   [Candidate("phantom", "capacity", ("ghost",))],
-                  runtime, timeout_s=30)
+                  runtime)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "parameter_not_found"
 
@@ -334,7 +347,7 @@ def test_cpt_respects_max_candidates(runtime):
     llm = _client(lambda payload: f"[{entries}]" if "KEY CONSTRAINTS" in payload["user"] else "[]")
     prog = CandidateProgram(_USES_DATA, _RECORD)
     extraction = extract_candidates("p", list(_RECORD), llm, max_candidates=3)
-    diags = run_l2(prog, 50.0, extraction, runtime, timeout_s=30)
+    diags = run_l2(prog, 50.0, extraction, runtime)
     assert [d.target for d in diags] == ["c0", "c1", "c2"]
 
 
@@ -343,7 +356,7 @@ def test_opt_missing_term_warning(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
     prog = CandidateProgram(src, {"purchase_cost": 5.0, "holding_cost": 2.0})
     terms = [Candidate("holding cost", "cost", ("holding_cost",))]
-    diags = probe(OPT, prog, 50.0, terms, runtime, timeout_s=30)
+    diags = probe(OPT, prog, 50.0, terms, runtime)
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "objective_term_missing"
 
@@ -352,7 +365,7 @@ def test_opt_present_term_passes(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
     prog = CandidateProgram(src, {"purchase_cost": 5.0})
     terms = [Candidate("purchasing cost", "cost", ("purchase_cost",))]
-    diags = probe(OPT, prog, 50.0, terms, runtime, timeout_s=30)
+    diags = probe(OPT, prog, 50.0, terms, runtime)
     assert diags[0].severity == PASS
 
 
@@ -360,7 +373,7 @@ def test_opt_infeasible_outcome_skipped(runtime):
     src = "print('status: 3')\n"
     prog = CandidateProgram(src, {"purchase_cost": 1.0})
     terms = [Candidate("cost", "cost", ("purchase_cost",))]
-    diags = probe(OPT, prog, 10.0, terms, runtime, timeout_s=30)
+    diags = probe(OPT, prog, 10.0, terms, runtime)
     assert diags == []  # skipped, no diagnostic at all
 
 
@@ -368,7 +381,7 @@ def test_run_l2_extraction_failure_degrades_to_info(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
     llm = _client(lambda payload: "I cannot help with that")
     extraction = extract_candidates("problem", list(_RECORD), llm)
-    diags = run_l2(prog, 50.0, extraction, runtime, timeout_s=30)
+    diags = run_l2(prog, 50.0, extraction, runtime)
     assert {d.issue_type for d in diags} == {"extraction_failed"}
     assert all(d.severity == INFO for d in diags)
 
@@ -381,6 +394,6 @@ def test_run_l2_full_pass(runtime):
 
     prog = CandidateProgram(_USES_DATA, _RECORD)
     extraction = extract_candidates("problem", list(_RECORD), _client(scripted))
-    diags = run_l2(prog, 50.0, extraction, runtime, timeout_s=30)
+    diags = run_l2(prog, 50.0, extraction, runtime)
     layers = {d.layer for d in diags}
     assert layers == {"L2_CPT", "L2_OPT"}

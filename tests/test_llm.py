@@ -173,6 +173,10 @@ def test_find_json_payload_array():
     assert find_json_payload("text [1, 2] text", "[") == [1, 2]
 
 
+def test_find_json_payload_skips_any_number_of_non_json_groups():
+    assert find_json_payload("[a] " * 20 + "[1]", "[") == [1]
+
+
 def test_find_json_payload_nested_braces_in_strings():
     payload = find_json_payload('{"s": "curly } inside", "n": 1}')
     assert payload["n"] == 1

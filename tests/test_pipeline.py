@@ -116,6 +116,21 @@ def test_generation_without_code_fence_fails_cleanly(f1_v0, tmp_path):
         config=_FAST, run_dir=tmp_path / "run")
     assert result.status == FAILED
     assert not result.executed
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert [(d["layer"], d["severity"], d["issue_type"]) for d in report["diagnostics"]] == [
+        ("L1", "fatal", "generation_failed")]
+    assert json.loads((tmp_path / "run" / "result.json").read_text())["status"] == "failed"
+
+
+def test_config_timeout_bounds_candidate_runs(f1_v0, tmp_path):
+    problem = render_prompt(f1_v0, SCHEMA_BASED)
+    config = PipelineConfig(timeout_s=1.0, max_regenerations=0)
+    result = run_instance(
+        f1_v0, problem, SCHEMA_BASED, _client(lambda p: "```python\nwhile True: pass\n```"),
+        config=config, run_dir=tmp_path / "run")
+    assert result.status == FAILED
+    assert result.report.diagnostics[0].evidence == "candidate exceeded 1s wall clock"
 
 
 def test_plateau_report_describes_adopted_program(f1_v0, tmp_path):

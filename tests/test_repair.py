@@ -15,7 +15,7 @@ from optverify.repair import (
     repair_loop,
     safety_check,
 )
-from optverify.runtime import EXTERNAL_DICT, SELF_CONTAINED, CandidateProgram
+from optverify.runtime import EXTERNAL_DICT, SELF_CONTAINED, CandidateProgram, CandidateRuntime
 
 
 def _client(fn):
@@ -119,7 +119,7 @@ def test_regression_on_status_degradation(runtime):
     # A repair that no longer reaches an optimal status fails L1, and a
     # failed L1 carries no objective, which the guard treats as regression.
     for src in ("raise RuntimeError('broken repair')\n", "print('status: 3')\n"):
-        result = l1_verify(CandidateProgram(src), runtime, timeout_s=30.0)
+        result = l1_verify(CandidateProgram(src), runtime)
         assert not result.passed and result.objective is None
         assert regression_check(result.objective, 100.0, 0.04) is True
 
@@ -177,8 +177,8 @@ def _scripted_llm(repair_replies, sent=None):
 
 
 def _loop(program, llm, budget=3):
-    config = PipelineConfig(repair_budget=budget, timeout_s=30.0)
-    return repair_loop(program, 100.0, "problem", llm, config=config)
+    config = PipelineConfig(repair_budget=budget)
+    return repair_loop(program, 100.0, "problem", llm, CandidateRuntime(timeout_s=30.0), config)
 
 
 def test_skip_guard_returns_immediately():

@@ -27,7 +27,7 @@ from optverify.scenario import to_json_dict
 
 def test_contract_lines_parsed(runtime):
     program = CandidateProgram('print("status: 2")\nprint("objective: 42.5")')
-    outcome = runtime.execute(program, timeout_s=30)
+    outcome = runtime.execute(program)
     assert outcome.exit_kind == COMPLETED
     assert outcome.status_code == 2
     assert outcome.objective == 42.5
@@ -41,7 +41,7 @@ def test_last_occurrence_wins(runtime):
         'print("status: 2")\n'
         'print("objective: 17.25")\n'
     )
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src))
     assert outcome.status_code == 2
     assert outcome.objective == 17.25
 
@@ -65,9 +65,8 @@ def test_contract_requires_own_line():
     assert objective is None
 
 
-def test_timeout_kills_process(runtime):
-    outcome = runtime.execute(
-        CandidateProgram("while True:\n    pass"), timeout_s=1.0)
+def test_timeout_kills_process():
+    outcome = CandidateRuntime(timeout_s=1.0).execute(CandidateProgram("while True:\n    pass"))
     assert outcome.exit_kind == TIMEOUT
     assert outcome.objective is None
     assert outcome.duration_s >= 1.0
@@ -76,7 +75,7 @@ def test_timeout_kills_process(runtime):
 
 def test_crash_captures_stderr(runtime):
     outcome = runtime.execute(
-        CandidateProgram("import definitely_not_a_module"), timeout_s=30)
+        CandidateProgram("import definitely_not_a_module"))
     assert outcome.exit_kind == CRASH
     assert outcome.objective is None
     assert "definitely_not_a_module" in outcome.stderr
@@ -86,7 +85,7 @@ def test_external_dict_injection(runtime):
     src = 'print(f"status: {data[\'answer\']}")\nprint(f"objective: {data[\'value\']}")'
     program = CandidateProgram(src, {"answer": 2, "value": 3.5})
     assert program.data_mode == EXTERNAL_DICT
-    outcome = runtime.execute(program, timeout_s=30)
+    outcome = runtime.execute(program)
     assert outcome.status_code == 2
     assert outcome.objective == 3.5
 
@@ -94,7 +93,7 @@ def test_external_dict_injection(runtime):
 def test_caller_record_is_isolated(runtime):
     record = {"value": 1}
     src = "data['value'] = 999\nprint('status: 2')\nprint(f\"objective: {data['value']}\")"
-    outcome = runtime.execute(CandidateProgram(src, record), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src, record))
     assert outcome.objective == 999
     assert record == {"value": 1}
 
@@ -104,7 +103,7 @@ def test_scenario_instance_serialized(runtime, base):
         "print('status: 2')\n"
         "print(f\"objective: {data['demand_curve']['SKU_Basic'][0]}\")"
     )
-    outcome = runtime.execute(CandidateProgram(src, to_json_dict(base)), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src, to_json_dict(base)))
     assert outcome.objective == 303
 
 
@@ -114,14 +113,14 @@ def test_fork_failure_raises_setup_error(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(SandboxSetupError):
-        CandidateRuntime().execute(CandidateProgram("print('hi')"), timeout_s=5)
+        CandidateRuntime().execute(CandidateProgram("print('hi')"))
 
 
 def test_artifacts_persisted(tmp_path, base):
     rt = CandidateRuntime(artifact_root=tmp_path)
     rt.execute(
         CandidateProgram("print('status: 2')\nprint('objective: 1')"),
-        timeout_s=30, run_label="probe")
+        run_label="probe")
     assert (tmp_path / "probe" / "candidate.py").exists()
     assert "status: 2" in (tmp_path / "probe" / "stdout.txt").read_text()
 
@@ -130,7 +129,7 @@ def test_repeated_label_keeps_every_run(tmp_path):
     rt = CandidateRuntime(artifact_root=tmp_path)
     sources = [f"print('status: 2')\nprint('objective: {z}')" for z in (1, 2)]
     for src in sources:
-        rt.execute(CandidateProgram(src), timeout_s=30, run_label="probe")
+        rt.execute(CandidateProgram(src), run_label="probe")
     dirs = sorted(tmp_path.iterdir())
     assert [d.name for d in dirs] == ["probe", "probe_0002"]
     assert [(d / "candidate.py").read_text() for d in dirs] == sources
@@ -138,7 +137,7 @@ def test_repeated_label_keeps_every_run(tmp_path):
 
 def test_objective_ignored_unless_completed(runtime):
     src = "print('status: 2')\nprint('objective: 5.0')\nraise SystemExit(3)"
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src))
     assert outcome.exit_kind == CRASH
     assert outcome.status_code is None
     assert outcome.objective is None
@@ -163,7 +162,7 @@ def test_child_imports_running_optverify_from_any_cwd(
         "print(f'path: {json.dumps(sys.path)}')\n"
         "print('status: 2')\n"
     )
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src))
     assert outcome.exit_kind == COMPLETED, outcome.stderr
     assert outcome.status_code == 2
     lines = outcome.stdout.splitlines()
@@ -182,14 +181,14 @@ def test_child_imports_running_optverify_from_any_cwd(
     ("import sys\nsys.exit(256)", COMPLETED, ""),
 ], ids=["none", "zero", "message", "wraps_to_zero"])
 def test_sys_exit_maps_like_an_interpreter(runtime, src, exit_kind, stderr_text):
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src))
     assert outcome.exit_kind == exit_kind
     assert outcome.stderr.strip() == stderr_text
 
 
 def test_uncaught_exception_traceback_starts_at_candidate(runtime):
     outcome = runtime.execute(
-        CandidateProgram("x = 1\nraise ValueError('bad shape')"), timeout_s=30)
+        CandidateProgram("x = 1\nraise ValueError('bad shape')"))
     assert outcome.exit_kind == CRASH
     lines = outcome.stderr.splitlines()
     assert lines[0] == "Traceback (most recent call last):"
@@ -203,7 +202,7 @@ def test_uncaught_exception_traceback_starts_at_candidate(runtime):
     "if __name__ == '__main__':\n    print('status: 2')\n    print('objective: 7')",
 ], ids=["fd_write", "main_block"])
 def test_contract_reached_through_fd_and_main_block(runtime, src):
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src))
     assert outcome.exit_kind == COMPLETED, outcome.stderr
     assert (outcome.status_code, outcome.objective) == (2, 7.0)
 
@@ -223,7 +222,7 @@ def test_parent_unflushed_output_stays_out_of_candidate(runtime, monkeypatch):
             "logging.getLogger('optverify.test_runtime').warning('candidate-line')\n"
             "print('status: 2')"
         )
-        outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+        outcome = runtime.execute(CandidateProgram(src))
     finally:
         logger.removeHandler(handler)
     assert outcome.exit_kind == COMPLETED
@@ -236,7 +235,7 @@ def test_candidate_cannot_write_parent_descriptors(runtime, tmp_path):
     log = tmp_path / "parent.log"
     with open(log, "w") as fh:
         src = f"import os\nos.write({fh.fileno()}, b'leak')"
-        outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+        outcome = runtime.execute(CandidateProgram(src))
     assert outcome.exit_kind == CRASH
     assert "Bad file descriptor" in outcome.stderr
     assert log.read_text() == ""
@@ -249,7 +248,7 @@ def test_candidate_cannot_rebind_parent_globals(runtime):
         "print('status: 2')"
     )
     before = optverify.runtime.DEFAULT_TIMEOUT_S
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+    outcome = runtime.execute(CandidateProgram(src))
     assert outcome.exit_kind == COMPLETED
     assert optverify.runtime.DEFAULT_TIMEOUT_S == before == 60.0
 
@@ -262,7 +261,7 @@ def _gone_or_zombie(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
-def test_timeout_kills_grandchildren(runtime):
+def test_timeout_kills_grandchildren():
     src = (
         "import subprocess, sys\n"
         "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(120)'])\n"
@@ -270,7 +269,7 @@ def test_timeout_kills_grandchildren(runtime):
         "while True:\n"
         "    pass\n"
     )
-    outcome = runtime.execute(CandidateProgram(src), timeout_s=2)
+    outcome = CandidateRuntime(timeout_s=2).execute(CandidateProgram(src))
     assert outcome.exit_kind == TIMEOUT
     pid = int(outcome.stdout.split("grandchild: ")[1].split()[0])
     deadline = time.monotonic() + 5
@@ -289,7 +288,7 @@ def test_run_cost_reported_and_persisted(tmp_path):
         "print('status: 2')"
     )
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    outcome = rt.execute(CandidateProgram(src), timeout_s=30, run_label="probe")
+    outcome = rt.execute(CandidateProgram(src), run_label="probe")
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert outcome.exit_kind == COMPLETED
     assert outcome.cpu_s >= 0.25
@@ -321,7 +320,7 @@ def test_mip_candidate_after_threaded_parent_solve(runtime):
         "print(f'status: {res.status}')\n"
     )
     try:
-        outcome = runtime.execute(CandidateProgram(src), timeout_s=30)
+        outcome = runtime.execute(CandidateProgram(src))
     finally:
         highs.resetGlobalScheduler(True)
     assert outcome.exit_kind == COMPLETED, outcome.stderr
