@@ -370,6 +370,19 @@ def _bindings(tree: ast.AST) -> Iterator[tuple[str, ast.expr]]:
                     yield key.value, value
 
 
+def data_names(source: str) -> list[str]:
+    """Names a program binds to numeric data, first binding first: each
+    binding whose value is a number or a container holding one."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return []
+    return list(dict.fromkeys(
+        name for name, value in _bindings(tree)
+        if isinstance(value, (ast.Constant, ast.Dict, ast.Set, *_SEQUENCES))
+        and _data_literals(value)))
+
+
 def perturb_source(source: str, param_key: str, factor: float) -> str | None:
     """Scale the data literal(s) bound to the fuzzily-matched name.
 
@@ -471,8 +484,9 @@ def perturb_parameter(
 # --------------------------------------------------------------------------
 
 
-def _evidence(factor: float, ratio: float) -> str:
-    return f"perturbation x{factor:g} caused only {ratio * 100:.1f}% objective change"
+def _evidence(factor: float, ratio: float, severity: str) -> str:
+    caused = "caused" if severity == PASS else "caused only"
+    return f"perturbation x{factor:g} {caused} {ratio * 100:.1f}% objective change"
 
 
 def probe(
@@ -535,7 +549,7 @@ def probe(
         suffix = {PASS: "present", INFO: "uncertain"}.get(severity, "missing")
         diags.append(Diagnostic(
             layer.name, severity, f"{layer.issue_prefix}_{suffix}", cand.description,
-            _evidence(factor, ratio),
+            _evidence(factor, ratio, severity),
         ))
     return diags
 

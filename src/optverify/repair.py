@@ -24,7 +24,7 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .diagnostics import INFO, Diagnostic, VerificationReport, change_ratio
 from .errors import LlmError
 from .l1 import l1_verify
-from .l2 import extract_candidates, run_l2
+from .l2 import data_names, extract_candidates, run_l2
 from .llm import LlmClient, data_key_lines, extract_code
 from .runtime import EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 
@@ -288,9 +288,10 @@ def repair_loop(
     events: list[dict] = []
     iterations = 0
     # The extraction prompts depend only on the problem and the data keys, so
-    # every L2 pass tests the same lists.
-    extraction = extract_candidates(
-        problem, list(program.data or ()), llm, config.max_candidates)
+    # every L2 pass tests the same lists.  A self-contained program's keys
+    # are the names it binds to numeric data.
+    data_keys = data_names(program.source) if program.data is None else list(program.data)
+    extraction = extract_candidates(problem, data_keys, llm, config.max_candidates)
 
     def l2_pass() -> list[Diagnostic]:
         return run_l2(

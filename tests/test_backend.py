@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from optverify import backend
 from optverify.backend import (
     DEFAULT_BACKEND,
     Constraint,
@@ -172,6 +173,11 @@ def test_iis_requires_infeasible_model():
         DEFAULT_BACKEND.compute_iis(m)
 
 
+def test_iis_requires_variables():
+    with pytest.raises(NotInfeasible):
+        DEFAULT_BACKEND.compute_iis(_model([], [Constraint("c", {}, ">=", 0.0)]))
+
+
 def _feasible(model, subset):
     probe = ModelSpec(
         variables=list(model.variables),
@@ -226,3 +232,80 @@ def test_iis_property_random_lps():
         if len(iis) == minimum:
             cardinality_matches += 1
     assert cardinality_matches / total >= 0.9
+
+
+def _deletion_filter(model):
+    """The plain deletion filter, one full solve per probe (the oracle)."""
+    kept = [c.name for c in model.constraints]
+    i = 0
+    while i < len(kept):
+        trial = kept[:i] + kept[i + 1:]
+        if not _feasible(model, set(trial)):
+            kept = trial
+        else:
+            i += 1
+    return frozenset(kept)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts the HiGHS calls made through ``backend.milp``."""
+    count = [0]
+    original = backend.milp
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "milp", counting)
+    return count
+
+
+def test_iis_matches_plain_deletion_filter_on_random_lps():
+    rng = random.Random(1991)
+    for _ in range(200):
+        model = _random_infeasible_lp(rng)
+        assert DEFAULT_BACKEND.compute_iis(model) == _deletion_filter(model)
+
+
+def test_iis_skips_rows_outside_the_certificate(probes):
+    # Three conflicting rows spread among 100 unrelated ones.
+    variables = [Variable(f"x{i}", lower=-math.inf) for i in range(50)]
+    constraints = [Constraint(f"box{i}", {f"x{i % 50}": 1.0}, "<=" if i < 50 else ">=",
+                              10.0 + i if i < 50 else -10.0 - i) for i in range(100)]
+    constraints[20:20] = [Constraint("sum_ge30", {"x3": 1.0, "x7": 1.0}, ">=", 30.0)]
+    constraints[60:60] = [Constraint("x3_le5", {"x3": 1.0}, "<=", 5.0)]
+    constraints.append(Constraint("x7_le5", {"x7": 1.0}, "<=", 5.0))
+    model = _model(variables, constraints)
+    expected = _deletion_filter(model)
+    assert expected == {"sum_ge30", "x3_le5", "x7_le5"}
+    probes[0] = 0
+    assert DEFAULT_BACKEND.compute_iis(model) == expected
+    assert probes[0] < len(constraints) / 10
+
+
+def test_iis_probes_every_row_when_the_lp_relaxation_is_feasible(probes):
+    # 2x = 1 has no integer solution but a fractional one, so no LP
+    # certificate exists and the filter falls back to probing each row.
+    variables = [Variable("x", domain="integer", lower=-10.0, upper=10.0)] + [
+        Variable(f"y{i}", upper=5.0) for i in range(10)]
+    constraints = [Constraint(f"y{i}_ge1", {f"y{i}": 1.0, "x": 0.5}, ">=", 1.0)
+                   for i in range(10)]
+    constraints.insert(4, Constraint("half", {"x": 2.0}, "=", 1.0))
+    model = _model(variables, constraints)
+    expected = _deletion_filter(model)
+    assert expected == {"half"}
+    probes[0] = 0
+    assert DEFAULT_BACKEND.compute_iis(model) == expected
+    assert probes[0] == len(constraints) + 1
+
+
+def test_iis_probes_every_row_when_the_lp_rejects_the_input():
+    # linprog refuses a NaN coefficient; the filter then probes each row.
+    m = _model(
+        [Variable("x", lower=-math.inf), Variable("y")],
+        [Constraint("ge1", {"x": 1.0}, ">=", 1.0),
+         Constraint("nan", {"x": 1.0, "y": math.nan}, ">=", 1.0),
+         Constraint("le0", {"x": 1.0}, "<=", 0.0)],
+    )
+    assert DEFAULT_BACKEND.compute_iis(m) == _deletion_filter(m)

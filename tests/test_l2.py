@@ -310,6 +310,13 @@ def test_cpt_present_constraint_passes(runtime):
     assert diags[0].issue_type == "constraint_present"
 
 
+def test_pass_evidence_is_not_worded_as_a_shortfall(runtime):
+    prog = CandidateProgram(_USES_DATA, _RECORD)
+    diags = probe(CPT, prog, 50.0, _constraint(), runtime)
+    assert diags[0].severity == PASS
+    assert diags[0].evidence == "perturbation x0.001 caused 99.9% objective change"
+
+
 def test_cpt_infeasible_outcome_passes(runtime):
     src = (
         "print('status: 3' if data['capacity'] < 1 else 'status: 2')\n"

@@ -231,6 +231,24 @@ def test_each_extraction_prompt_sent_once():
     assert sum("KEY OBJECTIVE" in user for user in sent) == 1
 
 
+def test_self_contained_extraction_prompts_list_bound_data():
+    # No data record: the prompts list the names the program binds to
+    # numbers, not an empty list.
+    source = (
+        'data = {"unit_cost": 10.0, "quantity": [4, 6], "label": "x"}\n'
+        "scale = 2\n"
+        "total = data['unit_cost'] * sum(data['quantity']) * scale\n"
+        "print('status: 2')\n"
+        "print(f\"objective: {total}\")\n"
+    )
+    sent = []
+    _loop(CandidateProgram(source), _scripted_llm([], sent))
+    extraction = [u for u in sent if "KEY CONSTRAINTS" in u or "KEY OBJECTIVE" in u]
+    assert len(extraction) == 2
+    for user in extraction:
+        assert "## Available Data Parameters\n['data', 'scale', 'unit_cost', 'quantity']" in user
+
+
 def test_identical_code_terminates():
     llm = _scripted_llm(["```python\n" + _BASE_SOURCE + "```"] * 5)
     program = CandidateProgram(_BASE_SOURCE, _RECORD)
