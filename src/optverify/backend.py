@@ -98,16 +98,27 @@ class ModelSpec:
         cnames = [c.name for c in self.constraints]
         if len(set(cnames)) != len(cnames):
             raise BackendError("duplicate constraint names in model")
+        for v in self.variables:
+            if math.isnan(v.lower) or math.isnan(v.upper):
+                raise BackendError(f"variable {v.name} has a NaN bound")
         known = set(names)
         for c in self.constraints:
-            for v in c.coefficients:
+            for v, coef in c.coefficients.items():
                 if v not in known:
                     raise BackendError(f"constraint {c.name} references unknown variable {v}")
+                if not math.isfinite(coef):
+                    raise BackendError(f"constraint {c.name} has coefficient {coef} on {v}")
             if c.sense not in ("<=", "=", ">="):
                 raise BackendError(f"constraint {c.name} has invalid sense {c.sense!r}")
-        for v in self.objective.coefficients:
+            if not math.isfinite(c.rhs):
+                raise BackendError(f"constraint {c.name} has right-hand side {c.rhs}")
+        for v, coef in self.objective.coefficients.items():
             if v not in known:
                 raise BackendError(f"objective references unknown variable {v}")
+            if not math.isfinite(coef):
+                raise BackendError(f"objective has coefficient {coef} on {v}")
+        if not math.isfinite(self.objective.constant):
+            raise BackendError(f"objective has constant {self.objective.constant}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +228,7 @@ def _farkas_rows(arr: _Arrays, rows: list[int]) -> list[int]:
     -A x - s <= -lb over the finite sides of ``rows``, s >= 0.  When its
     optimum is positive, the rows whose dual is nonzero carry a Farkas
     certificate: on their own they are LP-infeasible.  All of ``rows`` when
-    their LP relaxation is feasible or the LP fails or rejects its input.
+    their LP relaxation is feasible or the LP fails.
     """
     sub, lb, ub = arr.a[rows], arr.lb[rows], arr.ub[rows]
     hi = np.flatnonzero(ub < np.inf)
@@ -226,17 +237,14 @@ def _farkas_rows(arr: _Arrays, rows: list[int]) -> list[int]:
     if k == 0:
         return rows
     n = sub.shape[1]
-    try:
-        res = linprog(
-            np.r_[np.zeros(n), np.ones(k)],
-            A_ub=sparse.hstack([sparse.vstack([sub[hi], -sub[lo]]), -sparse.identity(k)]),
-            b_ub=np.r_[ub[hi], -lb[lo]],
-            bounds=np.column_stack([np.r_[arr.lower, np.zeros(k)],
-                                    np.r_[arr.upper, np.full(k, np.inf)]]),
-            method="highs",
-        )
-    except ValueError:  # input linprog rejects, such as a NaN coefficient
-        return rows
+    res = linprog(
+        np.r_[np.zeros(n), np.ones(k)],
+        A_ub=sparse.hstack([sparse.vstack([sub[hi], -sub[lo]]), -sparse.identity(k)]),
+        b_ub=np.r_[ub[hi], -lb[lo]],
+        bounds=np.column_stack([np.r_[arr.lower, np.zeros(k)],
+                                np.r_[arr.upper, np.full(k, np.inf)]]),
+        method="highs",
+    )
     if res.status != 0 or res.fun <= _ELASTIC_TOL:
         return rows
     carriers = np.r_[hi, lo][np.abs(res.ineqlin.marginals) > _ELASTIC_TOL]

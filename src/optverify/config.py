@@ -1,11 +1,12 @@
-"""Pipeline configuration: one record holding every tunable threshold.
+"""Pipeline configuration: the settings a caller may change per run.
 
 Defaults are the reference operating point: 60 s candidate timeout, 3
-regeneration attempts, 5%/30% graduated thresholds, 10 candidates per
-extraction (each defined by the layer that uses it), repair budget 3, 4%
-regression guard.  The regression guard must stay strictly below the
-missing-threshold so repair drift is caught before it reaches the detection
-boundary.
+regeneration attempts, repair budget 3, 4% regression guard, one worker.
+The graduated L2 thresholds and the candidate cap are fixed constants of
+the layers that use them (``diagnostics.MISSING_THRESHOLD``,
+``diagnostics.UNCERTAIN_THRESHOLD``, ``l2.MAX_CANDIDATES``).  The regression
+guard must stay strictly below the missing-threshold so repair drift is
+caught before it reaches the detection boundary.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .diagnostics import MISSING_THRESHOLD, UNCERTAIN_THRESHOLD
+from .diagnostics import MISSING_THRESHOLD
 from .errors import ConfigError
-from .l1 import MAX_REGENERATIONS
-from .l2 import MAX_CANDIDATES
 from .runtime import DEFAULT_TIMEOUT_S
 
 # Accepted value types per annotation; bool is rejected although it is an int.
@@ -28,10 +27,7 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float)}
 @dataclass(frozen=True)
 class PipelineConfig:
     timeout_s: float = DEFAULT_TIMEOUT_S
-    max_regenerations: int = MAX_REGENERATIONS
-    missing_threshold: float = MISSING_THRESHOLD
-    uncertain_threshold: float = UNCERTAIN_THRESHOLD
-    max_candidates: int = MAX_CANDIDATES
+    max_regenerations: int = 3
     repair_budget: int = 3
     regression_threshold: float = 0.04
     workers: int = 1
@@ -45,14 +41,9 @@ class PipelineConfig:
             raise ConfigError("timeout_s must be positive")
         if self.max_regenerations < 0 or self.repair_budget < 0:
             raise ConfigError("budgets must be non-negative")
-        if not 0 < self.missing_threshold <= self.uncertain_threshold:
+        if not 0 < self.regression_threshold < MISSING_THRESHOLD:
             raise ConfigError(
-                "thresholds must satisfy 0 < missing_threshold <= uncertain_threshold")
-        if not 0 < self.regression_threshold < self.missing_threshold:
-            raise ConfigError(
-                "regression_threshold must lie strictly below missing_threshold")
-        if self.max_candidates < 1:
-            raise ConfigError("max_candidates must be at least 1")
+                f"regression_threshold must lie in (0, {MISSING_THRESHOLD})")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
 

@@ -9,7 +9,6 @@ exactly the Warnings repair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,27 +57,24 @@ class Diagnostic:
         }
 
 
-def classify_change_ratio(
-    r: float,
-    caused_infeasible: bool = False,
-    tau_low: float = MISSING_THRESHOLD,
-    tau_high: float = UNCERTAIN_THRESHOLD,
-) -> str:
+def classify_change_ratio(r: float, caused_infeasible: bool = False) -> str:
     """Map an objective change ratio to a severity.
 
     Infeasibility under perturbation proves the component is enforced, so it
-    passes outright.  Otherwise: r < tau_low means the perturbed parameter
-    barely moved the objective (component likely missing, Warning); the
-    closed buffer tau_low <= r <= tau_high is uncertain (Info); anything
-    larger confirms presence (Pass).
+    passes outright.  Otherwise: r < MISSING_THRESHOLD means the perturbed
+    parameter barely moved the objective (component likely missing,
+    Warning); the closed buffer up to UNCERTAIN_THRESHOLD is uncertain
+    (Info); anything larger confirms presence (Pass).  The thresholds are
+    constants: a pure function of the recorded ratio can be swept offline,
+    and the constants edited after.
     """
     if r < 0:
         raise ValueError("change ratio must be non-negative")
     if caused_infeasible:
         return PASS
-    if r < tau_low:
+    if r < MISSING_THRESHOLD:
         return WARNING
-    if r <= tau_high:
+    if r <= UNCERTAIN_THRESHOLD:
         return INFO
     return PASS
 
@@ -94,7 +90,7 @@ def change_ratio(z_new: float, z_base: float) -> float:
 @dataclass
 class VerificationReport:
     diagnostics: list[Diagnostic]
-    baseline_objective: float | None
+    objective: float | None
     status: str = field(init=False)
 
     def __post_init__(self):
@@ -111,9 +107,6 @@ class VerificationReport:
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "status": self.status,
-            "baseline_objective": self.baseline_objective,
+            "objective": self.objective,
             "diagnostics": [d.to_json_dict() for d in self.diagnostics],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"

@@ -26,7 +26,6 @@ from .llm import data_key_lines, extract_code
 from .runtime import CRASH, TIMEOUT, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
 DUALITY_GAP_THRESHOLD = 0.01
-MAX_REGENERATIONS = 3
 
 _STDERR_EXCERPT_CHARS = 800
 
@@ -214,7 +213,7 @@ def l1_verify_with_regeneration(
     llm,
     runtime: CandidateRuntime,
     *,
-    max_regenerations: int = MAX_REGENERATIONS,
+    max_regenerations: int,
     audit: list | None = None,
 ) -> tuple[CandidateProgram, L1Result]:
     """Phase-1 loop: verify, regenerate on Fatal, give up after the budget.

@@ -34,9 +34,7 @@ from .diagnostics import (
     INFO,
     LAYER_CPT,
     LAYER_OPT,
-    MISSING_THRESHOLD,
     PASS,
-    UNCERTAIN_THRESHOLD,
     Diagnostic,
     change_ratio,
     classify_change_ratio,
@@ -166,10 +164,9 @@ def extract(
     problem: str,
     data_keys: Sequence[str],
     llm: LlmClient,
-    max_candidates: int = MAX_CANDIDATES,
 ) -> list[Candidate]:
-    """Ask the LLM for the layer's components; keeps the first ``max_candidates``
-    well-formed entries."""
+    """Ask the LLM for the layer's components; keeps the first
+    ``MAX_CANDIDATES`` well-formed entries."""
     prompt = layer.template.format(problem=problem, data_keys=list(data_keys))
     payload = find_json_payload(llm.complete(EXTRACTION_SYSTEM, prompt), "[")
     if not isinstance(payload, list):
@@ -188,42 +185,27 @@ def extract(
         kind = item.get(layer.kind_field, "other")
         kind = kind.strip().lower() if isinstance(kind, str) else "other"
         candidates.append(Candidate(desc.strip(), kind, tuple(params)))
-    return candidates[:max_candidates]
+    return candidates[:MAX_CANDIDATES]
 
 
-def extract_constraints(
-    problem: str,
-    data_keys: Sequence[str],
-    llm: LlmClient,
-    max_candidates: int = MAX_CANDIDATES,
-) -> list[Candidate]:
-    return extract(CPT, problem, data_keys, llm, max_candidates)
+def extract_constraints(problem: str, data_keys: Sequence[str], llm: LlmClient) -> list[Candidate]:
+    return extract(CPT, problem, data_keys, llm)
 
 
-def extract_objective_terms(
-    problem: str,
-    data_keys: Sequence[str],
-    llm: LlmClient,
-    max_candidates: int = MAX_CANDIDATES,
-) -> list[Candidate]:
-    return extract(OPT, problem, data_keys, llm, max_candidates)
+def extract_objective_terms(problem: str, data_keys: Sequence[str], llm: LlmClient) -> list[Candidate]:
+    return extract(OPT, problem, data_keys, llm)
 
 
 Extraction = list[tuple[Layer, list[Candidate] | Diagnostic]]
 
 
-def extract_candidates(
-    problem: str,
-    data_keys: Sequence[str],
-    llm: LlmClient,
-    max_candidates: int = MAX_CANDIDATES,
-) -> Extraction:
+def extract_candidates(problem: str, data_keys: Sequence[str], llm: LlmClient) -> Extraction:
     """Both layers' candidate lists, CPT first.  A layer whose extraction
     failed holds its ``extraction_failed`` Info instead of a list."""
     found: Extraction = []
     for layer, extract_layer in ((CPT, extract_constraints), (OPT, extract_objective_terms)):
         try:
-            found.append((layer, extract_layer(problem, data_keys, llm, max_candidates)))
+            found.append((layer, extract_layer(problem, data_keys, llm)))
         except (ExtractionError, LlmError) as exc:
             found.append((layer, Diagnostic(
                 layer.name, INFO, "extraction_failed", layer.failed_target,
@@ -440,11 +422,13 @@ def perturb_parameter(
     factor: float,
     runtime: CandidateRuntime,
     *,
-    baseline_objective: float | None = None,
+    baseline_objective: float,
     run_label: str | None = None,
 ) -> PerturbationRun:
     """Execute the program with ``param_key`` scaled by ``factor``.
 
+    ``baseline_objective`` is the unperturbed ``z*``; a data-side run that
+    moves it by less than ``HYBRID_FALLBACK_RATIO`` falls back to the source.
     Raises :class:`ParameterNotFound` when neither strategy locates the
     parameter.
     """
@@ -454,15 +438,9 @@ def perturb_parameter(
         if perturbed is not None:
             outcome = runtime.execute(replace(program, data=perturbed), run_label=run_label)
             data_run = PerturbationRun(outcome, "data")
-            ratio = None
-            if (
-                baseline_objective is not None
-                and outcome.exit_kind == COMPLETED
-                and outcome.status_code == 2
-                and outcome.objective is not None
-            ):
-                ratio = change_ratio(outcome.objective, baseline_objective)
-            if ratio is None or ratio >= HYBRID_FALLBACK_RATIO:
+            if (outcome.exit_kind != COMPLETED or outcome.status_code != 2
+                    or outcome.objective is None
+                    or change_ratio(outcome.objective, baseline_objective) >= HYBRID_FALLBACK_RATIO):
                 return data_run
             # Hybrid fallback: data change barely registered; the value may
             # be hardcoded in source.
@@ -495,9 +473,6 @@ def probe(
     z_star: float,
     candidates: Iterable[Candidate],
     runtime: CandidateRuntime,
-    *,
-    tau_low: float = MISSING_THRESHOLD,
-    tau_high: float = UNCERTAIN_THRESHOLD,
 ) -> list[Diagnostic]:
     """Presence test of each candidate: perturb its first locatable parameter
     by the layer's factor and classify the objective response."""
@@ -545,7 +520,7 @@ def probe(
             continue
 
         ratio = change_ratio(outcome.objective, z_star)
-        severity = classify_change_ratio(ratio, False, tau_low, tau_high)
+        severity = classify_change_ratio(ratio)
         suffix = {PASS: "present", INFO: "uncertain"}.get(severity, "missing")
         diags.append(Diagnostic(
             layer.name, severity, f"{layer.issue_prefix}_{suffix}", cand.description,
@@ -559,9 +534,6 @@ def run_l2(
     z_star: float,
     extraction: Extraction,
     runtime: CandidateRuntime,
-    *,
-    tau_low: float = MISSING_THRESHOLD,
-    tau_high: float = UNCERTAIN_THRESHOLD,
 ) -> list[Diagnostic]:
     """Full L2 pass over extracted candidates: CPT then OPT."""
     diags: list[Diagnostic] = []
@@ -569,8 +541,5 @@ def run_l2(
         if isinstance(candidates, Diagnostic):
             diags.append(candidates)
         else:
-            diags.extend(probe(
-                layer, program, z_star, candidates, runtime,
-                tau_low=tau_low, tau_high=tau_high,
-            ))
+            diags.extend(probe(layer, program, z_star, candidates, runtime))
     return diags

@@ -245,11 +245,7 @@ def build_repair_prompt(
 # --------------------------------------------------------------------------
 
 
-def regression_check(
-    z_new: float | None,
-    z_old: float,
-    tau_r: float = DEFAULT_CONFIG.regression_threshold,
-) -> bool:
+def regression_check(z_new: float | None, z_old: float, tau_r: float) -> bool:
     """True when the repair regressed: no objective, or drift > tau_r.
 
     A repair that fails L1 (crash, timeout, non-optimal status) carries no
@@ -291,16 +287,8 @@ def repair_loop(
     # every L2 pass tests the same lists.  A self-contained program's keys
     # are the names it binds to numeric data.
     data_keys = data_names(program.source) if program.data is None else list(program.data)
-    extraction = extract_candidates(problem, data_keys, llm, config.max_candidates)
-
-    def l2_pass() -> list[Diagnostic]:
-        return run_l2(
-            current, z, extraction, runtime,
-            tau_low=config.missing_threshold,
-            tau_high=config.uncertain_threshold,
-        )
-
-    diags = l2_pass()
+    extraction = extract_candidates(problem, data_keys, llm)
+    diags = run_l2(current, z, extraction, runtime)
     for j in range(1, config.repair_budget + 1):
         warnings = [d for d in diags if d.triggers_repair]
         if not warnings:
@@ -358,7 +346,7 @@ def repair_loop(
 
         plateau = abs(l1_result.objective - z) <= PLATEAU_TOLERANCE
         current, z = candidate, l1_result.objective
-        diags = l2_pass()
+        diags = run_l2(current, z, extraction, runtime)
         event["decision"] = "plateau" if plateau else "adopted"
         events.append(event)
         if plateau:

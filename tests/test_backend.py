@@ -300,12 +300,43 @@ def test_iis_probes_every_row_when_the_lp_relaxation_is_feasible(probes):
     assert probes[0] == len(constraints) + 1
 
 
-def test_iis_probes_every_row_when_the_lp_rejects_the_input():
-    # linprog refuses a NaN coefficient; the filter then probes each row.
-    m = _model(
-        [Variable("x", lower=-math.inf), Variable("y")],
-        [Constraint("ge1", {"x": 1.0}, ">=", 1.0),
-         Constraint("nan", {"x": 1.0, "y": math.nan}, ">=", 1.0),
-         Constraint("le0", {"x": 1.0}, "<=", 0.0)],
-    )
-    assert DEFAULT_BACKEND.compute_iis(m) == _deletion_filter(m)
+def test_solve_and_iis_reject_non_finite_input():
+    # HiGHS would drop a NaN coefficient (x + NaN*y >= 1 solved optimal) and
+    # read a NaN right-hand side as a contradiction; both must be refused,
+    # with the row or variable named.
+    def model(coef=1.0, rhs=1.0, obj=1.0, constant=0.0, lower=0.0):
+        return _model(
+            [Variable("x", lower=-math.inf), Variable("y", lower=lower)],
+            [Constraint("ge1", {"x": 1.0, "y": coef}, ">=", rhs),
+             Constraint("le0", {"x": 1.0}, "<=", 0.0)],
+            Objective("min", {"x": obj}, constant),
+        )
+
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs, named in (({"coef": bad}, "ge1"), ({"rhs": bad}, "ge1"),
+                              ({"obj": bad}, "objective"), ({"constant": bad}, "objective")):
+            m = model(**kwargs)
+            with pytest.raises(BackendError, match=named):
+                DEFAULT_BACKEND.solve(m)
+            with pytest.raises(BackendError, match=named):
+                DEFAULT_BACKEND.compute_iis(m)
+    m = model(lower=math.nan)
+    with pytest.raises(BackendError, match="variable y"):
+        DEFAULT_BACKEND.solve(m)
+    with pytest.raises(BackendError, match="variable y"):
+        DEFAULT_BACKEND.compute_iis(m)
+
+
+def test_iis_accepts_infinite_and_crossed_bounds():
+    # Every bound pair, crossed and infinite ones included, reaches the
+    # certificate LP as input it accepts: the IIS is the plain filter's.
+    values = (0.0, 1.0, -1.0, math.inf, -math.inf)
+    for (lower, upper), domain in itertools.product(
+            itertools.product(values, values), ("continuous", "integer", "binary")):
+        m = _model(
+            [Variable("x", domain, lower, upper), Variable("y", lower=-math.inf)],
+            [Constraint("sum_ge1", {"x": 1.0, "y": 1.0}, ">=", 1.0),
+             Constraint("y_le_m5", {"y": 1.0}, "<=", -5.0),
+             Constraint("x_le0", {"x": 1.0}, "<=", 0.0)],
+        )
+        assert DEFAULT_BACKEND.compute_iis(m) == _deletion_filter(m), (lower, upper, domain)

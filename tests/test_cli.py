@@ -169,6 +169,19 @@ def test_run_rejects_wrong_typed_config(bench_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_rejects_fixed_threshold_in_config(bench_dir, tmp_path, capsys):
+    # The L2 thresholds are constants, not settings: a config naming one is
+    # refused rather than silently ignored.
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"missing_threshold": 0.1}))
+    code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),
+                 "--config", str(cfg), "--llm-replay", str(tmp_path / "fixtures")])
+    assert code == EXIT_CONFIG
+    assert "unknown configuration key: missing_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_rejects_zero_workers(bench_dir, tmp_path, capsys):
     mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
     code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),

@@ -2,23 +2,28 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from optverify.config import DEFAULT_CONFIG, PipelineConfig
+from optverify.diagnostics import MISSING_THRESHOLD, UNCERTAIN_THRESHOLD
 from optverify.errors import ConfigError
+from optverify.l2 import MAX_CANDIDATES
 
 
 def test_defaults_mirror_reference_operating_point():
     c = DEFAULT_CONFIG
     assert c.timeout_s == 60.0
     assert c.max_regenerations == 3
-    assert c.missing_threshold == 0.05
-    assert c.uncertain_threshold == 0.30
-    assert c.max_candidates == 10
     assert c.repair_budget == 3
     assert c.regression_threshold == 0.04
+    assert c.workers == 1
+    # Fixed by the layers that use them, not set per run.
+    assert MISSING_THRESHOLD == 0.05
+    assert UNCERTAIN_THRESHOLD == 0.30
+    assert MAX_CANDIDATES == 10
 
 
 def test_from_dict_unknown_key():
@@ -46,8 +51,8 @@ def test_validation_guards():
         PipelineConfig(timeout_s=0)
     with pytest.raises(ConfigError):
         PipelineConfig(repair_budget=-1)
-    with pytest.raises(ConfigError):
-        PipelineConfig(max_candidates=0)
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        PipelineConfig.from_dict({"max_candidates": 0})
 
 
 @pytest.mark.parametrize("raw", [
@@ -55,7 +60,7 @@ def test_validation_guards():
     {"repair_budget": None},
     {"workers": 2.5},
     {"workers": True},
-    {"missing_threshold": False},
+    {"regression_threshold": False},
 ], ids=["str_float", "null_int", "float_int", "bool_int", "bool_float"])
 def test_from_dict_rejects_wrong_types(raw):
     with pytest.raises(ConfigError, match=f"{next(iter(raw))} must be"):
@@ -78,3 +83,13 @@ def test_readme_config_block_matches_defaults():
     section = readme.split("### Pipeline config", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
     assert json.loads(block) == DEFAULT_CONFIG.to_json_dict()
+
+
+def test_every_config_field_is_read():
+    # A setting that no layer reads is a knob that does nothing.
+    src = Path(__file__).resolve().parents[1] / "src" / "optverify"
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(src.glob("*.py")) if p.name != "config.py")
+    unread = [f.name for f in fields(PipelineConfig)
+              if not re.search(rf"\bconfig\.{f.name}\b", text)]
+    assert unread == []

@@ -94,10 +94,10 @@ def test_report_serialization_stable():
                     "perturbation x0.001 caused only 0.3% objective change")],
         1234.5,
     )
-    payload = json.loads(report.to_json())
+    payload = report.to_json_dict()
     assert payload["status"] == NEEDS_REPAIR
-    assert payload["baseline_objective"] == 1234.5
+    assert payload["objective"] == 1234.5
     diag = payload["diagnostics"][0]
     assert set(diag) == {"layer", "severity", "issue_type", "target",
                          "evidence", "triggers_repair"}
-    assert report.to_json() == report.to_json()
+    assert json.loads(json.dumps(payload)) == payload == report.to_json_dict()

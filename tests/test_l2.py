@@ -7,6 +7,7 @@ from optverify.errors import ExtractionError, ParameterNotFound
 from optverify.l2 import (
     CPT,
     CPT_FACTORS,
+    MAX_CANDIDATES,
     OPT,
     OPT_FACTORS,
     Candidate,
@@ -272,7 +273,7 @@ def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
 def test_self_contained_uses_source(runtime):
     src = "capacity = 500\nprint('status: 2')\nprint(f'objective: {capacity}')\n"
     prog = CandidateProgram(src)
-    run = perturb_parameter(prog, "capacity", 0.001, runtime)
+    run = perturb_parameter(prog, "capacity", 0.001, runtime, baseline_objective=500.0)
     assert run.strategy == "source"
     assert run.outcome.objective == pytest.approx(0.5)
 
@@ -280,7 +281,7 @@ def test_self_contained_uses_source(runtime):
 def test_parameter_not_found_anywhere(runtime):
     prog = CandidateProgram("print('status: 2')\nprint('objective: 1')\n")
     with pytest.raises(ParameterNotFound):
-        perturb_parameter(prog, "ghost_param", 2.0, runtime)
+        perturb_parameter(prog, "ghost_param", 2.0, runtime, baseline_objective=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -353,9 +354,9 @@ def test_cpt_respects_max_candidates(runtime):
     )
     llm = _client(lambda payload: f"[{entries}]" if "KEY CONSTRAINTS" in payload["user"] else "[]")
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    extraction = extract_candidates("p", list(_RECORD), llm, max_candidates=3)
+    extraction = extract_candidates("p", list(_RECORD), llm)
     diags = run_l2(prog, 50.0, extraction, runtime)
-    assert [d.target for d in diags] == ["c0", "c1", "c2"]
+    assert [d.target for d in diags] == [f"c{i}" for i in range(MAX_CANDIDATES)]
 
 
 def test_opt_missing_term_warning(runtime):

@@ -165,3 +165,26 @@ def test_budget_zero_still_runs_l2(f3_bottleneck_v0, tmp_path):
     assert result.events == []
     assert [d.issue_type for d in result.report.diagnostics
             if d.severity == WARNING] == ["constraint_missing"]
+
+
+def test_report_and_result_agree_on_adopted_objective(tmp_path):
+    # Holding cost dropped: the intact repair moves the objective by ~2%, so
+    # it is adopted.  Both files must then name the returned program's
+    # objective the same way; result.json alone keeps the pre-repair z*.
+    inst = build_instance("f7_budget_limit", 0)
+    opt = [{"description": "inventory holding cost", "role": "cost", "parameters": ["inventory"]}]
+    mutant = scripted_reference_provider(drop=("holding_cost",), opt_candidates=opt)
+    intact = f"```python\n{candidate_source()}\n```"
+
+    def fn(payload):
+        return intact if payload["system"] == REPAIR_SYSTEM_PROMPT else mutant(payload)
+
+    problem = render_prompt(inst, SCHEMA_BASED)
+    result = run_instance(inst, problem, SCHEMA_BASED, _client(fn),
+                          config=_FAST, run_dir=tmp_path / "run")
+    assert [e.get("decision") for e in result.events][0] == "adopted"
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    outcome = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert "baseline_objective" not in report
+    assert report["objective"] == outcome["objective"] == result.final_objective
+    assert outcome["baseline_objective"] == result.baseline_objective != outcome["objective"]

@@ -130,9 +130,7 @@ def test_regression_on_missing_objective():
 
 def test_config_guard_ordering():
     with pytest.raises(ConfigError):
-        PipelineConfig(regression_threshold=0.05)  # must stay below tau_low
-    with pytest.raises(ConfigError):
-        PipelineConfig(missing_threshold=0.5, uncertain_threshold=0.3)
+        PipelineConfig(regression_threshold=0.05)  # must stay below MISSING_THRESHOLD
 
 
 # --------------------------------------------------------------------------
