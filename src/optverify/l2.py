@@ -19,8 +19,10 @@ parameter's literal assignment inside the source (fuzzy name match) and runs
 that on the unchanged record.  Programs that carry a record use Strategy 1,
 self-contained programs Strategy 2, and hybrids fall back from 1 to 2 when
 the data-side perturbation barely moved the objective (the value was
-probably hardcoded).  Every perturbed run goes through the caller's
-:class:`CandidateRuntime` and so under its timeout.
+probably hardcoded).  A pass plans every candidate's perturbed program up
+front, then runs them as one batch of concurrent children of the caller's
+:class:`CandidateRuntime` (so under its timeout), and the hybrid fallbacks
+as a second batch; verdicts follow in candidate order.
 """
 
 from __future__ import annotations
@@ -412,8 +414,53 @@ def _splice(source: str, node: ast.AST, replacement: str) -> str:
 
 @dataclass
 class PerturbationRun:
-    outcome: ExecutionOutcome
+    """A program with ``key`` scaled by ``factor`` and, once run, its outcome."""
+
+    key: str
+    factor: float
+    program: CandidateProgram
     strategy: str  # "data" | "source"
+    label: str | None
+    outcome: ExecutionOutcome | None = None
+
+
+def _locate(program: CandidateProgram, key: str, factor: float,
+            label: str | None) -> PerturbationRun | None:
+    """The first-strategy run for ``key``: the rewritten record of a program
+    that carries one, else the rewritten source; None when neither strategy
+    locates the parameter."""
+    if program.data is not None:
+        perturbed = perturb_record(program.data, key, factor)
+        if perturbed is not None:
+            return PerturbationRun(key, factor, replace(program, data=perturbed), "data", label)
+    rewritten = perturb_source(program.source, key, factor)
+    if rewritten is None:
+        return None
+    return PerturbationRun(key, factor, replace(program, source=rewritten), "source",
+                           label and f"{label}_src")
+
+
+def _run_all(program: CandidateProgram, runs: Sequence[PerturbationRun],
+             baseline_objective: float, runtime: CandidateRuntime) -> None:
+    """Run ``runs`` as one batch, then, as a second batch, the source rewrite
+    of each data run that moved ``baseline_objective`` by less than
+    ``HYBRID_FALLBACK_RATIO`` (the value was probably hardcoded), which
+    takes that run's place."""
+    for run, outcome in zip(runs, runtime.execute_all([(r.program, r.label) for r in runs])):
+        run.outcome = outcome
+    fallbacks = []
+    for run in runs:
+        o = run.outcome
+        if (run.strategy == "data" and o.exit_kind == COMPLETED and o.status_code == 2
+                and o.objective is not None
+                and change_ratio(o.objective, baseline_objective) < HYBRID_FALLBACK_RATIO):
+            rewritten = perturb_source(program.source, run.key, run.factor)
+            if rewritten is not None:
+                fallbacks.append((run, replace(program, source=rewritten)))
+    outcomes = runtime.execute_all([(prog, run.label and f"{run.label}_src")
+                                    for run, prog in fallbacks])
+    for (run, prog), outcome in zip(fallbacks, outcomes):
+        run.program, run.strategy, run.outcome = prog, "source", outcome
 
 
 def perturb_parameter(
@@ -425,36 +472,15 @@ def perturb_parameter(
     baseline_objective: float,
     run_label: str | None = None,
 ) -> PerturbationRun:
-    """Execute the program with ``param_key`` scaled by ``factor``.
-
-    ``baseline_objective`` is the unperturbed ``z*``; a data-side run that
-    moves it by less than ``HYBRID_FALLBACK_RATIO`` falls back to the source.
-    Raises :class:`ParameterNotFound` when neither strategy locates the
-    parameter.
-    """
-    data_run: PerturbationRun | None = None
-    if program.data is not None:
-        perturbed = perturb_record(program.data, param_key, factor)
-        if perturbed is not None:
-            outcome = runtime.execute(replace(program, data=perturbed), run_label=run_label)
-            data_run = PerturbationRun(outcome, "data")
-            if (outcome.exit_kind != COMPLETED or outcome.status_code != 2
-                    or outcome.objective is None
-                    or change_ratio(outcome.objective, baseline_objective) >= HYBRID_FALLBACK_RATIO):
-                return data_run
-            # Hybrid fallback: data change barely registered; the value may
-            # be hardcoded in source.
-
-    rewritten = perturb_source(program.source, param_key, factor)
-    if rewritten is None:
-        if data_run is not None:
-            return data_run
+    """Execute the program with ``param_key`` scaled by ``factor``; a
+    data-side run that moves ``baseline_objective`` (``z*``) by less than
+    ``HYBRID_FALLBACK_RATIO`` falls back to the source.  Raises
+    :class:`ParameterNotFound` when neither strategy locates the parameter."""
+    run = _locate(program, param_key, factor, run_label)
+    if run is None:
         raise ParameterNotFound(param_key)
-    outcome = runtime.execute(
-        replace(program, source=rewritten),
-        run_label=f"{run_label}_src" if run_label else None,
-    )
-    return PerturbationRun(outcome, "source")
+    _run_all(program, [run], baseline_objective, runtime)
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -462,71 +488,49 @@ def perturb_parameter(
 # --------------------------------------------------------------------------
 
 
-def _evidence(factor: float, ratio: float, severity: str) -> str:
+def _classify(layer: Layer, cand: Candidate, run: PerturbationRun | None,
+              z_star: float) -> Diagnostic | None:
+    """The candidate's presence verdict from its perturbed run (None when no
+    parameter was located); None when an infeasible run gives no result."""
+    if run is None:
+        return Diagnostic(
+            layer.name, INFO, "parameter_not_found", cand.description,
+            f"none of the listed parameters {list(cand.parameters)} could be located; test skipped",
+        )
+    outcome, factor = run.outcome, run.factor
+    if outcome.exit_kind != COMPLETED or outcome.status_code is None:
+        return Diagnostic(
+            layer.name, INFO, "perturbation_inconclusive", cand.description,
+            f"perturbed run ended in {outcome.exit_kind}; test inconclusive",
+        )
+    if outcome.status_code == 3:
+        if layer.infeasible_is_pass:
+            return Diagnostic(
+                layer.name, PASS, f"{layer.issue_prefix}_present", cand.description,
+                f"perturbation x{factor:g} made the model infeasible; component is enforced",
+            )
+        # Objective perturbation is not expected to cause infeasibility;
+        # the test is skipped without a result.
+        return None
+    if outcome.status_code != 2 or outcome.objective is None:
+        return Diagnostic(
+            layer.name, INFO, "perturbation_inconclusive", cand.description,
+            f"perturbed run returned solver status {outcome.status_code}; test inconclusive",
+        )
+    ratio = change_ratio(outcome.objective, z_star)
+    severity = classify_change_ratio(ratio)
+    suffix = {PASS: "present", INFO: "uncertain"}.get(severity, "missing")
     caused = "caused" if severity == PASS else "caused only"
-    return f"perturbation x{factor:g} {caused} {ratio * 100:.1f}% objective change"
+    return Diagnostic(
+        layer.name, severity, f"{layer.issue_prefix}_{suffix}", cand.description,
+        f"perturbation x{factor:g} {caused} {ratio * 100:.1f}% objective change",
+    )
 
 
-def probe(
-    layer: Layer,
-    program: CandidateProgram,
-    z_star: float,
-    candidates: Iterable[Candidate],
-    runtime: CandidateRuntime,
-) -> list[Diagnostic]:
-    """Presence test of each candidate: perturb its first locatable parameter
-    by the layer's factor and classify the objective response."""
-    diags: list[Diagnostic] = []
-    for idx, cand in enumerate(candidates):
-        factor = layer.factors.get(cand.kind, layer.factors["other"])
-        run: PerturbationRun | None = None
-        for key in cand.parameters:
-            try:
-                run = perturb_parameter(
-                    program, key, factor, runtime, baseline_objective=z_star,
-                    run_label=f"{layer.name.lower()}_{idx}",
-                )
-                break
-            except ParameterNotFound:
-                continue
-        if run is None:
-            diags.append(Diagnostic(
-                layer.name, INFO, "parameter_not_found", cand.description,
-                f"none of the listed parameters {list(cand.parameters)} could be located; test skipped",
-            ))
-            continue
-
-        outcome = run.outcome
-        if outcome.exit_kind != COMPLETED or outcome.status_code is None:
-            diags.append(Diagnostic(
-                layer.name, INFO, "perturbation_inconclusive", cand.description,
-                f"perturbed run ended in {outcome.exit_kind}; test inconclusive",
-            ))
-            continue
-        if outcome.status_code == 3:
-            if layer.infeasible_is_pass:
-                diags.append(Diagnostic(
-                    layer.name, PASS, f"{layer.issue_prefix}_present", cand.description,
-                    f"perturbation x{factor:g} made the model infeasible; component is enforced",
-                ))
-            # Objective perturbation is not expected to cause infeasibility;
-            # the test is skipped without a result.
-            continue
-        if outcome.status_code != 2 or outcome.objective is None:
-            diags.append(Diagnostic(
-                layer.name, INFO, "perturbation_inconclusive", cand.description,
-                f"perturbed run returned solver status {outcome.status_code}; test inconclusive",
-            ))
-            continue
-
-        ratio = change_ratio(outcome.objective, z_star)
-        severity = classify_change_ratio(ratio)
-        suffix = {PASS: "present", INFO: "uncertain"}.get(severity, "missing")
-        diags.append(Diagnostic(
-            layer.name, severity, f"{layer.issue_prefix}_{suffix}", cand.description,
-            _evidence(factor, ratio, severity),
-        ))
-    return diags
+def probe(layer: Layer, program: CandidateProgram, z_star: float,
+          candidates: Iterable[Candidate], runtime: CandidateRuntime) -> list[Diagnostic]:
+    """Presence test of one layer's candidates."""
+    return run_l2(program, z_star, [(layer, list(candidates))], runtime)
 
 
 def run_l2(
@@ -535,11 +539,20 @@ def run_l2(
     extraction: Extraction,
     runtime: CandidateRuntime,
 ) -> list[Diagnostic]:
-    """Full L2 pass over extracted candidates: CPT then OPT."""
-    diags: list[Diagnostic] = []
+    """Full L2 pass over extracted candidates, CPT then OPT: perturb each
+    candidate's first locatable parameter by its layer's factor and classify
+    the objective response.  The pass's perturbed runs go to the runtime as
+    one batch, plus one batch of hybrid fallbacks."""
+    plan: list[Diagnostic | tuple[Layer, Candidate, PerturbationRun | None]] = []
     for layer, candidates in extraction:
         if isinstance(candidates, Diagnostic):
-            diags.append(candidates)
-        else:
-            diags.extend(probe(layer, program, z_star, candidates, runtime))
-    return diags
+            plan.append(candidates)
+            continue
+        for idx, cand in enumerate(candidates):
+            factor = layer.factors.get(cand.kind, layer.factors["other"])
+            label = f"{layer.name.lower()}_{idx}"
+            located = (_locate(program, key, factor, label) for key in cand.parameters)
+            plan.append((layer, cand, next(filter(None, located), None)))
+    _run_all(program, [e[2] for e in plan if isinstance(e, tuple) and e[2]], z_star, runtime)
+    verdicts = (e if isinstance(e, Diagnostic) else _classify(*e, z_star) for e in plan)
+    return [d for d in verdicts if d is not None]

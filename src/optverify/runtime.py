@@ -3,14 +3,18 @@
 Each run forks the calling process, which already holds numpy, scipy and
 ``optverify``, so a candidate starts without importing them again.  The
 runtime carries the wall-clock limit of its runs; the pipeline builds one
-per instance, and every layer that runs the candidate uses it.  The
-child gets its own session (the timeout kills its whole process group), a
-fresh temp working directory first on ``sys.path``, ``/dev/null`` as stdin,
+per instance, and every layer that runs the candidate uses it.
+``execute_all`` runs a batch of programs through one fork/poll/reap loop:
+at most one child per usable CPU is alive at a time, each under the limit
+counted from its own fork, and outcomes come back in input order;
+``execute`` is a batch of one.  Each child gets its own session (the
+timeout kills its whole process group), a fresh temp working directory
+first on ``sys.path``, ``/dev/null`` as stdin,
 ``stdout.txt``/``stderr.txt`` in that directory as fds 1 and 2 (so C code
 such as HiGHS is captured too) and no other descriptor of the caller.  It
 runs the script as ``__main__`` and exits with the status and traceback
 ``python candidate.py`` would give.  Every child is reaped with ``os.wait4``
-before ``execute`` returns, so its CPU time and peak RSS count in the
+before ``execute_all`` returns, so its CPU time and peak RSS count in the
 caller's ``RUSAGE_CHILDREN``.  The caller must not run Python threads,
 since a fork from a threaded process can deadlock the child; the child
 drops the thread pool HiGHS keeps.  Requires Linux (``fork``, ``setsid``,
@@ -34,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import resource
 import runpy
 import select
 import shutil
@@ -45,7 +48,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import IO, Any, NoReturn, Sequence
 
 from .errors import SandboxSetupError
 
@@ -131,57 +134,44 @@ class CandidateRuntime:
         self._run_counter = 0
 
     def execute(self, program: CandidateProgram, run_label: str | None = None) -> ExecutionOutcome:
+        return self.execute_all([(program, run_label)])[0]
+
+    def execute_all(self, runs: Sequence[tuple[CandidateProgram, str | None]]) -> list[ExecutionOutcome]:
+        """Run each ``(program, run_label)``, at most one child per usable CPU
+        at a time, each under the timeout counted from its own fork.
+        Outcomes and artifacts come in input order."""
+        slots = len(os.sched_getaffinity(0))
+        outcomes: list = [None] * len(runs)
         with tempfile.TemporaryDirectory(prefix="optverify-run-") as tmp:
-            workdir = Path(tmp)
-            injected = program.data is not None
-            if injected:
-                (workdir / _DATA_FILE).write_text(
-                    json.dumps(program.data), encoding="utf-8")
-            (workdir / _SCRIPT).write_text(program.source, encoding="utf-8")
-
-            # The parent holds the capture files open, so it reads them back
-            # whatever the candidate does to its directory.
-            with open(workdir / "stdout.txt", "w+", encoding="utf-8", errors="replace") as out, \
-                    open(workdir / "stderr.txt", "w+", encoding="utf-8", errors="replace") as err:
-                # Unflushed parent output would otherwise be copied into the
-                # child and could end up in its capture files.
-                sys.stdout.flush()
-                sys.stderr.flush()
-                start = time.monotonic()
-                try:
-                    pid = os.fork()
-                except OSError as exc:
-                    raise SandboxSetupError(f"cannot fork a candidate: {exc}") from exc
-                if pid == 0:
-                    _run_child(workdir, injected, out.fileno(), err.fileno())
-                exited, status, usage = _reap(pid, self.timeout_s)
-                duration = time.monotonic() - start
-                out.seek(0)
-                err.seek(0)
-                stdout, stderr = out.read(), err.read()
-
-            if not exited:
-                exit_kind = TIMEOUT
-            elif os.waitstatus_to_exitcode(status) == 0:
-                exit_kind = COMPLETED
-            else:
-                exit_kind = CRASH
-            status_code, objective = (None, None)
-            if exit_kind == COMPLETED:
-                status_code, objective = parse_contract(stdout)
-
-            outcome = ExecutionOutcome(
-                exit_kind=exit_kind,
-                status_code=status_code,
-                objective=objective,
-                stdout=stdout,
-                stderr=stderr,
-                duration_s=duration,
-                cpu_s=usage.ru_utime + usage.ru_stime,
-                maxrss_mb=usage.ru_maxrss / 1024,
-            )
-            self._persist(workdir, outcome, run_label)
-            return outcome
+            workdirs = [Path(tmp) / str(i) for i in range(len(runs))]
+            live: dict[int, _Child] = {}  # by pidfd
+            poller = select.poll()
+            spawned = 0
+            try:
+                while spawned < len(runs) or live:
+                    while spawned < len(runs) and len(live) < slots:
+                        pidfd, child = _spawn(runs[spawned][0], workdirs[spawned],
+                                              spawned, self.timeout_s)
+                        live[pidfd] = child
+                        poller.register(pidfd, select.POLLIN)
+                        spawned += 1
+                    # poll() takes at most 2**31 - 1 ms, so long timeouts wait in steps.
+                    left = min(c.deadline for c in live.values()) - time.monotonic()
+                    ready = {fd for fd, _ in poller.poll(min(max(left, 0.0), 3600.0) * 1000)}
+                    now = time.monotonic()
+                    for pidfd, child in list(live.items()):
+                        if pidfd in ready or child.deadline <= now:
+                            poller.unregister(pidfd)
+                            os.close(pidfd)
+                            del live[pidfd]
+                            outcomes[child.index] = child.finish(exited=pidfd in ready)
+            finally:
+                for pidfd, child in live.items():
+                    os.close(pidfd)
+                    child.finish(exited=False)
+            for workdir, (_, label), outcome in zip(workdirs, runs, outcomes):
+                self._persist(workdir, outcome, label)
+        return outcomes
 
     def _persist(self, workdir: Path, outcome: ExecutionOutcome, label: str | None) -> None:
         if self.artifact_root is None:
@@ -206,32 +196,69 @@ class CandidateRuntime:
             json.dumps(cost, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _reap(pid: int, timeout_s: float) -> tuple[bool, int, resource.struct_rusage]:
-    """Wait for the child until the deadline, kill its process group, reap it.
+@dataclass
+class _Child:
+    """A forked run: its input position, pid, deadline and capture files."""
 
-    Returns whether the child exited in time, its wait status and its
-    rusage.  The group is killed in every case, so no process the candidate
-    started outlives the run.
-    """
-    exited = False
-    deadline = time.monotonic() + timeout_s
-    try:
-        pidfd = os.pidfd_open(pid)
+    index: int
+    pid: int
+    start: float
+    deadline: float
+    out: IO[str]
+    err: IO[str]
+
+    def finish(self, exited: bool) -> ExecutionOutcome:
+        """Kill the child's process group, reap it and read back its streams;
+        ``exited`` tells whether it ended in time.  The group is killed in
+        every case, so no process the candidate started outlives the run."""
         try:
-            poller = select.poll()
-            poller.register(pidfd, select.POLLIN)
-            # poll() takes at most 2**31 - 1 ms, so long timeouts wait in steps.
-            while not exited and (left := deadline - time.monotonic()) > 0:
-                exited = bool(poller.poll(min(left, 3600.0) * 1000))
-        finally:
-            os.close(pidfd)
-    finally:
-        try:
-            os.killpg(pid, signal.SIGKILL)
+            os.killpg(self.pid, signal.SIGKILL)
         except ProcessLookupError:  # the child has not called setsid yet
-            os.kill(pid, signal.SIGKILL)
-        _, status, usage = os.wait4(pid, 0)
-    return exited, status, usage
+            os.kill(self.pid, signal.SIGKILL)
+        _, status, usage = os.wait4(self.pid, 0)
+        duration = time.monotonic() - self.start
+        with self.out, self.err:
+            self.out.seek(0)
+            self.err.seek(0)
+            stdout, stderr = self.out.read(), self.err.read()
+        exit_kind = (TIMEOUT if not exited
+                     else COMPLETED if os.waitstatus_to_exitcode(status) == 0 else CRASH)
+        status_code, objective = parse_contract(stdout) if exit_kind == COMPLETED else (None, None)
+        return ExecutionOutcome(exit_kind, status_code, objective, stdout, stderr, duration,
+                                usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024)
+
+
+def _spawn(program: CandidateProgram, workdir: Path, index: int,
+           timeout_s: float) -> tuple[int, _Child]:
+    """Write the run directory and fork the child that runs it."""
+    workdir.mkdir()
+    injected = program.data is not None
+    if injected:
+        (workdir / _DATA_FILE).write_text(json.dumps(program.data), encoding="utf-8")
+    (workdir / _SCRIPT).write_text(program.source, encoding="utf-8")
+    # The parent holds the capture files open, so it reads them back
+    # whatever the candidate does to its directory.
+    out = open(workdir / "stdout.txt", "w+", encoding="utf-8", errors="replace")
+    err = open(workdir / "stderr.txt", "w+", encoding="utf-8", errors="replace")
+    # Unflushed parent output would otherwise be copied into the child and
+    # could end up in its capture files.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    start = time.monotonic()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        out.close()
+        err.close()
+        raise SandboxSetupError(f"cannot fork a candidate: {exc}") from exc
+    if pid == 0:
+        _run_child(workdir, injected, out.fileno(), err.fileno())
+    child = _Child(index, pid, start, start + timeout_s, out, err)
+    try:
+        return os.pidfd_open(pid), child
+    except BaseException:
+        child.finish(exited=False)
+        raise
 
 
 def _run_child(workdir: Path, injected: bool, out_fd: int, err_fd: int) -> NoReturn:

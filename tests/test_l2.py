@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from optverify.diagnostics import INFO, PASS, WARNING
+from optverify.diagnostics import INFO, PASS, WARNING, Diagnostic
 from optverify.errors import ExtractionError, ParameterNotFound
 from optverify.l2 import (
     CPT,
@@ -21,7 +21,7 @@ from optverify.l2 import (
     run_l2,
 )
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
-from optverify.runtime import CandidateProgram
+from optverify.runtime import CandidateProgram, CandidateRuntime
 
 
 def _client(fn):
@@ -405,3 +405,45 @@ def test_run_l2_full_pass(runtime):
     diags = run_l2(prog, 50.0, extraction, runtime)
     layers = {d.layer for d in diags}
     assert layers == {"L2_CPT", "L2_OPT"}
+
+
+# Reads the record, but ``shelf`` is hardcoded: only its source literal moves
+# the objective.  A ``floor`` below 1 makes the model infeasible.
+_MIXED = (
+    "shelf = 60\n"
+    "if data['floor'] < 1:\n"
+    "    print('status: 3')\n"
+    "else:\n"
+    "    print('status: 2')\n"
+    "    print(f\"objective: {min(data['demand'], data['capacity']) + shelf}\")\n"
+)
+_MIXED_RECORD = {"demand": 100.0, "capacity": 80.0, "shelf": 60.0, "floor": 5.0}
+
+
+def test_run_l2_mixed_pass_matches_sequential_diagnostics(tmp_path):
+    failed = Diagnostic("L2_OPT", INFO, "extraction_failed", "objective terms",
+                        "objective-term extraction produced no usable list (no reply); OPT skipped")
+    extraction = [
+        (CPT, [
+            Candidate("capacity limit", "capacity", ("ghost_cap", "capacity")),
+            Candidate("shelf space", "other", ("shelf",)),
+            Candidate("phantom limit", "capacity", ("ghost",)),
+            Candidate("floor space", "capacity", ("floor",)),
+        ]),
+        (OPT, failed),
+    ]
+    runtime = CandidateRuntime(artifact_root=tmp_path)
+    diags = run_l2(CandidateProgram(_MIXED, _MIXED_RECORD), 140.0, extraction, runtime)
+    assert diags == [
+        Diagnostic("L2_CPT", PASS, "constraint_present", "capacity limit",
+                   "perturbation x0.001 caused 57.1% objective change"),
+        Diagnostic("L2_CPT", PASS, "constraint_present", "shelf space",
+                   "perturbation x0.01 caused 42.4% objective change"),
+        Diagnostic("L2_CPT", INFO, "parameter_not_found", "phantom limit",
+                   "none of the listed parameters ['ghost'] could be located; test skipped"),
+        Diagnostic("L2_CPT", PASS, "constraint_present", "floor space",
+                   "perturbation x0.001 made the model infeasible; component is enforced"),
+        failed,
+    ]
+    assert sorted(d.name for d in tmp_path.iterdir()) == [
+        "l2_cpt_0", "l2_cpt_1", "l2_cpt_1_src", "l2_cpt_3"]

@@ -288,11 +288,11 @@ def test_guided_retry_does_not_consume_budget():
 
 
 def test_unsafe_retry_keeps_pre_repair_code(monkeypatch):
+    # Each L2 pass rewrites the record once per parameter it perturbs.
     perturbed = []
-    perturb = l2.perturb_parameter
-    monkeypatch.setattr(l2, "perturb_parameter",
-                        lambda program, key, *a, **kw: perturbed.append(key)
-                        or perturb(program, key, *a, **kw))
+    perturb = l2.perturb_record
+    monkeypatch.setattr(l2, "perturb_record",
+                        lambda record, key, *a: perturbed.append(key) or perturb(record, key, *a))
     unsafe = 'data = {"quantity": 1}\n' + _BASE_SOURCE
     llm = _scripted_llm(["```python\n" + unsafe + "```"] * 10)
     program = CandidateProgram(_BASE_SOURCE, _RECORD)

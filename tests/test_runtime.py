@@ -325,3 +325,74 @@ def test_mip_candidate_after_threaded_parent_solve(runtime):
         highs.resetGlobalScheduler(True)
     assert outcome.exit_kind == COMPLETED, outcome.stderr
     assert outcome.status_code == 0
+
+
+def test_batch_children_run_concurrently():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    sleeper = CandidateProgram("import time\ntime.sleep(1.0)\nprint('status: 2')")
+    start = time.monotonic()
+    outcomes = CandidateRuntime().execute_all([(sleeper, None), (sleeper, None)])
+    assert time.monotonic() - start < 1.8
+    assert [o.exit_kind for o in outcomes] == [COMPLETED, COMPLETED]
+
+
+def test_batch_children_end_on_their_own():
+    runs = [
+        (CandidateProgram("print('status: 2')\nprint('objective: 4')"), None),
+        (CandidateProgram("raise ValueError('boom')"), None),
+        (CandidateProgram("while True:\n    pass"), None),
+    ]
+    done, crashed, spun = CandidateRuntime(timeout_s=1).execute_all(runs)
+    assert (done.exit_kind, done.objective) == (COMPLETED, 4.0)
+    assert crashed.exit_kind == CRASH
+    assert crashed.stderr.splitlines()[-1] == "ValueError: boom"
+    assert spun.exit_kind == TIMEOUT
+    assert 1.0 <= spun.duration_s < 10.0
+
+
+def test_batch_keeps_input_order_and_sequential_names(tmp_path):
+    # The last child finishes first; order and names follow the input.
+    runs = [
+        (CandidateProgram(f"import time\ntime.sleep({delay})\n"
+                          f"print('status: 2')\nprint('objective: {z}')"), label)
+        for z, delay, label in ((1, 0.6, "probe"), (2, 0.3, "probe"), (3, 0.0, "other"))
+    ]
+    sequential = CandidateRuntime(artifact_root=tmp_path / "sequential")
+    for program, label in runs:
+        sequential.execute(program, run_label=label)
+    outcomes = CandidateRuntime(artifact_root=tmp_path / "batch").execute_all(runs)
+    assert [o.objective for o in outcomes] == [1.0, 2.0, 3.0]
+    names = ["other", "probe", "probe_0002"]
+    for root in ("sequential", "batch"):
+        dirs = sorted((tmp_path / root).iterdir())
+        assert [d.name for d in dirs] == names
+        assert [(d / "candidate.py").read_text() for d in dirs] == [
+            runs[2][0].source, runs[0][0].source, runs[1][0].source]
+
+
+def test_failed_fork_mid_batch_reaps_started_children(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_fork = os.fork
+    forked = []
+
+    def fork_once():
+        if forked:
+            raise OSError(11, "Resource temporarily unavailable")
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    sleeper = CandidateProgram("import time\ntime.sleep(60)")
+    start = time.monotonic()
+    with pytest.raises(SandboxSetupError):
+        CandidateRuntime().execute_all([(sleeper, None), (sleeper, None)])
+    assert time.monotonic() - start < 10.0
+    assert len(forked) == 1
+    # Reaped: the pid is no longer a child of this process.  (Other tests
+    # may leave unrelated children, such as a multiprocessing resource
+    # tracker, so ``waitpid(-1)`` is no witness here.)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
