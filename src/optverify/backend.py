@@ -49,6 +49,8 @@ ERROR = "error"
 _STATUS_CODES = {OPTIMAL: 2, INFEASIBLE: 3, UNBOUNDED: 5, TIME_LIMIT: 9, ERROR: 12}
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
 
+# Relative gap at which HiGHS stops a MIP, for every solve.
+MIP_GAP = 0.01
 _RAY_BOX = 1e9
 # Elastic-LP optimum and dual magnitude below which they count as zero.
 _ELASTIC_TOL = 1e-9
@@ -124,13 +126,10 @@ class ModelSpec:
 @dataclass(frozen=True)
 class SolveParams:
     time_limit_s: float = 60.0
-    mip_gap: float = 0.01
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
             raise BackendError("time_limit_s must be positive")
-        if not 0 <= self.mip_gap < 1:
-            raise BackendError("mip_gap must be in [0, 1)")
 
 
 @dataclass
@@ -171,7 +170,7 @@ class _Arrays:
                 bounds=Bounds(self.lower, self.upper),
                 options={
                     "time_limit": params.time_limit_s,
-                    "mip_rel_gap": params.mip_gap,
+                    "mip_rel_gap": MIP_GAP,
                     "disp": False,
                 },
             )
@@ -202,6 +201,16 @@ def _assemble(model: ModelSpec) -> _Arrays:
         elif v.domain != CONTINUOUS:
             raise BackendError(f"unknown variable domain {v.domain!r}")
         lower[i], upper[i] = lo, hi
+    # Bounds that admit no finite value of the domain would leave the model
+    # infeasible with no row to blame: the IIS would be empty.
+    whole = integrality > 0
+    least = np.where(whole, np.ceil(lower), lower)
+    most = np.where(whole, np.floor(upper), upper)
+    empty = np.flatnonzero((least > most) | (least == np.inf) | (most == -np.inf))
+    if len(empty):
+        v = model.variables[empty[0]]
+        raise BackendError(
+            f"variable {v.name} has bounds [{v.lower}, {v.upper}] that admit no {v.domain} value")
 
     rows, cols, vals = [], [], []
     lb = np.empty(len(model.constraints))

@@ -13,10 +13,9 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 
-from .config import DEFAULT_CONFIG, PipelineConfig
+from .config import DEFAULT_CONFIG, PipelineConfig, read_settings
 from .errors import ConfigError, LlmError, SchemaError, UnknownBenchmark
 from .evaluation import (
     aggregate,
@@ -102,24 +101,8 @@ def cmd_ground_truth(args: argparse.Namespace) -> int:
 
 
 def _provider_config(path: str | None) -> LlmConfig:
-    """The ``--provider`` file's settings over ``LlmConfig``'s defaults.  Each
-    key's type is its default's type (an int is accepted for a float, a bool
-    for neither)."""
-    if path is None:
-        return REPLAY_CONFIG
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ConfigError("provider config must hold a JSON object")
-    defaults = asdict(LlmConfig())
-    for key, value in raw.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown provider key: {key}")
-        expected = type(defaults[key])
-        accepted = (int, float) if expected is float else (expected,)
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(
-                f"{key} must be {expected.__name__}, not {type(value).__name__}")
-    return LlmConfig(**raw)
+    """The ``--provider`` file's settings over ``LlmConfig``'s defaults."""
+    return REPLAY_CONFIG if path is None else read_settings(LlmConfig, path, "provider")
 
 
 def _build_client(args: argparse.Namespace, config: LlmConfig) -> LlmClient:
@@ -149,7 +132,7 @@ def _run_worker(path: Path, args: argparse.Namespace, config: PipelineConfig,
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        config = (PipelineConfig.from_file(args.config)
+        config = (read_settings(PipelineConfig, args.config, "configuration")
                   if args.config else DEFAULT_CONFIG).override(
             max_regenerations=args.budget, repair_budget=args.budget,
             workers=args.workers)

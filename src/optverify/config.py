@@ -7,21 +7,48 @@ the layers that use them (``diagnostics.MISSING_THRESHOLD``,
 ``diagnostics.UNCERTAIN_THRESHOLD``, ``l2.MAX_CANDIDATES``).  The regression
 guard must stay strictly below the missing-threshold so repair drift is
 caught before it reaches the detection boundary.
+
+:func:`read_settings` loads this config's ``--config`` file and the
+provider's ``--provider`` file alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, TypeVar
 
 from .diagnostics import MISSING_THRESHOLD
 from .errors import ConfigError
 from .runtime import DEFAULT_TIMEOUT_S
 
-# Accepted value types per annotation; bool is rejected although it is an int.
-_FIELD_TYPES = {"int": (int,), "float": (int, float)}
+_Settings = TypeVar("_Settings")
+
+
+def read_settings(cls: type[_Settings], path: str | Path, kind: str) -> _Settings:
+    """``cls`` built from the JSON object in ``path``, over its defaults.
+
+    Each key must name a field of ``cls`` ("unknown <kind> key" otherwise)
+    and each value have its default's type: an int is accepted for a float,
+    a bool for neither.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{kind} file must hold a JSON object")
+    defaults = asdict(cls())
+    for key, value in raw.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown {kind} key: {key}")
+        expected = type(defaults[key])
+        accepted = (int, float) if expected is float else (expected,)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(
+                f"{key} must be {expected.__name__}, not {type(value).__name__}")
+    return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -33,10 +60,6 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ConfigError(f"{f.name} must be {f.type}, not {type(value).__name__}")
         if self.timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
         if self.max_regenerations < 0 or self.repair_budget < 0:
@@ -46,25 +69,6 @@ class PipelineConfig:
                 f"regression_threshold must lie in (0, {MISSING_THRESHOLD})")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"unknown configuration key: {key}")
-        return cls(**raw)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return cls.from_dict(raw)
 
     def to_json_dict(self) -> dict[str, Any]:
         return asdict(self)

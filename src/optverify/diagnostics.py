@@ -4,7 +4,7 @@ Severity drives action: Fatal means the program cannot be trusted at all and
 is handled by regeneration; Warning means a component is likely missing and
 triggers targeted repair; Info is logged for reference only; Pass confirms a
 component responded.  ``triggers_repair`` is derived, never set by hand:
-exactly the Warnings repair.
+exactly the Warnings repair.  So is a report's status: its worst severity.
 """
 
 from __future__ import annotations
@@ -91,12 +91,9 @@ def change_ratio(z_new: float, z_base: float) -> float:
 class VerificationReport:
     diagnostics: list[Diagnostic]
     objective: float | None
-    status: str = field(init=False)
 
-    def __post_init__(self):
-        self.status = self._derive_status()
-
-    def _derive_status(self) -> str:
+    @property
+    def status(self) -> str:
         severities = {d.severity for d in self.diagnostics}
         if FATAL in severities:
             return FAILED

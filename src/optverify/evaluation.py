@@ -169,21 +169,20 @@ class SuiteReport:
         return out
 
 
+def _percentages(group: list[EvalRecord]) -> tuple[float, float, float]:
+    """Exec%, strict Acc% and practical Acc% of ``group``."""
+    m = len(group)
+    return (100.0 * sum(1 for r in group if r.executed and r.pred_status == FEASIBLE) / m,
+            100.0 * sum(1 for r in group if r.correct_strict) / m,
+            100.0 * sum(1 for r in group if r.correct_practical) / m)
+
+
 def aggregate(records: Iterable[EvalRecord]) -> SuiteReport:
     """Suite-level metrics plus the per-family table."""
     records = list(records)
     if not records:
         raise EmptySuite("no evaluation records to aggregate")
-    n = len(records)
-
-    def pct(flags: Iterable[bool]) -> float:
-        return 100.0 * sum(1 for f in flags if f) / n
-
-    executed_feasible = [
-        r.executed and r.pred_status == FEASIBLE for r in records]
-    exec_pct = pct(executed_feasible)
-    acc_strict = pct(r.correct_strict for r in records)
-    acc_practical = pct(r.correct_practical for r in records)
+    exec_pct, acc_strict, acc_practical = _percentages(records)
     gap_s, rate_s = silent_failure_metrics(exec_pct, acc_strict)
     gap_p, rate_p = silent_failure_metrics(exec_pct, acc_practical)
 
@@ -192,18 +191,10 @@ def aggregate(records: Iterable[EvalRecord]) -> SuiteReport:
                      key=lambda f: (FAMILIES.index(f) if f in FAMILIES else 99, f))
     for fam in present:
         group = [r for r in records if r.family == fam]
-        m = len(group)
-        rows.append(FamilyRow(
-            family=fam,
-            count=m,
-            exec_pct=100.0 * sum(
-                1 for r in group if r.executed and r.pred_status == FEASIBLE) / m,
-            acc_strict_pct=100.0 * sum(1 for r in group if r.correct_strict) / m,
-            acc_practical_pct=100.0 * sum(1 for r in group if r.correct_practical) / m,
-        ))
+        rows.append(FamilyRow(fam, len(group), *_percentages(group)))
 
     return SuiteReport(
-        count=n,
+        count=len(records),
         exec_pct=exec_pct,
         acc_strict_pct=acc_strict,
         acc_practical_pct=acc_practical,

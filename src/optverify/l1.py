@@ -1,14 +1,15 @@
 """L1 execution verification: the only blocking layer.
 
 Sequential checks on a candidate program: syntax (compile-only, the source
-never runs), execution in the sandboxed runtime, solver status from the
-printed contract, and an optional duality-gap note.  Any failure is a Fatal
-diagnostic; a pass records the baseline objective ``z*`` exactly as printed.
+never runs), execution in the sandboxed runtime, and the solver status from
+the printed contract, read in one place (``_outcome_fatal``).  Any failure
+is a Fatal diagnostic; a pass records the baseline objective ``z*`` exactly
+as printed.  :class:`L1Result` keeps the diagnostics and the outcome only.
 
-Infeasible and unbounded statuses are enriched with IIS constraint names /
-ray variable names when the caller can supply a rebuilt ``ModelSpec`` of the
-candidate's model (the reference-mutation tests can; arbitrary black-box
-candidates cannot, and then the Fatal carries the raw status only).
+IIS constraint names (infeasible), ray variable names (unbounded) and a
+duality-gap note (pass) need a rebuilt ``ModelSpec`` of the candidate's
+model, and only tests pass one today; a black-box candidate's Fatal carries
+the raw status (ROADMAP item 2 captures the model from the run instead).
 
 Every run goes through the caller's :class:`CandidateRuntime`, whose
 ``timeout_s`` is the limit L1 reports on a timeout and gives an enrichment
@@ -17,7 +18,7 @@ re-solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .backend import DEFAULT_BACKEND, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
@@ -29,21 +30,37 @@ DUALITY_GAP_THRESHOLD = 0.01
 
 _STDERR_EXCERPT_CHARS = 800
 
+# The Fatal (issue type, evidence) of each non-optimal status a run prints.
+_STATUS_FATALS = {
+    3: ("infeasible", "solver reported the model infeasible"),
+    5: ("unbounded", "solver reported the model unbounded"),
+    9: ("solver_timeout", "solver hit its time limit without a proven optimum"),
+}
+
 
 @dataclass
 class L1Result:
-    passed: bool
-    objective: float | None
-    status_code: int | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    """What one L1 check observed; it passed when no diagnostic is Fatal,
+    and only then has an objective (the run's printed ``z*``)."""
+
+    diagnostics: list[Diagnostic]
     outcome: ExecutionOutcome | None = None
 
     @property
     def fatal(self) -> Diagnostic | None:
-        for d in self.diagnostics:
-            if d.severity == FATAL:
-                return d
-        return None
+        return next((d for d in self.diagnostics if d.severity == FATAL), None)
+
+    @property
+    def passed(self) -> bool:
+        return self.fatal is None
+
+    @property
+    def objective(self) -> float | None:
+        return self.outcome.objective if self.outcome and self.passed else None
+
+    @property
+    def status_code(self) -> int | None:
+        return self.outcome.status_code if self.outcome else None
 
 
 def check_syntax(source: str) -> Diagnostic | None:
@@ -62,10 +79,52 @@ def check_syntax(source: str) -> Diagnostic | None:
 
 
 def _stderr_excerpt(outcome: ExecutionOutcome) -> str:
-    text = outcome.stderr.strip() or outcome.stdout.strip()
-    if len(text) > _STDERR_EXCERPT_CHARS:
-        text = text[-_STDERR_EXCERPT_CHARS:]
-    return text
+    return (outcome.stderr.strip() or outcome.stdout.strip())[-_STDERR_EXCERPT_CHARS:]
+
+
+def _outcome_fatal(outcome: ExecutionOutcome, timeout_s: float) -> Diagnostic | None:
+    """The Fatal a run earns, or None when it printed an optimum and its
+    objective.  ``timeout_s`` is the limit a timed-out run exceeded."""
+    code = outcome.status_code
+    if outcome.exit_kind == TIMEOUT:
+        return Diagnostic(LAYER_L1, FATAL, "timeout", "execution",
+                          f"candidate exceeded {timeout_s:g}s wall clock")
+    if outcome.exit_kind == CRASH:
+        return Diagnostic(LAYER_L1, FATAL, "runtime_error", "execution",
+                          f"candidate crashed: {_stderr_excerpt(outcome)}")
+    if code is None:
+        return Diagnostic(LAYER_L1, FATAL, "no_status", "output contract",
+                          "no `status: <int>` line found in candidate stdout")
+    if code != 2:
+        issue, evidence = _STATUS_FATALS.get(
+            code, ("solver_status", f"solver returned status {code}, expected 2 (optimal)"))
+        return Diagnostic(LAYER_L1, FATAL, issue, "model", evidence)
+    if outcome.objective is None:
+        return Diagnostic(LAYER_L1, FATAL, "no_objective", "output contract",
+                          "status 2 printed but no `objective: <float>` line found")
+    return None
+
+
+def _model_diagnostics(fatal: Diagnostic | None, model: ModelSpec,
+                       timeout_s: float) -> list[Diagnostic]:
+    """``fatal`` with the IIS of an infeasible ``model`` or the ray of an
+    unbounded one in its evidence; with no Fatal, an Info on a wide
+    duality gap."""
+    if fatal is not None and fatal.issue_type == "infeasible":
+        iis = ", ".join(sorted(DEFAULT_BACKEND.compute_iis(model)))
+        return [replace(fatal, evidence=f"{fatal.evidence}; IIS constraints: {iis}")]
+    if fatal is not None and fatal.issue_type != "unbounded":
+        return [fatal]
+    result = DEFAULT_BACKEND.solve(model, SolveParams(time_limit_s=timeout_s))
+    if fatal is not None:
+        ray = ", ".join(sorted(result.ray_vars))
+        return [replace(fatal, evidence=f"{fatal.evidence}; unbounded ray variables: {ray}")
+                if ray else fatal]
+    gap = result.duality_gap
+    if gap is not None and gap > DUALITY_GAP_THRESHOLD:
+        return [Diagnostic(LAYER_L1, INFO, "duality_gap", "model",
+                           f"primal-dual gap {gap:.4f} exceeds {DUALITY_GAP_THRESHOLD:g}")]
+    return []
 
 
 def l1_verify(
@@ -75,79 +134,15 @@ def l1_verify(
     model_spec: ModelSpec | None = None,
     run_label: str | None = None,
 ) -> L1Result:
-    diags: list[Diagnostic] = []
-
     syntax_diag = check_syntax(program.source)
     if syntax_diag is not None:
-        return L1Result(False, None, None, [syntax_diag], None)
-
+        return L1Result([syntax_diag])
     outcome = runtime.execute(program, run_label=run_label)
-
-    if outcome.exit_kind == TIMEOUT:
-        diags.append(Diagnostic(
-            LAYER_L1, FATAL, "timeout", "execution",
-            f"candidate exceeded {runtime.timeout_s:g}s wall clock",
-        ))
-        return L1Result(False, None, None, diags, outcome)
-    if outcome.exit_kind == CRASH:
-        diags.append(Diagnostic(
-            LAYER_L1, FATAL, "runtime_error", "execution",
-            f"candidate crashed: {_stderr_excerpt(outcome)}",
-        ))
-        return L1Result(False, None, None, diags, outcome)
-
-    code = outcome.status_code
-    if code is None:
-        diags.append(Diagnostic(
-            LAYER_L1, FATAL, "no_status", "output contract",
-            "no `status: <int>` line found in candidate stdout",
-        ))
-        return L1Result(False, None, None, diags, outcome)
-
-    if code == 3:
-        evidence = "solver reported the model infeasible"
-        if model_spec is not None:
-            iis = DEFAULT_BACKEND.compute_iis(model_spec)
-            evidence += "; IIS constraints: " + ", ".join(sorted(iis))
-        diags.append(Diagnostic(LAYER_L1, FATAL, "infeasible", "model", evidence))
-        return L1Result(False, None, code, diags, outcome)
-    if code == 5:
-        evidence = "solver reported the model unbounded"
-        if model_spec is not None:
-            result = DEFAULT_BACKEND.solve(model_spec, SolveParams(time_limit_s=runtime.timeout_s))
-            if result.ray_vars:
-                evidence += "; unbounded ray variables: " + ", ".join(sorted(result.ray_vars))
-        diags.append(Diagnostic(LAYER_L1, FATAL, "unbounded", "model", evidence))
-        return L1Result(False, None, code, diags, outcome)
-    if code == 9:
-        diags.append(Diagnostic(
-            LAYER_L1, FATAL, "solver_timeout", "model",
-            "solver hit its time limit without a proven optimum",
-        ))
-        return L1Result(False, None, code, diags, outcome)
-    if code != 2:
-        diags.append(Diagnostic(
-            LAYER_L1, FATAL, "solver_status", "model",
-            f"solver returned status {code}, expected 2 (optimal)",
-        ))
-        return L1Result(False, None, code, diags, outcome)
-
-    if outcome.objective is None:
-        diags.append(Diagnostic(
-            LAYER_L1, FATAL, "no_objective", "output contract",
-            "status 2 printed but no `objective: <float>` line found",
-        ))
-        return L1Result(False, None, code, diags, outcome)
-
+    fatal = _outcome_fatal(outcome, runtime.timeout_s)
+    diagnostics = [fatal] if fatal else []
     if model_spec is not None:
-        result = DEFAULT_BACKEND.solve(model_spec, SolveParams(time_limit_s=runtime.timeout_s))
-        if result.duality_gap is not None and result.duality_gap > DUALITY_GAP_THRESHOLD:
-            diags.append(Diagnostic(
-                LAYER_L1, INFO, "duality_gap", "model",
-                f"primal-dual gap {result.duality_gap:.4f} exceeds {DUALITY_GAP_THRESHOLD:g}",
-            ))
-
-    return L1Result(True, outcome.objective, code, diags, outcome)
+        diagnostics = _model_diagnostics(fatal, model_spec, runtime.timeout_s)
+    return L1Result(diagnostics, outcome)
 
 
 # --------------------------------------------------------------------------
@@ -228,9 +223,7 @@ def l1_verify_with_regeneration(
     attempts = 0
     while not result.passed and attempts < max_regenerations:
         attempts += 1
-        fatal = result.fatal
-        error = fatal.evidence if fatal else "unknown failure"
-        prompt = build_regeneration_prompt(problem, current, error)
+        prompt = build_regeneration_prompt(problem, current, result.fatal.evidence)
         try:
             reply = llm.complete(REGENERATION_SYSTEM_PROMPT, prompt)
         except LlmError:

@@ -36,7 +36,7 @@ BIG_M = 1e6
 # mutation testing.
 MUTATIONS = frozenset({"storage_capacity", "holding_cost"})
 
-GROUND_TRUTH_PARAMS = SolveParams(time_limit_s=60.0, mip_gap=0.01)
+GROUND_TRUTH_PARAMS = SolveParams(time_limit_s=60.0)
 
 FLOW_TOLERANCE = 1e-6
 

