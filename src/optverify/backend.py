@@ -7,12 +7,12 @@ capabilities the verification layers rely on:
 
 * :meth:`HighsBackend.compute_iis` - an irreducible inconsistent subsystem
   via the classic deletion filter (tentatively delete each constraint; keep
-  it deleted while the rest stays infeasible).  The model is assembled
-  once, and a row outside a verified Farkas certificate of the rows left
-  (the nonzero duals of an elastic LP) is deleted without a probe, so the
-  result is the plain filter's in a fraction of the solves.  An integer
-  model whose LP relaxation is feasible has no such certificate; there
-  every row is probed.  No native IIS support needed.
+  it deleted while the rest stays infeasible).  The probes warm-start on
+  one HiGHS instance (scipy's binding), and a row outside a verified Farkas
+  certificate of the rows left (HiGHS's dual ray) is deleted without a
+  probe, so the result is the plain filter's in a fraction of the solves.
+  An integer model whose LP relaxation is feasible has no such
+  certificate; there every row is probed.  No native IIS support needed.
 * unbounded-ray reporting - re-solve inside a large artificial box and
   report the variables that run to the box walls.
 
@@ -28,7 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import (
+    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kSolutionStatusFeasible)
 
 from .errors import BackendError, NotInfeasible
 
@@ -52,8 +54,8 @@ _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
 # Relative gap at which HiGHS stops a MIP, for every solve.
 MIP_GAP = 0.01
 _RAY_BOX = 1e9
-# Elastic-LP optimum and dual magnitude below which they count as zero.
-_ELASTIC_TOL = 1e-9
+# Dual-ray entries below this share of the largest count as zero.
+_RAY_TOL = 1e-9
 
 
 def status_to_code(status: str) -> int:
@@ -143,10 +145,10 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _Arrays:
-    """A validated ``ModelSpec`` as the arrays ``milp`` takes.
+    """A validated ``ModelSpec`` as the arrays HiGHS takes.
 
-    ``a`` holds one row per constraint in model order; it is CSR so that a
-    subset of rows slices cheaply.
+    ``a`` holds one row per constraint in model order, in CSR: HiGHS takes
+    it row-wise as it is.
     """
 
     sign: float  # -1 for a maximisation: ``c`` is always minimised
@@ -158,14 +160,12 @@ class _Arrays:
     lb: np.ndarray
     ub: np.ndarray
 
-    def highs(self, c: np.ndarray, rows=None, params: SolveParams = SolveParams()):
-        """HiGHS on the rows listed in ``rows`` (all rows when None)."""
-        a, lb, ub = (self.a, self.lb, self.ub) if rows is None else \
-            (self.a[rows], self.lb[rows], self.ub[rows])
+    def highs(self, c: np.ndarray, params: SolveParams = SolveParams()):
+        """One ``milp`` solve of the model under the objective ``c``."""
         try:
             return milp(
                 c=c,
-                constraints=[LinearConstraint(a, lb, ub)] if a.shape[0] else [],
+                constraints=[LinearConstraint(self.a, self.lb, self.ub)] if self.a.shape[0] else [],
                 integrality=self.integrality,
                 bounds=Bounds(self.lower, self.upper),
                 options={
@@ -230,34 +230,81 @@ def _assemble(model: ModelSpec) -> _Arrays:
     return _Arrays(sign, c, integrality, lower, upper, a, lb, ub)
 
 
-def _farkas_rows(arr: _Arrays, rows: list[int]) -> list[int]:
-    """The rows of ``rows`` with a nonzero dual in the elastic LP.
+class _Probe:
+    """The model under a zero objective on one HiGHS instance, whose rows
+    are deleted by freeing their bounds.  An integer model runs as a MIP, or
+    as its LP relaxation for a certificate."""
 
-    Solves the LP relaxation of min sum(s) s.t. A x - s <= ub and
-    -A x - s <= -lb over the finite sides of ``rows``, s >= 0.  When its
-    optimum is positive, the rows whose dual is nonzero carry a Farkas
-    certificate: on their own they are LP-infeasible.  All of ``rows`` when
-    their LP relaxation is feasible or the LP fails.
-    """
-    sub, lb, ub = arr.a[rows], arr.lb[rows], arr.ub[rows]
-    hi = np.flatnonzero(ub < np.inf)
-    lo = np.flatnonzero(lb > -np.inf)
-    k = len(hi) + len(lo)
-    if k == 0:
-        return rows
-    n = sub.shape[1]
-    res = linprog(
-        np.r_[np.zeros(n), np.ones(k)],
-        A_ub=sparse.hstack([sparse.vstack([sub[hi], -sub[lo]]), -sparse.identity(k)]),
-        b_ub=np.r_[ub[hi], -lb[lo]],
-        bounds=np.column_stack([np.r_[arr.lower, np.zeros(k)],
-                                np.r_[arr.upper, np.full(k, np.inf)]]),
-        method="highs",
-    )
-    if res.status != 0 or res.fun <= _ELASTIC_TOL:
-        return rows
-    carriers = np.r_[hi, lo][np.abs(res.ineqlin.marginals) > _ELASTIC_TOL]
-    return [rows[j] for j in np.unique(carriers)]
+    def __init__(self, arr: _Arrays):
+        m, n = arr.a.shape
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.zeros(n), arr.lower, arr.upper
+        lp.row_lower_, lp.row_upper_ = arr.lb, arr.ub
+        a = lp.a_matrix_
+        a.format_, a.num_col_, a.num_row_ = MatrixFormat.kRowwise, n, m
+        a.start_, a.index_, a.value_ = arr.a.indptr, arr.a.indices, arr.a.data
+        self.highs = _Highs()
+        self.highs.setOptionValue("output_flag", False)
+        if self.highs.passModel(lp) == HighsStatus.kError:
+            raise BackendError("HiGHS refused the model")
+        self.lb, self.ub = arr.lb, arr.ub
+        self.on = np.ones(m, dtype=bool)  # rows whose bounds the instance holds
+        self.whole = np.flatnonzero(arr.integrality).astype(np.int32)
+        self.relaxed = True  # passed without integrality
+        self.relaxation_feasible = False
+
+    def _run(self, rows: np.ndarray, relaxed: bool) -> HighsModelStatus:
+        for r in np.flatnonzero(rows != self.on):
+            self.highs.changeRowBounds(int(r), *((self.lb[r], self.ub[r]) if rows[r]
+                                                 else (-np.inf, np.inf)))
+        self.on = rows.copy()
+        if len(self.whole) and relaxed != self.relaxed:
+            self.highs.changeColsIntegrality(
+                len(self.whole), self.whole,
+                np.full(len(self.whole), 0 if relaxed else 1, dtype=np.uint8))
+            self.relaxed = relaxed
+        # HiGHS's clock runs on across the instance's runs: give each its own limit.
+        self.highs.setOptionValue(
+            "time_limit", self.highs.getRunTime() + SolveParams().time_limit_s)
+        self.highs.run()
+        return self.highs.getModelStatus()
+
+    def infeasible(self, rows: np.ndarray) -> bool:
+        """Whether the rows marked in ``rows`` admit no point of the model.
+
+        Any outcome but ``kInfeasible`` or a feasible point (a time limit,
+        say) raises: read either way, it could keep a row the IIS does not
+        need or drop one it does."""
+        status = self._run(rows, relaxed=False)
+        if status == HighsModelStatus.kInfeasible:
+            return True
+        if self.highs.getInfo().primal_solution_status == kSolutionStatusFeasible:
+            return False
+        raise BackendError(f"IIS probe ended {self.highs.modelStatusToString(status)}")
+
+    def certificate(self, rows: np.ndarray) -> np.ndarray | None:
+        """The rows of ``rows`` that carry a Farkas certificate of their LP
+        relaxation: the support of HiGHS's dual ray.  None when the
+        relaxation is feasible or HiGHS has no ray.
+
+        Called right after a probe proved ``rows`` infeasible: for an LP,
+        that probe's ray is read without a solve.  Rows are only ever
+        deleted, so once an integer model's relaxation is feasible it stays
+        so, and it is not solved again.
+        """
+        if self.relaxation_feasible:
+            return None
+        if len(self.whole):
+            status = self._run(rows, relaxed=True)
+            self.relaxation_feasible = status == HighsModelStatus.kOptimal
+            if status != HighsModelStatus.kInfeasible:
+                return None
+        _, has_ray, ray = self.highs.getDualRay()
+        if not has_ray:
+            return None
+        ray = np.abs(ray)
+        return rows & (ray > _RAY_TOL * ray.max())
 
 
 def _ray_variables(model: ModelSpec, arr: _Arrays) -> frozenset[str]:
@@ -323,44 +370,45 @@ class HighsBackend:
         The result is irreducible (removing any single member restores
         feasibility) though not necessarily minimum-cardinality.
 
-        The model is assembled once and each probe solves a row subset.
-        Most probes are skipped: an elastic LP names the rows a Farkas
+        The model is passed once to one HiGHS instance, and a probe frees
+        or restores row bounds and runs again: an LP probe is a dual
+        simplex warm-started from the last basis.  Most probes are skipped:
+        HiGHS's dual ray on the LP relaxation names the rows a Farkas
         certificate needs, and once one probe confirms those rows are
         infeasible on their own, every other row is deleted unprobed (the
         rows left still hold the certificate, so the probe would have
         deleted it too).  The certificate is renewed after each deletion
-        of a row it needs.  The result is the set the plain filter returns.
-        When the LP relaxation is feasible (an integer conflict) or the
-        certificate is not confirmed, every row is probed.
+        of a row it needs; for an LP it is the ray of the probe that just
+        proved the deletion, read without a solve.  The result is the set
+        the plain filter returns.  When the LP relaxation is feasible (an
+        integer conflict), HiGHS has no ray or the certificate is not
+        confirmed, every row is probed.  A probe that ends neither
+        infeasible nor with a feasible point raises ``BackendError``.
         """
         arr = _assemble(model)
         if not model.variables:
             raise NotInfeasible("model is not infeasible; no IIS exists")
-        zero = np.zeros(len(model.variables))
+        probe = _Probe(arr)
 
-        def infeasible(rows: list[int]) -> bool:
-            return arr.highs(zero, rows).status == 2
+        def needed(rows: np.ndarray) -> np.ndarray:
+            carriers = probe.certificate(rows)
+            if carriers is not None and carriers.sum() < rows.sum() and probe.infeasible(carriers):
+                return carriers
+            return rows.copy()
 
-        def needed(rows: list[int]) -> set[int]:
-            carriers = _farkas_rows(arr, rows)
-            if len(carriers) < len(rows) and infeasible(carriers):
-                return set(carriers)
-            return set(rows)
-
-        kept = list(range(len(model.constraints)))
-        need = needed(kept)
-        if len(need) == len(kept) and not infeasible(kept):
+        kept = np.ones(len(model.constraints), dtype=bool)
+        if not probe.infeasible(kept):
             raise NotInfeasible("model is not infeasible; no IIS exists")
-        i = 0
-        while i < len(kept):
-            trial = kept[:i] + kept[i + 1:]
-            if kept[i] not in need:
-                kept = trial
-            elif infeasible(trial):
-                kept, need = trial, needed(trial)
+        need = needed(kept)
+        for r in range(len(kept)):
+            kept[r] = False
+            if not need[r]:
+                continue
+            if probe.infeasible(kept):
+                need = needed(kept)
             else:
-                i += 1
-        return frozenset(model.constraints[r].name for r in kept)
+                kept[r] = True
+        return frozenset(model.constraints[r].name for r in np.flatnonzero(kept))
 
 
 DEFAULT_BACKEND = HighsBackend()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .backend import DEFAULT_BACKEND, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
-from .errors import LlmError
+from .errors import BackendError, LlmError
 from .llm import data_key_lines, extract_code
 from .runtime import CRASH, TIMEOUT, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
@@ -109,9 +109,13 @@ def _model_diagnostics(fatal: Diagnostic | None, model: ModelSpec,
                        timeout_s: float) -> list[Diagnostic]:
     """``fatal`` with the IIS of an infeasible ``model`` or the ray of an
     unbounded one in its evidence; with no Fatal, an Info on a wide
-    duality gap."""
+    duality gap.  An IIS probe that ends neither infeasible nor feasible
+    leaves the Fatal without IIS evidence."""
     if fatal is not None and fatal.issue_type == "infeasible":
-        iis = ", ".join(sorted(DEFAULT_BACKEND.compute_iis(model)))
+        try:
+            iis = ", ".join(sorted(DEFAULT_BACKEND.compute_iis(model)))
+        except BackendError:  # a probe neither infeasible nor feasible
+            return [fatal]
         return [replace(fatal, evidence=f"{fatal.evidence}; IIS constraints: {iis}")]
     if fatal is not None and fatal.issue_type != "unbounded":
         return [fatal]

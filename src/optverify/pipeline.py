@@ -43,7 +43,7 @@ class InstanceRunResult:
     @property
     def report(self) -> VerificationReport:
         # Info diagnostics from L1 (duality gap) ride along in the final report.
-        phase2 = self.repair.report.diagnostics if self.repair else []
+        phase2 = self.repair.diagnostics if self.repair else []
         return VerificationReport(self.l1.diagnostics + phase2, self.final_objective)
 
     @property

@@ -256,11 +256,17 @@ def regression_check(z_new: float | None, z_old: float, tau_r: float) -> bool:
 
 @dataclass
 class RepairOutcome:
+    """Phase 2's final program, objective and L2 diagnostics; the report is derived."""
+
     program: CandidateProgram
     objective: float | None
-    report: VerificationReport
+    diagnostics: list[Diagnostic]
     iterations: int
     events: list[dict] = field(default_factory=list)
+
+    @property
+    def report(self) -> VerificationReport:
+        return VerificationReport(self.diagnostics, self.objective)
 
 
 def repair_loop(
@@ -352,4 +358,4 @@ def repair_loop(
         if plateau:
             break
 
-    return RepairOutcome(current, z, VerificationReport(diags, z), iterations, events)
+    return RepairOutcome(current, z, diags, iterations, events)

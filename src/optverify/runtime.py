@@ -50,12 +50,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, NoReturn, Sequence
 
-from .errors import SandboxSetupError
+from scipy.optimize._highspy._core import _Highs
 
-try:  # scipy >= 1.15 exposes the HiGHS bindings that milp solves with
-    from scipy.optimize._highspy._core import _Highs
-except ImportError:
-    _Highs = None
+from .errors import SandboxSetupError
 
 EXTERNAL_DICT = "external_dict"
 SELF_CONTAINED = "self_contained"
@@ -268,12 +265,11 @@ def _run_child(workdir: Path, injected: bool, out_fd: int, err_fd: int) -> NoRet
     code = 1
     try:
         os.setsid()
-        if _Highs is not None:
-            # HiGHS solves MIPs on a process-wide pool of threads, which did
-            # not survive the fork: a MIP solved here would wait on the lost
-            # workers forever.  Drop the pool without joining it; HiGHS
-            # starts a new one on its next solve.
-            _Highs.resetGlobalScheduler(False)
+        # HiGHS solves MIPs on a process-wide pool of threads, which did not
+        # survive the fork: a MIP solved here would wait on the lost workers
+        # forever.  Drop the pool without joining it; HiGHS starts a new one
+        # on its next solve.
+        _Highs.resetGlobalScheduler(False)
         os.chdir(workdir)
         null_fd = os.open(os.devnull, os.O_RDONLY)
         for fd, target in ((null_fd, 0), (out_fd, 1), (err_fd, 2)):

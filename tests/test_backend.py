@@ -5,8 +5,9 @@ import math
 import random
 
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
-from optverify import backend
+from optverify import backend, generator, reference, scenario
 from optverify.backend import (
     DEFAULT_BACKEND,
     Constraint,
@@ -247,15 +248,15 @@ def _deletion_filter(model):
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Counts the HiGHS calls made through ``backend.milp``."""
+    """Counts the deletion filter's feasibility probes."""
     count = [0]
-    original = backend.milp
+    original = backend._Probe.infeasible
 
     def counting(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(backend, "milp", counting)
+    monkeypatch.setattr(backend._Probe, "infeasible", counting)
     return count
 
 
@@ -296,6 +297,69 @@ def test_iis_probes_every_row_when_the_lp_relaxation_is_feasible(probes):
     probes[0] = 0
     assert DEFAULT_BACKEND.compute_iis(model) == expected
     assert probes[0] == len(constraints) + 1
+
+
+def test_iis_certificate_of_an_integer_model_comes_from_its_lp_relaxation(probes):
+    # n + m >= 7.5 against n <= 2, m <= 3 has no fractional solution either,
+    # so the LP relaxation's ray names the three rows among 100 unrelated ones.
+    variables = [Variable("n", "integer", 0.0, 50.0), Variable("m", "integer", 0.0, 50.0)] + [
+        Variable(f"x{i}", lower=-math.inf) for i in range(50)]
+    constraints = [Constraint(f"box{i}", {f"x{i % 50}": 1.0}, "<=" if i < 50 else ">=",
+                              10.0 + i if i < 50 else -10.0 - i) for i in range(100)]
+    constraints[30:30] = [Constraint("sum_ge", {"n": 1.0, "m": 1.0}, ">=", 7.5)]
+    constraints[70:70] = [Constraint("n_le2", {"n": 1.0}, "<=", 2.0)]
+    constraints.append(Constraint("m_le3", {"m": 1.0}, "<=", 3.0))
+    model = _model(variables, constraints)
+    expected = _deletion_filter(model)
+    assert expected == {"sum_ge", "n_le2", "m_le3"}
+    probes[0] = 0
+    assert DEFAULT_BACKEND.compute_iis(model) == expected
+    assert probes[0] < len(constraints) / 10
+
+
+def test_iis_matches_plain_deletion_filter_on_a_reference_model():
+    # The benchmark's smallest IIS shape: the base scenario cut to 4 periods,
+    # one product and two DCs, demand scaled past production, and lost sales
+    # forbidden.  189 rows, so warm starts run on a real basis.
+    raw = generator.base_raw()
+    dcs, products, periods = ["DC1", "DC2"], ["SKU_Basic"], 4
+    keep = lambda m: {k: m[k] for k in products}  # noqa: E731
+    raw.update(name="iis_shape0", periods=periods, products=products, locations=dcs)
+    for key in ("shelf_life", "lead_time", "cold_usage", "labor_usage", "return_rate"):
+        raw[key] = keep(raw[key])
+    for key in ("purchasing", "inventory", "waste", "lost_sales"):
+        raw["costs"][key] = keep(raw["costs"][key])
+    raw["demand_curve"] = {p: [int(d * 3.5) for d in raw["demand_curve"][p][:periods]]
+                           for p in products}
+    raw["production_cap"] = {p: raw["production_cap"][p][:periods] for p in products}
+    shares = [raw["demand_share"][dc] for dc in dcs]
+    raw["demand_share"] = {dcs[0]: shares[0] / sum(shares), dcs[1]: shares[1] / sum(shares)}
+    raw["cold_capacity"] = {dc: raw["cold_capacity"][dc] for dc in dcs}
+    raw["labor_cap"] = {dc: raw["labor_cap"][dc][:periods] for dc in dcs}
+    raw["network"]["sub_edges"] = []
+    model = reference.build_reference_model(scenario.validate_instance(raw))
+    lost = {v.name: 1.0 for v in model.variables if v.name.startswith("L[")}
+    model.constraints.append(Constraint("no_lost_sales", lost, "<=", 0.0))
+    assert len(model.constraints) == 189
+    iis = DEFAULT_BACKEND.compute_iis(model)
+    assert "no_lost_sales" in iis
+    assert iis == _deletion_filter(model)
+
+
+@pytest.mark.parametrize("status", [HighsModelStatus.kTimeLimit,
+                                    HighsModelStatus.kUnboundedOrInfeasible])
+def test_iis_probe_that_proves_neither_outcome_raises(monkeypatch, status):
+    # Read as feasible, a time-limited probe would keep a row the IIS may not
+    # need; read as infeasible, it would drop one it may need.
+    monkeypatch.setattr(backend._Probe, "_run", lambda self, rows, relaxed: status)
+    m = _model(
+        [Variable("x", lower=-math.inf)],
+        [Constraint("ge1", {"x": 1.0}, ">=", 1.0),
+         Constraint("le0", {"x": 1.0}, "<=", 0.0)],
+    )
+    name = "Time limit reached" if status == HighsModelStatus.kTimeLimit else "unbounded"
+    with pytest.raises(BackendError, match=f"IIS probe ended .*{name}"):
+        DEFAULT_BACKEND.compute_iis(m)
 
 
 def test_solve_and_iis_reject_non_finite_input():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 
+from scipy.optimize._highspy._core import HighsModelStatus
+
+from optverify import backend
 from optverify.backend import Constraint, ModelSpec, Objective, Variable
 from optverify.diagnostics import INFO
 from optverify.l1 import (
@@ -91,6 +94,23 @@ def test_infeasible_enriched_with_iis(runtime):
     assert result.fatal.issue_type == "infeasible"
     assert "x_ge_1" in result.fatal.evidence
     assert "x_le_0" in result.fatal.evidence
+
+
+def test_infeasible_keeps_its_fatal_when_an_iis_probe_ends_undecided(runtime, monkeypatch):
+    # A probe that hits its time limit proves neither outcome: the Fatal
+    # stays, without IIS evidence.
+    monkeypatch.setattr(backend._Probe, "_run",
+                        lambda self, rows, relaxed: HighsModelStatus.kTimeLimit)
+    model = ModelSpec(
+        variables=[Variable("x", lower=-math.inf)],
+        constraints=[
+            Constraint("x_ge_1", {"x": 1.0}, ">=", 1.0),
+            Constraint("x_le_0", {"x": 1.0}, "<=", 0.0),
+        ],
+    )
+    result = l1_verify(CandidateProgram("print('status: 3')"), runtime, model_spec=model)
+    assert result.fatal.issue_type == "infeasible"
+    assert "IIS" not in result.fatal.evidence
 
 
 def test_infeasible_without_model_spec_raw_status(runtime):

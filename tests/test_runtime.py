@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from scipy.optimize._highspy._core import _Highs
 
 import optverify
 import optverify.runtime
@@ -305,8 +306,7 @@ def test_run_cost_reported_and_persisted(tmp_path):
 def test_mip_candidate_after_threaded_parent_solve(runtime):
     # A parent whose HiGHS already runs worker threads, as after any solve
     # on a machine with three or more cores.
-    highs = pytest.importorskip("scipy.optimize._highspy._core")._Highs
-    h = highs()
+    h = _Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("threads", 4)
     h.run()
@@ -322,7 +322,7 @@ def test_mip_candidate_after_threaded_parent_solve(runtime):
     try:
         outcome = runtime.execute(CandidateProgram(src))
     finally:
-        highs.resetGlobalScheduler(True)
+        _Highs.resetGlobalScheduler(True)
     assert outcome.exit_kind == COMPLETED, outcome.stderr
     assert outcome.status_code == 0
 
