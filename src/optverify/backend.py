@@ -2,8 +2,12 @@
 
 ``ModelSpec`` is a plain linear-program carrier (variables, linear
 constraints, objective); the default backend solves it with HiGHS through
-``scipy.optimize.milp``.  The backend also provides the two diagnosis
-capabilities the verification layers rely on:
+``scipy.optimize.milp``.  The model is checked where it is laid out as
+arrays, in ``_assemble``: one whole-array pass per field, and a model with
+a fault (a duplicate name, an unknown variable, a non-finite number, a bad
+sense or domain, bounds that admit no value) is refused with a
+``BackendError`` naming the first one.  The backend also provides the two
+diagnosis capabilities the verification layers rely on:
 
 * :meth:`HighsBackend.compute_iis` - an irreducible inconsistent subsystem
   via the classic deletion filter (tentatively delete each constraint; keep
@@ -25,6 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import attrgetter, methodcaller
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -57,6 +64,10 @@ _RAY_BOX = 1e9
 # Dual-ray entries below this share of the largest count as zero.
 _RAY_TOL = 1e-9
 
+# The codes ``_assemble`` reads domains and senses as.
+_DOMAINS = {CONTINUOUS: 0, INTEGER: 1, BINARY: 2}
+_SENSES = {"<=": 0, "=": 1, ">=": 2}
+
 
 def status_to_code(status: str) -> int:
     return _STATUS_CODES[status]
@@ -66,16 +77,14 @@ def code_to_status(code: int) -> str | None:
     return _CODE_STATUS.get(code)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     domain: str = CONTINUOUS
     lower: float = 0.0
     upper: float = math.inf
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     coefficients: dict[str, float]
     sense: str  # "<=", "=", ">="
@@ -91,38 +100,12 @@ class Objective:
 
 @dataclass
 class ModelSpec:
+    """A model as the caller wrote it; ``HighsBackend`` checks it when it
+    lays it out (see ``_assemble``)."""
+
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: Objective = field(default_factory=Objective)
-
-    def validate(self) -> None:
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise BackendError("duplicate variable names in model")
-        cnames = [c.name for c in self.constraints]
-        if len(set(cnames)) != len(cnames):
-            raise BackendError("duplicate constraint names in model")
-        for v in self.variables:
-            if math.isnan(v.lower) or math.isnan(v.upper):
-                raise BackendError(f"variable {v.name} has a NaN bound")
-        known = set(names)
-        for c in self.constraints:
-            for v, coef in c.coefficients.items():
-                if v not in known:
-                    raise BackendError(f"constraint {c.name} references unknown variable {v}")
-                if not math.isfinite(coef):
-                    raise BackendError(f"constraint {c.name} has coefficient {coef} on {v}")
-            if c.sense not in ("<=", "=", ">="):
-                raise BackendError(f"constraint {c.name} has invalid sense {c.sense!r}")
-            if not math.isfinite(c.rhs):
-                raise BackendError(f"constraint {c.name} has right-hand side {c.rhs}")
-        for v, coef in self.objective.coefficients.items():
-            if v not in known:
-                raise BackendError(f"objective references unknown variable {v}")
-            if not math.isfinite(coef):
-                raise BackendError(f"objective has coefficient {coef} on {v}")
-        if not math.isfinite(self.objective.constant):
-            raise BackendError(f"objective has constant {self.objective.constant}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +128,13 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _Arrays:
-    """A validated ``ModelSpec`` as the arrays HiGHS takes.
+    """A checked ``ModelSpec`` as the arrays HiGHS takes.
 
-    ``a`` holds one row per constraint in model order, in CSR: HiGHS takes
-    it row-wise as it is.
+    ``a`` holds one row per constraint in model order, in CSR with sorted
+    column indices: HiGHS takes it row-wise as it is.
     """
 
+    names: tuple[str, ...]  # of the columns, in model order
     sign: float  # -1 for a maximisation: ``c`` is always minimised
     c: np.ndarray
     integrality: np.ndarray
@@ -178,56 +162,100 @@ class _Arrays:
             raise BackendError(f"solver crashed: {exc}") from exc
 
 
-def _assemble(model: ModelSpec) -> _Arrays:
-    """Validate ``model`` and lay it out as arrays."""
-    model.validate()
-    index = {v.name: i for i, v in enumerate(model.variables)}
-    n = len(model.variables)
-    sign = -1.0 if model.objective.sense == MAXIMIZE else 1.0
-    c = np.zeros(n)
-    for vname, coef in model.objective.coefficients.items():
-        c[index[vname]] = sign * coef
+def _codes(table: dict[str, int], keys, count: int) -> np.ndarray:
+    """``table``'s code of each key, -1 for a key it lacks."""
+    return np.fromiter(map(table.get, keys, repeat(-1)), dtype=np.int8, count=count)
 
-    integrality = np.zeros(n)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for i, v in enumerate(model.variables):
-        lo, hi = v.lower, v.upper
-        if v.domain == BINARY:
-            integrality[i] = 1
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
-        elif v.domain == INTEGER:
-            integrality[i] = 1
-        elif v.domain != CONTINUOUS:
-            raise BackendError(f"unknown variable domain {v.domain!r}")
-        lower[i], upper[i] = lo, hi
+
+def _row_fault(con: Constraint, index: dict[str, int]) -> str:
+    """The message naming the first fault of a row that has one."""
+    for v, coef in con.coefficients.items():
+        if v not in index:
+            return f"constraint {con.name} references unknown variable {v}"
+        if not math.isfinite(coef):
+            return f"constraint {con.name} has coefficient {coef} on {v}"
+    if con.sense not in _SENSES:
+        return f"constraint {con.name} has invalid sense {con.sense!r}"
+    return f"constraint {con.name} has right-hand side {con.rhs}"
+
+
+def _assemble(model: ModelSpec) -> _Arrays:
+    """Check ``model`` and lay it out as arrays, one whole-array pass per field.
+
+    A refused model raises ``BackendError`` naming its first fault, looked
+    for in this order: duplicate variable or constraint names, NaN bounds,
+    each row's terms (an unknown variable, a non-finite coefficient), sense
+    and right-hand side, the objective's terms and constant, unknown
+    domains, and bounds that admit no value of their domain.  Infinite and
+    crossed bounds that admit one are legal.
+    """
+    variables, rows = model.variables, model.constraints
+    n, m = len(variables), len(rows)
+    names = tuple(map(attrgetter("name"), variables))
+    index = dict(zip(names, range(n)))
+    if len(index) != n:
+        raise BackendError("duplicate variable names in model")
+    if len(set(map(attrgetter("name"), rows))) != m:
+        raise BackendError("duplicate constraint names in model")
+    lower = np.fromiter(map(attrgetter("lower"), variables), dtype=float, count=n)
+    upper = np.fromiter(map(attrgetter("upper"), variables), dtype=float, count=n)
+    nan = np.isnan(lower) | np.isnan(upper)
+    if nan.any():
+        raise BackendError(f"variable {names[nan.argmax()]} has a NaN bound")
+
+    terms = list(map(attrgetter("coefficients"), rows))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, terms), dtype=np.int64, count=m), out=indptr[1:])
+    nnz = int(indptr[-1])
+    cols = np.fromiter(map(index.get, chain.from_iterable(terms), repeat(-1)),
+                       dtype=np.int64, count=nnz)
+    vals = np.fromiter(chain.from_iterable(map(methodcaller("values"), terms)),
+                       dtype=float, count=nnz)
+    sense = _codes(_SENSES, map(attrgetter("sense"), rows), m)
+    rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
+    faulty = (sense < 0) | ~np.isfinite(rhs)
+    bad_terms = np.flatnonzero((cols < 0) | ~np.isfinite(vals))
+    faulty[np.searchsorted(indptr, bad_terms, side="right") - 1] = True  # their rows
+    if faulty.any():
+        raise BackendError(_row_fault(rows[faulty.argmax()], index))
+
+    objective = model.objective
+    costs = objective.coefficients
+    ocols = np.fromiter(map(index.get, costs, repeat(-1)), dtype=np.int64, count=len(costs))
+    ovals = np.fromiter(costs.values(), dtype=float, count=len(costs))
+    bad = np.flatnonzero((ocols < 0) | ~np.isfinite(ovals))
+    if len(bad):
+        v, coef = list(costs.items())[bad[0]]
+        raise BackendError(f"objective references unknown variable {v}" if ocols[bad[0]] < 0
+                           else f"objective has coefficient {coef} on {v}")
+    if not math.isfinite(objective.constant):
+        raise BackendError(f"objective has constant {objective.constant}")
+
+    domain = _codes(_DOMAINS, map(attrgetter("domain"), variables), n)
+    if (domain < 0).any():
+        raise BackendError(f"unknown variable domain {variables[(domain < 0).argmax()].domain!r}")
+    binary = domain == _DOMAINS[BINARY]
+    lower = np.where(binary, np.maximum(lower, 0.0), lower)
+    upper = np.where(binary, np.minimum(upper, 1.0), upper)
     # Bounds that admit no finite value of the domain would leave the model
     # infeasible with no row to blame: the IIS would be empty.
-    whole = integrality > 0
+    whole = domain > 0
     least = np.where(whole, np.ceil(lower), lower)
     most = np.where(whole, np.floor(upper), upper)
     empty = np.flatnonzero((least > most) | (least == np.inf) | (most == -np.inf))
     if len(empty):
-        v = model.variables[empty[0]]
+        v = variables[empty[0]]
         raise BackendError(
             f"variable {v.name} has bounds [{v.lower}, {v.upper}] that admit no {v.domain} value")
 
-    rows, cols, vals = [], [], []
-    lb = np.empty(len(model.constraints))
-    ub = np.empty(len(model.constraints))
-    for r, cons in enumerate(model.constraints):
-        for vname, coef in cons.coefficients.items():
-            rows.append(r)
-            cols.append(index[vname])
-            vals.append(coef)
-        if cons.sense == "<=":
-            lb[r], ub[r] = -np.inf, cons.rhs
-        elif cons.sense == ">=":
-            lb[r], ub[r] = cons.rhs, np.inf
-        else:
-            lb[r], ub[r] = cons.rhs, cons.rhs
-    a = sparse.csr_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
-    return _Arrays(sign, c, integrality, lower, upper, a, lb, ub)
+    sign = -1.0 if objective.sense == MAXIMIZE else 1.0
+    c = np.zeros(n)
+    c[ocols] = sign * ovals
+    a = sparse.csr_matrix((vals, cols, indptr), shape=(m, n))
+    a.sort_indices()
+    lb = np.where(sense == _SENSES["<="], -np.inf, rhs)
+    ub = np.where(sense == _SENSES[">="], np.inf, rhs)
+    return _Arrays(names, sign, c, whole.astype(float), lower, upper, a, lb, ub)
 
 
 class _Probe:
@@ -307,7 +335,7 @@ class _Probe:
         return rows & (ray > _RAY_TOL * ray.max())
 
 
-def _ray_variables(model: ModelSpec, arr: _Arrays) -> frozenset[str]:
+def _ray_variables(arr: _Arrays) -> frozenset[str]:
     """Variables driving unboundedness, found by boxing the model.
 
     Re-solves inside a +/-1e9 box; variables sitting on an artificial
@@ -321,13 +349,9 @@ def _ray_variables(model: ModelSpec, arr: _Arrays) -> frozenset[str]:
         return frozenset()
     if res.status != 0:
         return frozenset()
-    hits = set()
-    for i, v in enumerate(model.variables):
-        if v.lower == -math.inf and res.x[i] <= -_RAY_BOX * 0.999:
-            hits.add(v.name)
-        if v.upper == math.inf and res.x[i] >= _RAY_BOX * 0.999:
-            hits.add(v.name)
-    return frozenset(hits)
+    hits = ((arr.lower == -np.inf) & (res.x <= -_RAY_BOX * 0.999)
+            | (arr.upper == np.inf) & (res.x >= _RAY_BOX * 0.999))
+    return frozenset(arr.names[i] for i in np.flatnonzero(hits))
 
 
 class HighsBackend:
@@ -352,14 +376,14 @@ class HighsBackend:
             return SolveResult(
                 status=status,
                 objective=arr.sign * float(res.fun) + model.objective.constant,
-                values={v.name: float(res.x[i]) for i, v in enumerate(model.variables)},
+                values=dict(zip(arr.names, res.x.tolist())),
                 duality_gap=float(gap) if gap is not None else None,
             )
         if res.status == 2:
             return SolveResult(status=INFEASIBLE)
         if res.status == 3:
             return SolveResult(
-                status=UNBOUNDED, ray_vars=_ray_variables(model, arr))
+                status=UNBOUNDED, ray_vars=_ray_variables(arr))
         return SolveResult(status=ERROR)
 
     def compute_iis(self, model: ModelSpec) -> frozenset[str]:

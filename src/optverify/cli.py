@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT_CONFIG, PipelineConfig, read_settings
-from .errors import ConfigError, LlmError, SchemaError, UnknownBenchmark
+from .errors import ConfigError, LlmError, SchemaError
 from .evaluation import (
     aggregate,
     build_record,
@@ -193,19 +193,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             missing += 1
             continue
         _, family = split_instance_name(name)
-        try:
-            records.append(build_record(
-                name, family, args.benchmark,
-                executed=bool(res.get("executed")),
-                pred_status=normalize_pred_status(
-                    res.get("status_code"), res.get("objective")),
-                y_pred=res.get("objective"),
-                gt_status=gt["status"],
-                y_ref=gt.get("objective"),
-            ))
-        except UnknownBenchmark:
-            print(f"unknown benchmark: {args.benchmark}", file=sys.stderr)
-            return EXIT_CONFIG
+        records.append(build_record(
+            name, family,
+            executed=bool(res.get("executed")),
+            pred_status=normalize_pred_status(res.get("status_code"), res.get("objective")),
+            y_pred=res.get("objective"),
+            gt_status=gt["status"],
+            y_ref=gt.get("objective"),
+        ))
     write_records(records, args.out)
     print(f"wrote {len(records)} evaluation records to {args.out}")
     if missing:
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="judge run results against ground truth")
     p.add_argument("--results", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--benchmark", default="retail")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -60,10 +60,6 @@ class LlmError(RuntimeError):
         return type(self), (self.kind, self.message)
 
 
-class UnknownBenchmark(KeyError):
-    """No tolerance rule registered for the benchmark name."""
-
-
 class EmptySuite(ValueError):
     """Aggregation requested over zero records."""
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import EmptySuite, UnknownBenchmark
+from .errors import EmptySuite
 
 STRICT = "strict"
 PRACTICAL = "practical"
@@ -29,9 +29,6 @@ FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8")
 # both tiers because its MIPs may stop at the 1% solver gap.
 _RETAIL_TOLERANCES = {STRICT: 1e-4, PRACTICAL: 1e-2}
 _RETAIL_MIP_FAMILY = "F6"
-_EXTERNAL_TOLERANCE = 1e-6
-
-_BENCHMARKS = {"retail", "mamo", "mamo-complexlp", "industryor"}
 
 ZERO_REF_EPS = 1e-9
 
@@ -53,22 +50,14 @@ class EvalRecord:
         return asdict(self)
 
 
-def tolerance_for(benchmark: str, family: str | None, tier: str) -> float:
-    """Tolerance epsilon for (benchmark, family, tier).
-
-    Retail: strict 1e-4 / practical 1e-2, except the MIP family F6 at 1e-2
-    for both tiers.  External benchmarks use 1e-6 regardless.
-    """
-    name = benchmark.strip().lower()
-    if name not in _BENCHMARKS:
-        raise UnknownBenchmark(benchmark)
+def tolerance_for(family: str | None, tier: str) -> float:
+    """Tolerance epsilon for (family, tier): strict 1e-4 / practical 1e-2,
+    except the MIP family F6 at 1e-2 for both tiers."""
     if tier not in (STRICT, PRACTICAL):
         raise ValueError(f"unknown tier {tier!r}")
-    if name.startswith("retail"):
-        if family == _RETAIL_MIP_FAMILY:
-            return 1e-2
-        return _RETAIL_TOLERANCES[tier]
-    return _EXTERNAL_TOLERANCE
+    if family == _RETAIL_MIP_FAMILY:
+        return 1e-2
+    return _RETAIL_TOLERANCES[tier]
 
 
 def relative_error(y_pred: float, y_ref: float) -> float:
@@ -108,7 +97,6 @@ def normalize_pred_status(status_code: int | None, objective: float | None) -> s
 def build_record(
     instance: str,
     family: str,
-    benchmark: str,
     *,
     executed: bool,
     pred_status: str | None,
@@ -119,8 +107,8 @@ def build_record(
     rel = None
     if y_pred is not None and y_ref is not None:
         rel = relative_error(y_pred, y_ref)
-    eps_strict = tolerance_for(benchmark, family, STRICT)
-    eps_practical = tolerance_for(benchmark, family, PRACTICAL)
+    eps_strict = tolerance_for(family, STRICT)
+    eps_practical = tolerance_for(family, PRACTICAL)
     return EvalRecord(
         instance=instance,
         family=family,

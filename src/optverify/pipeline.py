@@ -31,14 +31,20 @@ from .scenario import ScenarioInstance, to_json_dict
 
 @dataclass
 class InstanceRunResult:
-    """What a run observed: the program it ends with, phase 1's last L1
-    check and phase 2's outcome (None after a Fatal).  The rest is derived."""
+    """What a run observed: the program phase 1 ends with (None when
+    generation failed), its last L1 check and phase 2's outcome (None after
+    a Fatal).  The rest is derived."""
 
     instance: str
-    program: CandidateProgram | None
+    generated: CandidateProgram | None
     l1: L1Result
     repair: RepairOutcome | None = None
     events: list[dict] = field(default_factory=list)
+
+    @property
+    def program(self) -> CandidateProgram | None:
+        """The program the run ends with: phase 2's, once it ran."""
+        return self.repair.program if self.repair else self.generated
 
     @property
     def report(self) -> VerificationReport:
@@ -120,7 +126,6 @@ def run_instance(
         if l1_result.passed:
             repair = repair_loop(
                 program, l1_result.objective, problem, llm, runtime, config=config)
-            program = repair.program
             events.extend(repair.events)
 
     result = InstanceRunResult(inst.name, program, l1_result, repair, events)

@@ -90,6 +90,7 @@ def build_reference_model(
         raise ValueError(f"unknown mutation keys: {sorted(unknown)}")
 
     T = inst.periods
+    periods = range(1, T + 1)
     products, locations = inst.products, inst.locations
     sl = inst.shelf_life
     lt = inst.lead_time
@@ -110,224 +111,208 @@ def build_reference_model(
             return float(inst.production_cap[p][arrival - 1])
         return float("inf")
 
+    # Each variable name is formatted once, into a table indexed the way the
+    # name reads: I[p, l][t][k] is "I[p,l,t,k]" and Q[p, l][t] is "Q[p,l,t]",
+    # with t and k 1-based like the model (index 0 is unused).
+    def per_period(name, *key) -> list:
+        return [None, *(name(*key, t) for t in periods)]
+
+    I, Y, Q, W, L, Z, N = {}, {}, {}, {}, {}, {}, {}
+    for p in products:
+        buckets = range(1, sl[p] + 1)
+        for l in locations:
+            I[p, l] = [None, *([None, *(_iv(p, l, t, k) for k in buckets)] for t in periods)]
+            Y[p, l] = [None, *([None, *(_yv(p, l, t, k) for k in buckets)] for t in periods)]
+            Q[p, l], W[p, l], L[p, l] = (per_period(f, p, l) for f in (_qv, _wv, _lv))
+            if has_z:
+                Z[p, l] = per_period(_zv, p, l)
+            if has_n:
+                N[p, l] = per_period(_nv, p, l)
+    S = {(pf, pt, l): per_period(_sv, pf, pt, l) for (pf, pt) in sub_edges for l in locations}
+    X = {(p, lf, lto): per_period(_xv, p, lf, lto)
+         for p in products for (lf, lto) in trans_edges}
+
     variables: list[Variable] = []
     for p in products:
         for l in locations:
-            for t in range(1, T + 1):
-                for k in range(1, sl[p] + 1):
-                    variables.append(Variable(_iv(p, l, t, k)))
-                    variables.append(Variable(_yv(p, l, t, k)))
-                variables.append(Variable(_qv(p, l, t), upper=order_cap(p, t)))
-                variables.append(Variable(_wv(p, l, t)))
-                variables.append(Variable(_lv(p, l, t)))
+            for t in periods:
+                for i, y in zip(I[p, l][t][1:], Y[p, l][t][1:]):
+                    variables += Variable(i), Variable(y)
+                variables += (Variable(Q[p, l][t], upper=order_cap(p, t)),
+                              Variable(W[p, l][t]), Variable(L[p, l][t]))
     for (pf, pt) in sub_edges:
         for l in locations:
-            for t in range(1, T + 1):
-                variables.append(Variable(_sv(pf, pt, l, t)))
+            variables += map(Variable, S[pf, pt, l][1:])
     for p in products:
         for (lf, lto) in trans_edges:
-            for t in range(1, T + 1):
-                variables.append(Variable(_xv(p, lf, lto, t)))
+            variables += map(Variable, X[p, lf, lto][1:])
     if has_z:
         for p in products:
             for l in locations:
-                for t in range(1, T + 1):
-                    variables.append(Variable(_zv(p, l, t), domain=BINARY, upper=1.0))
+                variables += (Variable(z, BINARY, upper=1.0) for z in Z[p, l][1:])
     if has_n:
         for p in products:
             for l in locations:
-                for t in range(1, T + 1):
+                for t in periods:
                     cap = order_cap(p, t)
                     n_upper = float(int(cap // pack)) if cap != float("inf") else cap
-                    variables.append(Variable(_nv(p, l, t), domain=INTEGER, upper=n_upper))
+                    variables.append(Variable(N[p, l][t], INTEGER, upper=n_upper))
 
     # Objective: purchasing + holding (k>=2 only; bucket 1 either sells or
     # becomes waste, charging it would double-count the waste penalty) +
-    # waste + lost sales, plus fixed-order and transshipment terms.
+    # waste + lost sales, plus fixed-order and transshipment terms.  Zero
+    # costs are left out.
     obj: dict[str, float] = {}
-
-    def add_obj(name: str, coef: float) -> None:
-        if coef:
-            obj[name] = obj.get(name, 0.0) + coef
-
     for p in products:
+        purchasing, waste, lost = float(c.purchasing[p]), float(c.waste[p]), float(c.lost_sales[p])
+        holding = 0.0 if "holding_cost" in drop else float(c.inventory[p])
         for l in locations:
-            for t in range(1, T + 1):
-                add_obj(_qv(p, l, t), c.purchasing[p])
-                add_obj(_wv(p, l, t), c.waste[p])
-                add_obj(_lv(p, l, t), c.lost_sales[p])
-                if "holding_cost" not in drop:
-                    for k in range(2, sl[p] + 1):
-                        add_obj(_iv(p, l, t, k), c.inventory[p])
-                        add_obj(_yv(p, l, t, k), -c.inventory[p])
+            for t in periods:
+                if purchasing:
+                    obj[Q[p, l][t]] = purchasing
+                if waste:
+                    obj[W[p, l][t]] = waste
+                if lost:
+                    obj[L[p, l][t]] = lost
+                if holding:
+                    for i, y in zip(I[p, l][t][2:], Y[p, l][t][2:]):
+                        obj[i], obj[y] = holding, -holding
     if has_z and c.fixed_order > 0:
         for p in products:
             for l in locations:
-                for t in range(1, T + 1):
-                    add_obj(_zv(p, l, t), c.fixed_order)
-    for p in products:
-        for (lf, lto) in trans_edges:
-            for t in range(1, T + 1):
-                add_obj(_xv(p, lf, lto, t), c.transshipment)
+                obj.update(dict.fromkeys(Z[p, l][1:], float(c.fixed_order)))
+    if c.transshipment:
+        for p in products:
+            for (lf, lto) in trans_edges:
+                obj.update(dict.fromkeys(X[p, lf, lto][1:], float(c.transshipment)))
 
     cons: list[Constraint] = []
-
-    def eq(name: str, coeffs: dict[str, float], rhs: float = 0.0) -> None:
-        cons.append(Constraint(name, coeffs, "=", rhs))
-
-    def le(name: str, coeffs: dict[str, float], rhs: float) -> None:
-        cons.append(Constraint(name, coeffs, "<=", rhs))
-
-    def ge(name: str, coeffs: dict[str, float], rhs: float) -> None:
-        cons.append(Constraint(name, coeffs, ">=", rhs))
-
     for p in products:
         n_out, n_in = substitution_neighbors(inst, p)
         rho = inst.return_rate[p]
+        buckets = range(1, sl[p] + 1)
         for l in locations:
-            incoming = [lf for (lf, lto) in trans_edges if lto == l]
-            outgoing = [lto for (lf, lto) in trans_edges if lf == l]
-            for t in range(1, T + 1):
+            i, y, q, w, lost = I[p, l], Y[p, l], Q[p, l], W[p, l], L[p, l]
+            incoming = [X[p, lf, lto] for (lf, lto) in trans_edges if lto == l]
+            outgoing = [X[p, lf, lto] for (lf, lto) in trans_edges if lf == l]
+            for t in periods:
                 # Non-fresh buckets start empty: every unit must originate
                 # from an order (no phantom stock).
                 if t == 1:
                     for k in range(1, sl[p]):
-                        eq(f"init_zero[{p},{l},{k}]", {_iv(p, l, 1, k): 1.0})
+                        cons.append(Constraint(f"init_zero[{p},{l},{k}]", {i[1][k]: 1.0}, "=", 0.0))
 
                 # Fresh bucket receives arrivals, net transshipment, returns.
-                coeffs: dict[str, float] = {_iv(p, l, t, sl[p]): 1.0}
+                coeffs: dict[str, float] = {i[t][sl[p]]: 1.0}
                 if t - lt[p] >= 1:
-                    coeffs[_qv(p, l, t - lt[p])] = -1.0
-                for lf in incoming:
-                    coeffs[_xv(p, lf, l, t)] = -1.0
-                for lto in outgoing:
-                    coeffs[_xv(p, l, lto, t)] = coeffs.get(_xv(p, l, lto, t), 0.0) + 1.0
+                    coeffs[q[t - lt[p]]] = -1.0
+                for x in incoming:
+                    coeffs[x[t]] = -1.0
+                for x in outgoing:
+                    coeffs[x[t]] = coeffs.get(x[t], 0.0) + 1.0
                 if rho > 0 and t >= 2:
-                    for k in range(1, sl[p] + 1):
-                        coeffs[_yv(p, l, t - 1, k)] = -rho
-                eq(f"fresh_inflow[{p},{l},{t}]", coeffs)
+                    coeffs.update(dict.fromkeys(y[t - 1][1:], -rho))
+                cons.append(Constraint(f"fresh_inflow[{p},{l},{t}]", coeffs, "=", 0.0))
 
                 # Aging: bucket k+1 today becomes bucket k tomorrow, net of
                 # today's sales from that bucket.
                 if t <= T - 1:
                     for k in range(1, sl[p]):
-                        eq(
+                        cons.append(Constraint(
                             f"aging[{p},{l},{t},{k}]",
-                            {
-                                _iv(p, l, t + 1, k): 1.0,
-                                _iv(p, l, t, k + 1): -1.0,
-                                _yv(p, l, t, k + 1): 1.0,
-                            },
-                        )
+                            {i[t + 1][k]: 1.0, i[t][k + 1]: -1.0, y[t][k + 1]: 1.0}, "=", 0.0))
 
                 # Only bucket 1 expires; unsold oldest stock becomes waste.
-                eq(
-                    f"waste_def[{p},{l},{t}]",
-                    {_wv(p, l, t): 1.0, _iv(p, l, t, 1): -1.0, _yv(p, l, t, 1): 1.0},
-                )
+                cons.append(Constraint(
+                    f"waste_def[{p},{l},{t}]", {w[t]: 1.0, i[t][1]: -1.0, y[t][1]: 1.0}, "=", 0.0))
 
-                for k in range(1, sl[p] + 1):
-                    le(
-                        f"sales_avail[{p},{l},{t},{k}]",
-                        {_yv(p, l, t, k): 1.0, _iv(p, l, t, k): -1.0},
-                        0.0,
-                    )
+                for k in buckets:
+                    cons.append(Constraint(
+                        f"sales_avail[{p},{l},{t},{k}]", {y[t][k]: 1.0, i[t][k]: -1.0}, "<=", 0.0))
 
                 # Demand conservation with substitution routing: exported
                 # demand is served by the partner's sales, imported demand
                 # adds to ours.
                 d = demand_at(inst, p, l, t)
-                coeffs = {_yv(p, l, t, k): 1.0 for k in range(1, sl[p] + 1)}
-                coeffs[_lv(p, l, t)] = 1.0
+                coeffs = dict.fromkeys(y[t][1:], 1.0)
+                coeffs[lost[t]] = 1.0
                 for pt in n_out:
-                    coeffs[_sv(p, pt, l, t)] = 1.0
+                    coeffs[S[p, pt, l][t]] = 1.0
                 for pf in n_in:
-                    coeffs[_sv(pf, p, l, t)] = -1.0
-                eq(f"demand_balance[{p},{l},{t}]", coeffs, d)
+                    coeffs[S[pf, p, l][t]] = -1.0
+                cons.append(Constraint(f"demand_balance[{p},{l},{t}]", coeffs, "=", d))
 
                 if n_out:
-                    le(
+                    cons.append(Constraint(
                         f"sub_export_cap[{p},{l},{t}]",
-                        {_sv(p, pt, l, t): 1.0 for pt in n_out},
-                        d,
-                    )
+                        {S[p, pt, l][t]: 1.0 for pt in n_out}, "<=", d))
 
     # Production capacity binds delivered inflow in the arrival period.
     for p in products:
-        for t in range(1, T + 1):
+        for t in periods:
             if t - lt[p] >= 1:
-                le(
+                cons.append(Constraint(
                     f"production_capacity[{p},{t}]",
-                    {_qv(p, l, t - lt[p]): 1.0 for l in locations},
-                    inst.production_cap[p][t - 1],
-                )
+                    {Q[p, l][t - lt[p]]: 1.0 for l in locations},
+                    "<=", inst.production_cap[p][t - 1]))
 
     # Storage measured on start-of-period inventory (before sales).
     if "storage_capacity" not in drop:
         for l in locations:
-            for t in range(1, T + 1):
+            for t in periods:
                 coeffs = {}
                 for p in products:
-                    for k in range(1, sl[p] + 1):
-                        coeffs[_iv(p, l, t, k)] = inst.cold_usage[p]
-                le(f"storage_capacity[{l},{t}]", coeffs, inst.cold_capacity[l])
+                    coeffs.update(dict.fromkeys(I[p, l][t][1:], inst.cold_usage[p]))
+                cons.append(Constraint(
+                    f"storage_capacity[{l},{t}]", coeffs, "<=", inst.cold_capacity[l]))
 
     if has_labor:
         for l in locations:
-            for t in range(1, T + 1):
+            for t in periods:
                 coeffs = {}
                 for p in products:
                     if inst.labor_usage[p] > 0:
-                        for k in range(1, sl[p] + 1):
-                            coeffs[_yv(p, l, t, k)] = inst.labor_usage[p]
-                le(f"labor_capacity[{l},{t}]", coeffs, inst.labor_cap[l][t - 1])
+                        coeffs.update(dict.fromkeys(Y[p, l][t][1:], inst.labor_usage[p]))
+                cons.append(Constraint(
+                    f"labor_capacity[{l},{t}]", coeffs, "<=", inst.labor_cap[l][t - 1]))
 
     budget = inst.constraints.budget_per_period
     if budget is not None:
-        for t in range(1, T + 1):
-            coeffs = {_qv(p, l, t): c.purchasing[p] for p in products for l in locations}
+        for t in periods:
+            coeffs = {Q[p, l][t]: c.purchasing[p] for p in products for l in locations}
             if has_z and c.fixed_order > 0:
                 for p in products:
                     for l in locations:
-                        coeffs[_zv(p, l, t)] = c.fixed_order
-            le(f"budget[{t}]", coeffs, budget)
+                        coeffs[Z[p, l][t]] = c.fixed_order
+            cons.append(Constraint(f"budget[{t}]", coeffs, "<=", budget))
 
     omega = inst.constraints.waste_limit_pct
     if omega is not None:
         total_demand = sum(
             demand_at(inst, p, l, t)
-            for p in products for l in locations for t in range(1, T + 1)
+            for p in products for l in locations for t in periods
         )
-        coeffs = {
-            _wv(p, l, t): 1.0
-            for p in products for l in locations for t in range(1, T + 1)
-        }
-        le("waste_cap", coeffs, omega * total_demand)
+        coeffs = {W[p, l][t]: 1.0 for p in products for l in locations for t in periods}
+        cons.append(Constraint("waste_cap", coeffs, "<=", omega * total_demand))
 
     if has_z:
         for p in products:
             for l in locations:
-                for t in range(1, T + 1):
-                    le(
-                        f"order_trigger_link[{p},{l},{t}]",
-                        {_qv(p, l, t): 1.0, _zv(p, l, t): -BIG_M},
-                        0.0,
-                    )
+                for t in periods:
+                    q, z = Q[p, l][t], Z[p, l][t]
+                    cons.append(Constraint(
+                        f"order_trigger_link[{p},{l},{t}]", {q: 1.0, z: -BIG_M}, "<=", 0.0))
                     if moq > 0:
-                        ge(
-                            f"moq_floor[{p},{l},{t}]",
-                            {_qv(p, l, t): 1.0, _zv(p, l, t): -moq},
-                            0.0,
-                        )
+                        cons.append(Constraint(
+                            f"moq_floor[{p},{l},{t}]", {q: 1.0, z: -moq}, ">=", 0.0))
 
     if has_n:
         for p in products:
             for l in locations:
-                for t in range(1, T + 1):
-                    eq(
+                for t in periods:
+                    cons.append(Constraint(
                         f"pack_multiple[{p},{l},{t}]",
-                        {_qv(p, l, t): 1.0, _nv(p, l, t): -float(pack)},
-                    )
+                        {Q[p, l][t]: 1.0, N[p, l][t]: -float(pack)}, "=", 0.0))
 
     return ModelSpec(
         variables=variables,

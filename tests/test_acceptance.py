@@ -187,7 +187,7 @@ def test_acceptance_evaluation_arithmetic():
             feasible = rng.random() < 0.7
             err = rng.choice([0.0, 5e-5, 5e-3, 0.05, 0.5])
             records.append(build_record(
-                f"i{i}", rng.choice(["F1", "F3", "F6"]), "retail",
+                f"i{i}", rng.choice(["F1", "F3", "F6"]),
                 executed=feasible,
                 pred_status="feasible" if feasible else None,
                 y_pred=100.0 * (1 + err) if feasible else None,

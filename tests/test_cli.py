@@ -101,7 +101,7 @@ def test_run_replay_evaluate_report_flow(bench_dir, tmp_path, capsys):
     eval_file = tmp_path / "records.jsonl"
     assert main(["evaluate", "--results", str(tmp_path / "runs"),
                  "--ground-truth", str(gt_file),
-                 "--benchmark", "retail", "--out", str(eval_file)]) == EXIT_OK
+                 "--out", str(eval_file)]) == EXIT_OK
     lines = eval_file.read_text().strip().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from optverify.errors import EmptySuite, UnknownBenchmark
+from optverify.errors import EmptySuite
 from optverify.evaluation import (
     EvalRecord,
     aggregate,
@@ -33,17 +33,10 @@ def test_judge_zero_reference_uses_absolute():
 
 
 def test_tolerance_table():
-    assert tolerance_for("retail", "F3", "strict") == 1e-4
-    assert tolerance_for("retail", "F3", "practical") == 1e-2
-    assert tolerance_for("retail", "F6", "strict") == 1e-2
-    assert tolerance_for("retail", "F6", "practical") == 1e-2
-    assert tolerance_for("mamo", None, "strict") == 1e-6
-    assert tolerance_for("industryor", None, "practical") == 1e-6
-
-
-def test_unknown_benchmark():
-    with pytest.raises(UnknownBenchmark):
-        tolerance_for("nl4opt", "F1", "strict")
+    assert tolerance_for("F3", "strict") == 1e-4
+    assert tolerance_for("F3", "practical") == 1e-2
+    assert tolerance_for("F6", "strict") == 1e-2
+    assert tolerance_for("F6", "practical") == 1e-2
 
 
 def test_normalize_pred_status():
@@ -69,7 +62,7 @@ def test_silent_failure_zero_exec():
 def _record(name, family, *, execd=True, pred="feasible", y_pred=100.0,
             gt="optimal", y_ref=100.0):
     return build_record(
-        name, family, "retail",
+        name, family,
         executed=execd, pred_status=pred, y_pred=y_pred,
         gt_status=gt, y_ref=y_ref)
 
@@ -83,7 +76,7 @@ def test_build_record_tiers_differ():
 
 
 def test_build_record_f6_uses_loose_tier_for_both():
-    r = build_record("i2", "F6", "retail", executed=True,
+    r = build_record("i2", "F6", executed=True,
                      pred_status="feasible", y_pred=100.5,
                      gt_status="time_limit", y_ref=100.0)
     assert r.correct_strict and r.correct_practical
@@ -135,7 +128,7 @@ def test_tier_nesting_property(cases):
     records = []
     for i, (feasible, err) in enumerate(cases):
         records.append(build_record(
-            f"i{i}", "F1", "retail",
+            f"i{i}", "F1",
             executed=feasible,
             pred_status="feasible" if feasible else None,
             y_pred=100.0 * (1 + err) if feasible else None,

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from optverify.backend import SolveParams
-from optverify.generator import build_instance
+from optverify.generator import ARCHETYPES, build_instance
 from optverify.reference import (
+    MUTATIONS,
     build_reference_model,
     check_flow_conservation,
     extract_solution,
@@ -188,3 +191,73 @@ def test_time_limit_params_respected(f1_base_v0):
     result = solve_reference(
         f1_base_v0, params=SolveParams(time_limit_s=30.0))
     assert result.status == "optimal"
+
+
+def _layout_digest(models) -> str:
+    """Hash of what HiGHS is handed, in the order it is handed over:
+    variables, rows with their coefficients in insertion order, and the
+    objective terms in order."""
+    h = hashlib.sha256()
+    for model in models:
+        for v in model.variables:
+            h.update(f"v {v.name} {v.domain} {float(v.lower)!r} {float(v.upper)!r}\n".encode())
+        for c in model.constraints:
+            terms = " ".join(f"{name}:{float(x)!r}" for name, x in c.coefficients.items())
+            h.update(f"c {c.name} {c.sense} {float(c.rhs)!r} {terms}\n".encode())
+        obj = model.objective
+        terms = " ".join(f"{name}:{float(x)!r}" for name, x in obj.coefficients.items())
+        h.update(f"o {obj.sense} {float(obj.constant)!r} {terms}\n".encode())
+    return h.hexdigest()[:16]
+
+
+# Variant 0 of each archetype, intact and under each of ``MUTATIONS`` in
+# sorted order.  A builder change that reorders anything changes HiGHS's
+# input, and so the replayed run bytes; it has to change these on purpose.
+LAYOUT_DIGESTS = {
+    "f1_52_weeks": "2537f0f6e8f85256",
+    "f1_base": "5d3490255b8a654a",
+    "f1_high_waste": "01e4e3df16d512ab",
+    "f1_jit_logic": "d9527b37a4bdf335",
+    "f2_cannibalization": "3103bc54a36b3788",
+    "f2_circular_sub": "a3f7fe89960b4777",
+    "f2_no_substitution": "b89f0e9b60ee3d08",
+    "f2_price_band_tight": "8759f7b5ed135d4c",
+    "f2_promo_budget": "8fbffc2869d39709",
+    "f2_ultra_fresh": "a5fa2761d5a29437",
+    "f3_storage_bottleneck": "1718ff3fb4a09acb",
+    "f3_supply_bottleneck": "b8a8c697aa77d4ca",
+    "f3_unbalanced_network": "01ff5be86428c6c9",
+    "f3_volumetric_constraint": "8535f953d80bd894",
+    "f4_demand_surge": "69a28843bbba10f1",
+    "f4_early_stockout": "76cbba13e8a1c316",
+    "f4_peak_failure": "70139243f6163dc7",
+    "f4_quality_hold": "3f9f03567115e7ae",
+    "f4_robust_variance": "618a265c2f5e1601",
+    "f4_supply_risk": "a37ba43b40d266a9",
+    "f5_impossible_demand": "5bcd74d097c83483",
+    "f5_storage_overflow": "f165beb772f0a0cb",
+    "f5_strict_service_trap": "3dd0931ad1e06714",
+    "f5_ultimate_stress": "2dd5a02c3dd7e8e4",
+    "f6_fixed_order_cost": "984d196bda1704ca",
+    "f6_lead_time": "612ad8924ca3c51f",
+    "f6_moq_binary": "9edacd3f62cc75ee",
+    "f6_pack_size_integer": "71c3486c9ce97ba2",
+    "f7_budget_limit": "90842f799df74887",
+    "f7_hub_and_spoke": "f9e630c33fdaaa1e",
+    "f7_multi_sourcing": "e7c34ae61f4724ab",
+    "f7_multiechelon_chain": "b6bdd6cc30e6ec75",
+    "f7_ring_routing": "ec011be2f1f5e705",
+    "f7_transshipment": "aff632ce5ab24a65",
+    "f8_labor_constraint": "b1dc7abbf298d0ec",
+    "f8_reverse_logistics": "ece90f9647179c6a",
+    "f8_ship_from_store": "030be981b628a917",
+    "f8_sustainability": "806c067f96a8a4ae",
+}
+
+
+@pytest.mark.parametrize("archetype_id", sorted(ARCHETYPES))
+def test_reference_model_layout_is_pinned(archetype_id):
+    inst = build_instance(archetype_id, 0)
+    models = [build_reference_model(inst)] + [
+        build_reference_model(inst, drop=(key,)) for key in sorted(MUTATIONS)]
+    assert _layout_digest(models) == LAYOUT_DIGESTS[archetype_id]
