@@ -1,22 +1,23 @@
 """Backend-agnostic MILP layer.
 
 ``ModelSpec`` is a plain linear-program carrier (variables, linear
-constraints, objective); the default backend solves it with HiGHS through
-``scipy.optimize.milp``.  The model is checked where it is laid out as
+constraints, objective).  The model is checked where it is laid out as
 arrays, in ``_assemble``: one whole-array pass per field, and a model with
 a fault (a duplicate name, an unknown variable, a non-finite number, a bad
 sense or domain, bounds that admit no value) is refused with a
-``BackendError`` naming the first one.  The backend also provides the two
-diagnosis capabilities the verification layers rely on:
+``BackendError`` naming the first one.  Every HiGHS run goes through
+``_Session``, which passes the arrays once to HiGHS (the binding scipy
+ships).  The backend also provides the two diagnosis capabilities the
+verification layers rely on:
 
 * :meth:`HighsBackend.compute_iis` - an irreducible inconsistent subsystem
   via the classic deletion filter (tentatively delete each constraint; keep
   it deleted while the rest stays infeasible).  The probes warm-start on
-  one HiGHS instance (scipy's binding), and a row outside a verified Farkas
-  certificate of the rows left (HiGHS's dual ray) is deleted without a
-  probe, so the result is the plain filter's in a fraction of the solves.
-  An integer model whose LP relaxation is feasible has no such
-  certificate; there every row is probed.  No native IIS support needed.
+  one session, and a row outside a verified Farkas certificate of the rows
+  left (HiGHS's dual ray) is deleted without a probe, so the result is the
+  plain filter's in a fraction of the solves.  An integer model whose LP
+  relaxation is feasible has no such certificate; there every row is
+  probed.  No native IIS support needed.
 * unbounded-ray reporting - re-solve inside a large artificial box and
   report the variables that run to the box walls.
 
@@ -35,9 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy._core import (
-    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kSolutionStatusFeasible)
+    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf, kSolutionStatusFeasible)
 
 from .errors import BackendError, NotInfeasible
 
@@ -57,6 +57,12 @@ ERROR = "error"
 # Candidate output contract: integer codes printed on the `status:` line.
 _STATUS_CODES = {OPTIMAL: 2, INFEASIBLE: 3, UNBOUNDED: 5, TIME_LIMIT: 9, ERROR: 12}
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
+
+# HiGHS's model statuses as solve reports them; any other is an error.
+_MODEL_STATUSES = {
+    HighsModelStatus.kOptimal: OPTIMAL, HighsModelStatus.kTimeLimit: TIME_LIMIT,
+    HighsModelStatus.kIterationLimit: TIME_LIMIT, HighsModelStatus.kInfeasible: INFEASIBLE,
+    HighsModelStatus.kUnbounded: UNBOUNDED}
 
 # Relative gap at which HiGHS stops a MIP, for every solve.
 MIP_GAP = 0.01
@@ -143,23 +149,6 @@ class _Arrays:
     a: sparse.csr_matrix
     lb: np.ndarray
     ub: np.ndarray
-
-    def highs(self, c: np.ndarray, params: SolveParams = SolveParams()):
-        """One ``milp`` solve of the model under the objective ``c``."""
-        try:
-            return milp(
-                c=c,
-                constraints=[LinearConstraint(self.a, self.lb, self.ub)] if self.a.shape[0] else [],
-                integrality=self.integrality,
-                bounds=Bounds(self.lower, self.upper),
-                options={
-                    "time_limit": params.time_limit_s,
-                    "mip_rel_gap": MIP_GAP,
-                    "disp": False,
-                },
-            )
-        except Exception as exc:  # scipy-level failure, not model status
-            raise BackendError(f"solver crashed: {exc}") from exc
 
 
 def _codes(table: dict[str, int], keys, count: int) -> np.ndarray:
@@ -258,43 +247,49 @@ def _assemble(model: ModelSpec) -> _Arrays:
     return _Arrays(names, sign, c, whole.astype(float), lower, upper, a, lb, ub)
 
 
-class _Probe:
-    """The model under a zero objective on one HiGHS instance, whose rows
-    are deleted by freeing their bounds.  An integer model runs as a MIP, or
-    as its LP relaxation for a certificate."""
+class _Session:
+    """The model under the objective ``c`` on one HiGHS instance, the only
+    code here that talks to HiGHS; each run gets ``params``'s time limit.
+    ``milp`` runs one once.  The IIS probes run one many times, deleting
+    rows by freeing their bounds; an integer model runs as a MIP or as its
+    LP relaxation for a certificate."""
 
-    def __init__(self, arr: _Arrays):
+    def __init__(self, arr: _Arrays, c: np.ndarray, params: SolveParams):
         m, n = arr.a.shape
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = n, m
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.zeros(n), arr.lower, arr.upper
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, arr.lower, arr.upper
         lp.row_lower_, lp.row_upper_ = arr.lb, arr.ub
         a = lp.a_matrix_
         a.format_, a.num_col_, a.num_row_ = MatrixFormat.kRowwise, n, m
         a.start_, a.index_, a.value_ = arr.a.indptr, arr.a.indices, arr.a.data
         self.highs = _Highs()
         self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("mip_rel_gap", MIP_GAP)
         if self.highs.passModel(lp) == HighsStatus.kError:
             raise BackendError("HiGHS refused the model")
+        self.time_limit_s = params.time_limit_s
         self.lb, self.ub = arr.lb, arr.ub
         self.on = np.ones(m, dtype=bool)  # rows whose bounds the instance holds
         self.whole = np.flatnonzero(arr.integrality).astype(np.int32)
-        self.relaxed = True  # passed without integrality
+        self.relaxed = True  # passed without integrality: the first run sets it
         self.relaxation_feasible = False
 
-    def _run(self, rows: np.ndarray, relaxed: bool) -> HighsModelStatus:
-        for r in np.flatnonzero(rows != self.on):
-            self.highs.changeRowBounds(int(r), *((self.lb[r], self.ub[r]) if rows[r]
-                                                 else (-np.inf, np.inf)))
-        self.on = rows.copy()
+    def run(self, rows: np.ndarray | None = None, relaxed: bool = False) -> HighsModelStatus:
+        """Run with the rows marked in ``rows`` (all, at first) in force, as
+        the LP relaxation when ``relaxed``."""
+        if rows is not None:
+            for r in np.flatnonzero(rows != self.on):
+                self.highs.changeRowBounds(int(r), *((self.lb[r], self.ub[r]) if rows[r]
+                                                     else (-np.inf, np.inf)))
+            self.on = rows.copy()
         if len(self.whole) and relaxed != self.relaxed:
             self.highs.changeColsIntegrality(
                 len(self.whole), self.whole,
                 np.full(len(self.whole), 0 if relaxed else 1, dtype=np.uint8))
             self.relaxed = relaxed
         # HiGHS's clock runs on across the instance's runs: give each its own limit.
-        self.highs.setOptionValue(
-            "time_limit", self.highs.getRunTime() + SolveParams().time_limit_s)
+        self.highs.setOptionValue("time_limit", self.highs.getRunTime() + self.time_limit_s)
         self.highs.run()
         return self.highs.getModelStatus()
 
@@ -304,7 +299,7 @@ class _Probe:
         Any outcome but ``kInfeasible`` or a feasible point (a time limit,
         say) raises: read either way, it could keep a row the IIS does not
         need or drop one it does."""
-        status = self._run(rows, relaxed=False)
+        status = self.run(rows)
         if status == HighsModelStatus.kInfeasible:
             return True
         if self.highs.getInfo().primal_solution_status == kSolutionStatusFeasible:
@@ -324,7 +319,7 @@ class _Probe:
         if self.relaxation_feasible:
             return None
         if len(self.whole):
-            status = self._run(rows, relaxed=True)
+            status = self.run(rows, relaxed=True)
             self.relaxation_feasible = status == HighsModelStatus.kOptimal
             if status != HighsModelStatus.kInfeasible:
                 return None
@@ -335,7 +330,22 @@ class _Probe:
         return rows & (ray > _RAY_TOL * ray.max())
 
 
-def _ray_variables(arr: _Arrays) -> frozenset[str]:
+def milp(arr: _Arrays, params: SolveParams):
+    """One run of a new session: the status and, when there is a point (an
+    optimum, or a MIP's incumbent at its limit; never an LP's there), the
+    point, its objective under ``arr.c`` and the MIP gap (None for an LP)."""
+    session = _Session(arr, arr.c, params)
+    status = _MODEL_STATUSES.get(session.run(), ERROR)
+    info = session.highs.getInfo()
+    mip = len(session.whole) > 0
+    if status == OPTIMAL or (status == TIME_LIMIT and mip
+                             and info.objective_function_value < kHighsInf):
+        return (status, session.highs.getSolution().col_value,
+                info.objective_function_value, info.mip_gap if mip else None)
+    return status, None, None, None
+
+
+def _ray_variables(arr: _Arrays, params: SolveParams) -> frozenset[str]:
     """Variables driving unboundedness, found by boxing the model.
 
     Re-solves inside a +/-1e9 box; variables sitting on an artificial
@@ -343,48 +353,35 @@ def _ray_variables(arr: _Arrays) -> frozenset[str]:
     """
     boxed = replace(arr, lower=np.maximum(arr.lower, -_RAY_BOX),
                     upper=np.minimum(arr.upper, _RAY_BOX))
-    try:
-        res = boxed.highs(boxed.c)
-    except BackendError:
+    status, x, _, _ = milp(boxed, params)
+    if status != OPTIMAL:
         return frozenset()
-    if res.status != 0:
-        return frozenset()
-    hits = ((arr.lower == -np.inf) & (res.x <= -_RAY_BOX * 0.999)
-            | (arr.upper == np.inf) & (res.x >= _RAY_BOX * 0.999))
+    x = np.array(x)
+    hits = ((arr.lower == -np.inf) & (x <= -_RAY_BOX * 0.999)
+            | (arr.upper == np.inf) & (x >= _RAY_BOX * 0.999))
     return frozenset(arr.names[i] for i in np.flatnonzero(hits))
 
 
 class HighsBackend:
-    """MILP solving via scipy's HiGHS binding.
+    """MILP solving on HiGHS sessions; a model HiGHS refuses raises ``BackendError``.
 
     IIS comes from a portable deletion filter and unbounded rays from an
-    artificial-box probe.  HiGHS runs single-threaded here, so repeated
-    solves of one model are deterministic.
+    artificial-box probe.  HiGHS solves a MIP on a process-wide thread
+    pool; its runs are deterministic all the same, so short of a time
+    limit, a model passed again gets the same run.
     """
 
     def solve(self, model: ModelSpec, params: SolveParams = SolveParams()) -> SolveResult:
         arr = _assemble(model)
         if not model.variables:
             return SolveResult(status=OPTIMAL, objective=model.objective.constant)
-        res = arr.highs(arr.c, params=params)
-
-        if res.status in (0, 1):
-            status = OPTIMAL if res.status == 0 else TIME_LIMIT
-            if res.x is None:  # time limit before any incumbent
-                return SolveResult(status=status)
-            gap = getattr(res, "mip_gap", None)
-            return SolveResult(
-                status=status,
-                objective=arr.sign * float(res.fun) + model.objective.constant,
-                values=dict(zip(arr.names, res.x.tolist())),
-                duality_gap=float(gap) if gap is not None else None,
-            )
-        if res.status == 2:
-            return SolveResult(status=INFEASIBLE)
-        if res.status == 3:
-            return SolveResult(
-                status=UNBOUNDED, ray_vars=_ray_variables(arr))
-        return SolveResult(status=ERROR)
+        status, x, fun, gap = milp(arr, params)
+        if x is not None:
+            return SolveResult(status, arr.sign * fun + model.objective.constant,
+                               dict(zip(arr.names, x)), duality_gap=gap)
+        if status == UNBOUNDED:
+            return SolveResult(status=UNBOUNDED, ray_vars=_ray_variables(arr, params))
+        return SolveResult(status=status)
 
     def compute_iis(self, model: ModelSpec) -> frozenset[str]:
         """Irreducible inconsistent subsystem of an infeasible model.
@@ -394,7 +391,7 @@ class HighsBackend:
         The result is irreducible (removing any single member restores
         feasibility) though not necessarily minimum-cardinality.
 
-        The model is passed once to one HiGHS instance, and a probe frees
+        The model is passed once to one session, and a probe frees
         or restores row bounds and runs again: an LP probe is a dual
         simplex warm-started from the last basis.  Most probes are skipped:
         HiGHS's dual ray on the LP relaxation names the rows a Farkas
@@ -412,7 +409,7 @@ class HighsBackend:
         arr = _assemble(model)
         if not model.variables:
             raise NotInfeasible("model is not infeasible; no IIS exists")
-        probe = _Probe(arr)
+        probe = _Session(arr, np.zeros(len(arr.names)), SolveParams())
 
         def needed(rows: np.ndarray) -> np.ndarray:
             carriers = probe.certificate(rows)

@@ -250,13 +250,13 @@ def _deletion_filter(model):
 def probes(monkeypatch):
     """Counts the deletion filter's feasibility probes."""
     count = [0]
-    original = backend._Probe.infeasible
+    original = backend._Session.infeasible
 
     def counting(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(backend._Probe, "infeasible", counting)
+    monkeypatch.setattr(backend._Session, "infeasible", counting)
     return count
 
 
@@ -351,7 +351,7 @@ def test_iis_matches_plain_deletion_filter_on_a_reference_model():
 def test_iis_probe_that_proves_neither_outcome_raises(monkeypatch, status):
     # Read as feasible, a time-limited probe would keep a row the IIS may not
     # need; read as infeasible, it would drop one it may need.
-    monkeypatch.setattr(backend._Probe, "_run", lambda self, rows, relaxed: status)
+    monkeypatch.setattr(backend._Session, "run", lambda self, rows=None, relaxed=False: status)
     m = _model(
         [Variable("x", lower=-math.inf)],
         [Constraint("ge1", {"x": 1.0}, ">=", 1.0),

@@ -99,8 +99,8 @@ def test_infeasible_enriched_with_iis(runtime):
 def test_infeasible_keeps_its_fatal_when_an_iis_probe_ends_undecided(runtime, monkeypatch):
     # A probe that hits its time limit proves neither outcome: the Fatal
     # stays, without IIS evidence.
-    monkeypatch.setattr(backend._Probe, "_run",
-                        lambda self, rows, relaxed: HighsModelStatus.kTimeLimit)
+    monkeypatch.setattr(backend._Session, "run",
+                        lambda self, rows=None, relaxed=False: HighsModelStatus.kTimeLimit)
     model = ModelSpec(
         variables=[Variable("x", lower=-math.inf)],
         constraints=[
