@@ -56,7 +56,6 @@ ERROR = "error"
 
 # Candidate output contract: integer codes printed on the `status:` line.
 _STATUS_CODES = {OPTIMAL: 2, INFEASIBLE: 3, UNBOUNDED: 5, TIME_LIMIT: 9, ERROR: 12}
-_CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
 
 # HiGHS's model statuses as solve reports them; any other is an error.
 _MODEL_STATUSES = {
@@ -77,10 +76,6 @@ _SENSES = {"<=": 0, "=": 1, ">=": 2}
 
 def status_to_code(status: str) -> int:
     return _STATUS_CODES[status]
-
-
-def code_to_status(code: int) -> str | None:
-    return _CODE_STATUS.get(code)
 
 
 class Variable(NamedTuple):

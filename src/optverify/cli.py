@@ -134,12 +134,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = (read_settings(PipelineConfig, args.config, "configuration")
                   if args.config else DEFAULT_CONFIG).override(
-            max_regenerations=args.budget, repair_budget=args.budget,
-            workers=args.workers)
+            max_regenerations=args.budget, repair_budget=args.budget)
         llm_config = _provider_config(args.provider)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.workers < 1:
+        raise ConfigError("workers must be at least 1")
     if args.provider is None and not args.llm_replay:
         print("configuration error: --provider or --llm-replay required",
               file=sys.stderr)
@@ -160,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         # Candidates fork from the worker, and forking a threaded process can
         # deadlock the child: so parallel workers are processes, not threads.
-        for name, status in _map(run_one, files, config.workers):
+        for name, status in _map(run_one, files, args.workers):
             statuses[name] = status
             print(f"{name}: {status}")
     except LlmError as exc:
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="regeneration and repair budget")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--config", help="pipeline config JSON file")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--llm-replay", help="fixture directory of recorded replies")
     p.add_argument("--seed-fixtures", action="store_true",
                    help="record live replies into the --llm-replay directory")

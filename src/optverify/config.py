@@ -1,7 +1,7 @@
 """Pipeline configuration: the settings a caller may change per run.
 
 Defaults are the reference operating point: 60 s candidate timeout, 3
-regeneration attempts, repair budget 3, 4% regression guard, one worker.
+regeneration attempts, repair budget 3, 4% regression guard.
 The graduated L2 thresholds and the candidate cap are fixed constants of
 the layers that use them (``diagnostics.MISSING_THRESHOLD``,
 ``diagnostics.UNCERTAIN_THRESHOLD``, ``l2.MAX_CANDIDATES``).  The regression
@@ -57,7 +57,6 @@ class PipelineConfig:
     max_regenerations: int = 3
     repair_budget: int = 3
     regression_threshold: float = 0.04
-    workers: int = 1
 
     def __post_init__(self):
         if self.timeout_s <= 0:
@@ -67,11 +66,6 @@ class PipelineConfig:
         if not 0 < self.regression_threshold < MISSING_THRESHOLD:
             raise ConfigError(
                 f"regression_threshold must lie in (0, {MISSING_THRESHOLD})")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
     def override(self, **kwargs: Any) -> "PipelineConfig":
         merged = asdict(self)

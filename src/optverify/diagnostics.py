@@ -9,7 +9,7 @@ exactly the Warnings repair.  So is a report's status: its worst severity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 FATAL = "fatal"
@@ -39,39 +39,30 @@ class Diagnostic:
     issue_type: str
     target: str
     evidence: str
-    triggers_repair: bool = field(init=False)
 
     def __post_init__(self):
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
-        object.__setattr__(self, "triggers_repair", self.severity == WARNING)
+
+    @property
+    def triggers_repair(self) -> bool:
+        return self.severity == WARNING
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "layer": self.layer,
-            "severity": self.severity,
-            "issue_type": self.issue_type,
-            "target": self.target,
-            "evidence": self.evidence,
-            "triggers_repair": self.triggers_repair,
-        }
+        return {**asdict(self), "triggers_repair": self.triggers_repair}
 
 
-def classify_change_ratio(r: float, caused_infeasible: bool = False) -> str:
+def classify_change_ratio(r: float) -> str:
     """Map an objective change ratio to a severity.
 
-    Infeasibility under perturbation proves the component is enforced, so it
-    passes outright.  Otherwise: r < MISSING_THRESHOLD means the perturbed
-    parameter barely moved the objective (component likely missing,
-    Warning); the closed buffer up to UNCERTAIN_THRESHOLD is uncertain
-    (Info); anything larger confirms presence (Pass).  The thresholds are
-    constants: a pure function of the recorded ratio can be swept offline,
-    and the constants edited after.
+    r < MISSING_THRESHOLD means the perturbed parameter barely moved the
+    objective (component likely missing, Warning); the closed buffer up to
+    UNCERTAIN_THRESHOLD is uncertain (Info); anything larger confirms
+    presence (Pass).  The thresholds are constants: a pure function of the
+    recorded ratio can be swept offline, and the constants edited after.
     """
     if r < 0:
         raise ValueError("change ratio must be non-negative")
-    if caused_infeasible:
-        return PASS
     if r < MISSING_THRESHOLD:
         return WARNING
     if r <= UNCERTAIN_THRESHOLD:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .backend import DEFAULT_BACKEND, ModelSpec, SolveParams
+from .backend import DEFAULT_BACKEND, MIP_GAP, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
 from .errors import BackendError, LlmError
 from .llm import data_key_lines, extract_code
 from .runtime import CRASH, TIMEOUT, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
-DUALITY_GAP_THRESHOLD = 0.01
+DUALITY_GAP_THRESHOLD = MIP_GAP
 
 _STDERR_EXCERPT_CHARS = 800
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 import copy
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .diagnostics import (
     INFO,
@@ -525,12 +525,6 @@ def _classify(layer: Layer, cand: Candidate, run: PerturbationRun | None,
         layer.name, severity, f"{layer.issue_prefix}_{suffix}", cand.description,
         f"perturbation x{factor:g} {caused} {ratio * 100:.1f}% objective change",
     )
-
-
-def probe(layer: Layer, program: CandidateProgram, z_star: float,
-          candidates: Iterable[Candidate], runtime: CandidateRuntime) -> list[Diagnostic]:
-    """Presence test of one layer's candidates."""
-    return run_l2(program, z_star, [(layer, list(candidates))], runtime)
 
 
 def run_l2(

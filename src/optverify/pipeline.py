@@ -14,7 +14,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -32,14 +32,19 @@ from .scenario import ScenarioInstance, to_json_dict
 @dataclass
 class InstanceRunResult:
     """What a run observed: the program phase 1 ends with (None when
-    generation failed), its last L1 check and phase 2's outcome (None after
-    a Fatal).  The rest is derived."""
+    generation failed), its last L1 check, phase 2's outcome (None after a
+    Fatal) and phase 1's audit events.  The rest is derived."""
 
     instance: str
     generated: CandidateProgram | None
     l1: L1Result
-    repair: RepairOutcome | None = None
-    events: list[dict] = field(default_factory=list)
+    repair: RepairOutcome | None
+    phase1_events: list[dict]
+
+    @property
+    def events(self) -> list[dict]:
+        """Phase 1's audit events, then phase 2's."""
+        return self.phase1_events + (self.repair.events if self.repair else [])
 
     @property
     def program(self) -> CandidateProgram | None:
@@ -126,7 +131,6 @@ def run_instance(
         if l1_result.passed:
             repair = repair_loop(
                 program, l1_result.objective, problem, llm, runtime, config=config)
-            events.extend(repair.events)
 
     result = InstanceRunResult(inst.name, program, l1_result, repair, events)
     _persist(run_path, result)
@@ -144,15 +148,18 @@ def _persist(run_path: Path | None, result: InstanceRunResult) -> None:
     (run_path / "result.json").write_text(
         json.dumps(result.to_result_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    # Each regeneration and repair call's prompt and reply, for audit.
+    # Each regeneration and repair call's prompt and reply, a guided repair
+    # retry's included, for audit.
+    texts = ("prompt", "reply", "retry_prompt", "retry_reply")
     for i, event in enumerate(result.events, start=1):
         if "prompt" not in event:
             continue
         attempt_dir = run_path / f"attempt_{i}"
         attempt_dir.mkdir(parents=True, exist_ok=True)
-        for key in ("prompt", "reply"):
-            (attempt_dir / f"{key}.txt").write_text(str(event[key]), encoding="utf-8")
-        meta = {k: v for k, v in event.items() if k not in ("prompt", "reply")}
+        for key in texts:
+            if key in event:
+                (attempt_dir / f"{key}.txt").write_text(str(event[key]), encoding="utf-8")
+        meta = {k: v for k, v in event.items() if k not in texts}
         (attempt_dir / "decision.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n",
             encoding="utf-8")

@@ -17,7 +17,7 @@ The loop therefore never returns anything worse than its L1-verified input.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -256,13 +256,18 @@ def regression_check(z_new: float | None, z_old: float, tau_r: float) -> bool:
 
 @dataclass
 class RepairOutcome:
-    """Phase 2's final program, objective and L2 diagnostics; the report is derived."""
+    """Phase 2's final program, objective, L2 diagnostics and one event per
+    iteration; the report and the iteration count are derived."""
 
     program: CandidateProgram
     objective: float | None
     diagnostics: list[Diagnostic]
-    iterations: int
-    events: list[dict] = field(default_factory=list)
+    events: list[dict]
+
+    @property
+    def iterations(self) -> int:
+        """Iterations that asked for a repair: all but the skip guard's."""
+        return sum(e["decision"] != "skip_guard" for e in self.events)
 
     @property
     def report(self) -> VerificationReport:
@@ -288,7 +293,6 @@ def repair_loop(
     """
     current, z = program, z_star
     events: list[dict] = []
-    iterations = 0
     # The extraction prompts depend only on the problem and the data keys, so
     # every L2 pass tests the same lists.  A self-contained program's keys
     # are the names it binds to numeric data.
@@ -301,39 +305,31 @@ def repair_loop(
             events.append({"iteration": j, "decision": "skip_guard"})
             break
 
-        iterations = j
         reference = [d for d in diags if d.severity == INFO]
         prompt = build_repair_prompt(problem, current, z, warnings, reference)
+        event: dict[str, Any] = {"iteration": j}
+        ask = prompt
         try:
-            reply = llm.complete(REPAIR_SYSTEM_PROMPT, prompt)
+            # One guided retry after unsafe or missing code; this extra call
+            # does not consume the budget.  Each call is logged under its prefix.
+            for prefix in ("", "retry_"):
+                reply = llm.complete(REPAIR_SYSTEM_PROMPT, ask)
+                repaired = extract_code(reply)
+                violations = safety_check(repaired, current.data_mode) if repaired else []
+                event |= {prefix + "prompt": ask, prefix + "reply": reply,
+                          prefix + "safety_violations": [v.rule for v in violations]}
+                if repaired is not None and not violations:
+                    break
+                ask = ("SAFETY VIOLATIONS DETECTED in the previous repair:\n" + "".join(
+                    f"- line {v.lineno}: {v.detail}\n" for v in violations) + "\n"
+                    if violations else "The previous reply contained no code block.\n\n") + prompt
         except LlmError as exc:
-            events.append({"iteration": j, "decision": "llm_error", "detail": str(exc)})
+            events.append(event | {"decision": "llm_error", "detail": str(exc)})
             break
-
-        repaired = extract_code(reply)
-        violations = safety_check(repaired, current.data_mode) if repaired else []
-        event: dict[str, Any] = {
-            "iteration": j, "prompt": prompt, "reply": reply,
-            "safety_violations": [v.rule for v in violations],
-        }
         if repaired is None or violations:
-            # One guided retry; this extra call does not consume the budget.
-            retry_header = "SAFETY VIOLATIONS DETECTED in the previous repair:\n" + "\n".join(
-                f"- line {v.lineno}: {v.detail}" for v in violations
-            ) + "\n\n" if violations else "The previous reply contained no code block.\n\n"
-            try:
-                reply = llm.complete(REPAIR_SYSTEM_PROMPT, retry_header + prompt)
-            except LlmError as exc:
-                event["decision"] = "llm_error"
-                events.append(event)
-                break
-            repaired = extract_code(reply)
-            violations = safety_check(repaired, current.data_mode) if repaired else []
-            event["retry_safety_violations"] = [v.rule for v in violations]
-            if repaired is None or violations:
-                event["decision"] = "unsafe_repair_discarded"
-                events.append(event)
-                continue  # keep pre-repair code and its report, try again
+            event["decision"] = "unsafe_repair_discarded"
+            events.append(event)
+            continue  # keep pre-repair code and its report, try again
 
         if repaired.rstrip() == current.source.rstrip():
             event["decision"] = "identical_code"
@@ -358,4 +354,4 @@ def repair_loop(
         if plateau:
             break
 
-    return RepairOutcome(current, z, diags, iterations, events)
+    return RepairOutcome(current, z, diags, events)

@@ -15,7 +15,6 @@ from optverify.backend import (
     Objective,
     SolveParams,
     Variable,
-    code_to_status,
     status_to_code,
 )
 from optverify.errors import BackendError, NotInfeasible
@@ -130,8 +129,6 @@ def test_status_code_mapping():
     assert status_to_code("infeasible") == 3
     assert status_to_code("unbounded") == 5
     assert status_to_code("time_limit") == 9
-    assert code_to_status(2) == "optimal"
-    assert code_to_status(42) is None
 
 
 # --------------------------------------------------------------------------

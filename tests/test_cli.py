@@ -113,6 +113,21 @@ def test_run_replay_evaluate_report_flow(bench_dir, tmp_path, capsys):
     assert "F1" in out
 
 
+def test_report_judges_stored_records_again(tmp_path, capsys):
+    # The stored rel_err and verdicts contradict y_pred == y_ref: the report
+    # counts the verdict derived from the observed values.
+    record = {"instance": "retail_f1_base_v0", "family": "F1", "executed": True,
+              "pred_status": "feasible", "y_pred": 100.0, "gt_status": "optimal",
+              "y_ref": 100.0, "rel_err": 0.5, "correct_strict": False,
+              "correct_practical": False}
+    eval_file = tmp_path / "eval.jsonl"
+    eval_file.write_text(json.dumps(record) + "\n")
+    assert main(["report", "--eval", str(eval_file)]) == EXIT_OK
+    total = next(line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("Total"))
+    assert total.split()[-2:] == ["100.0", "100.0"]
+
+
 def test_replay_of_crashed_first_candidate_is_byte_identical(bench_dir, tmp_path):
     # The regeneration prompt quotes the crash traceback; it must not vary
     # between the recording run and the replay, or the replay misses.
@@ -179,6 +194,18 @@ def test_run_rejects_fixed_threshold_in_config(bench_dir, tmp_path, capsys):
                  "--config", str(cfg), "--llm-replay", str(tmp_path / "fixtures")])
     assert code == EXIT_CONFIG
     assert "unknown configuration key: missing_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_refuses_workers_in_config(bench_dir, tmp_path, capsys):
+    # --workers is the one worker setting: a config naming it is refused.
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    cfg = tmp_path / "w.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),
+                 "--config", str(cfg), "--llm-replay", str(tmp_path / "fixtures")])
+    assert code == EXIT_CONFIG
+    assert "unknown configuration key: workers" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ def test_defaults_mirror_reference_operating_point():
     assert c.max_regenerations == 3
     assert c.repair_budget == 3
     assert c.regression_threshold == 0.04
-    assert c.workers == 1
     # Fixed by the layers that use them, not set per run.
     assert MISSING_THRESHOLD == 0.05
     assert UNCERTAIN_THRESHOLD == 0.30
@@ -38,9 +37,9 @@ def test_from_dict_unknown_key(tmp_path):
 
 
 def test_from_file(tmp_path):
-    c = _load(tmp_path, {"repair_budget": 1, "workers": 2})
+    c = _load(tmp_path, {"repair_budget": 1, "max_regenerations": 2})
     assert c.repair_budget == 1
-    assert c.workers == 2
+    assert c.max_regenerations == 2
 
 
 def test_from_file_rejects_non_object(tmp_path):
@@ -60,8 +59,8 @@ def test_validation_guards(tmp_path):
 @pytest.mark.parametrize("raw", [
     {"timeout_s": "60"},
     {"repair_budget": None},
-    {"workers": 2.5},
-    {"workers": True},
+    {"max_regenerations": 2.5},
+    {"repair_budget": True},
     {"regression_threshold": False},
 ], ids=["str_float", "null_int", "float_int", "bool_int", "bool_float"])
 def test_from_dict_rejects_wrong_types(tmp_path, raw):
@@ -74,9 +73,9 @@ def test_int_accepted_for_float_field(tmp_path):
 
 
 def test_override_returns_new_config():
-    c = DEFAULT_CONFIG.override(repair_budget=5, workers=None)
+    c = DEFAULT_CONFIG.override(repair_budget=5, max_regenerations=None)
     assert c.repair_budget == 5
-    assert c.workers == DEFAULT_CONFIG.workers
+    assert c.max_regenerations == DEFAULT_CONFIG.max_regenerations
     assert DEFAULT_CONFIG.repair_budget == 3
 
 
@@ -84,7 +83,7 @@ def test_readme_config_block_matches_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Pipeline config", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-    assert json.loads(block) == DEFAULT_CONFIG.to_json_dict()
+    assert json.loads(block) == asdict(DEFAULT_CONFIG)
 
 
 def test_every_config_field_is_read():

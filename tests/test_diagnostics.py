@@ -33,12 +33,7 @@ from optverify.diagnostics import (
     (0.0, WARNING),
 ])
 def test_classifier_table(r, expected):
-    assert classify_change_ratio(r, caused_infeasible=False) == expected
-
-
-def test_infeasible_always_passes():
-    for r in (0.0, 0.1, 10.0):
-        assert classify_change_ratio(r, caused_infeasible=True) == PASS
+    assert classify_change_ratio(r) == expected
 
 
 def test_negative_ratio_rejected():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from optverify.diagnostics import INFO, PASS, WARNING, Diagnostic
-from optverify.errors import ExtractionError, ParameterNotFound
+from optverify.errors import ExtractionError
 from optverify.l2 import (
     CPT,
     CPT_FACTORS,
@@ -11,13 +11,13 @@ from optverify.l2 import (
     OPT,
     OPT_FACTORS,
     Candidate,
+    _locate,
+    _run_all,
     extract_candidates,
     extract_constraints,
     extract_objective_terms,
-    perturb_parameter,
     perturb_record,
     perturb_source,
-    probe,
     run_l2,
 )
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
@@ -223,7 +223,7 @@ def test_perturb_source_ignores_non_literal_assignments():
 
 
 # --------------------------------------------------------------------------
-# perturb_parameter dispatch
+# Strategy dispatch: _locate picks the first strategy, _run_all the fallback
 # --------------------------------------------------------------------------
 
 # Candidate that honors data["capacity"]: objective shrinks when capacity does.
@@ -244,18 +244,22 @@ _HARDCODES = (
 _RECORD = {"demand": 100.0, "capacity": 50.0}
 
 
+def _perturb(prog, key, factor, runtime, baseline_objective):
+    run = _locate(prog, key, factor, None)
+    _run_all(prog, [run], baseline_objective, runtime)
+    return run
+
+
 def test_strategy1_used_for_external_dict(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    run = perturb_parameter(prog, "capacity", 0.001, runtime,
-                            baseline_objective=50.0)
+    run = _perturb(prog, "capacity", 0.001, runtime, baseline_objective=50.0)
     assert run.strategy == "data"
     assert run.outcome.objective == pytest.approx(0.05)
 
 
 def test_hybrid_fallback_to_source(runtime):
     prog = CandidateProgram(_HARDCODES, _RECORD)
-    run = perturb_parameter(prog, "capacity", 0.001, runtime,
-                            baseline_objective=50.0)
+    run = _perturb(prog, "capacity", 0.001, runtime, baseline_objective=50.0)
     # Data-side change moved nothing; the literal in source was scaled.
     assert run.strategy == "source"
     assert run.outcome.objective == pytest.approx(0.05)
@@ -264,8 +268,7 @@ def test_hybrid_fallback_to_source(runtime):
 def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
     src = "served = data['demand'] * 0 + 7\nprint('status: 2')\nprint(f'objective: {served}')\n"
     prog = CandidateProgram(src, {"demand": 3.0})
-    run = perturb_parameter(prog, "demand", 100.0, runtime,
-                            baseline_objective=7.0)
+    run = _perturb(prog, "demand", 100.0, runtime, baseline_objective=7.0)
     assert run.strategy == "data"
     assert run.outcome.objective == pytest.approx(7.0)
 
@@ -273,15 +276,14 @@ def test_hybrid_keeps_data_result_when_source_lacks_literal(runtime):
 def test_self_contained_uses_source(runtime):
     src = "capacity = 500\nprint('status: 2')\nprint(f'objective: {capacity}')\n"
     prog = CandidateProgram(src)
-    run = perturb_parameter(prog, "capacity", 0.001, runtime, baseline_objective=500.0)
+    run = _perturb(prog, "capacity", 0.001, runtime, baseline_objective=500.0)
     assert run.strategy == "source"
     assert run.outcome.objective == pytest.approx(0.5)
 
 
 def test_parameter_not_found_anywhere(runtime):
     prog = CandidateProgram("print('status: 2')\nprint('objective: 1')\n")
-    with pytest.raises(ParameterNotFound):
-        perturb_parameter(prog, "ghost_param", 2.0, runtime, baseline_objective=1.0)
+    assert _locate(prog, "ghost_param", 2.0, None) is None
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +299,7 @@ def test_cpt_missing_constraint_warning(runtime):
     # Ignores capacity entirely: extreme perturbation moves nothing.
     src = "print('status: 2')\nprint(f\"objective: {data['demand']}\")\n"
     prog = CandidateProgram(src, _RECORD)
-    diags = probe(CPT, prog, 100.0, _constraint(), runtime)
+    diags = run_l2(prog, 100.0, [(CPT, _constraint())], runtime)
     assert len(diags) == 1
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "constraint_missing"
@@ -306,14 +308,14 @@ def test_cpt_missing_constraint_warning(runtime):
 
 def test_cpt_present_constraint_passes(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    diags = probe(CPT, prog, 50.0, _constraint(), runtime)
+    diags = run_l2(prog, 50.0, [(CPT, _constraint())], runtime)
     assert diags[0].severity == PASS
     assert diags[0].issue_type == "constraint_present"
 
 
 def test_pass_evidence_is_not_worded_as_a_shortfall(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    diags = probe(CPT, prog, 50.0, _constraint(), runtime)
+    diags = run_l2(prog, 50.0, [(CPT, _constraint())], runtime)
     assert diags[0].severity == PASS
     assert diags[0].evidence == "perturbation x0.001 caused 99.9% objective change"
 
@@ -324,7 +326,7 @@ def test_cpt_infeasible_outcome_passes(runtime):
         "print('objective: 10')\n"
     )
     prog = CandidateProgram(src, _RECORD)
-    diags = probe(CPT, prog, 10.0, _constraint(), runtime)
+    diags = run_l2(prog, 10.0, [(CPT, _constraint())], runtime)
     assert diags[0].severity == PASS
     assert "infeasible" in diags[0].evidence
 
@@ -332,16 +334,15 @@ def test_cpt_infeasible_outcome_passes(runtime):
 def test_cpt_crash_is_inconclusive_info(runtime):
     src = "assert data['capacity'] >= 1\nprint('status: 2')\nprint('objective: 10')\n"
     prog = CandidateProgram(src, _RECORD)
-    diags = probe(CPT, prog, 10.0, _constraint(), runtime)
+    diags = run_l2(prog, 10.0, [(CPT, _constraint())], runtime)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "perturbation_inconclusive"
 
 
 def test_cpt_unknown_parameter_skipped_with_info(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    diags = probe(CPT, prog, 50.0,
-                  [Candidate("phantom", "capacity", ("ghost",))],
-                  runtime)
+    diags = run_l2(prog, 50.0, [(CPT, [Candidate("phantom", "capacity", ("ghost",))])],
+                   runtime)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "parameter_not_found"
 
@@ -364,7 +365,7 @@ def test_opt_missing_term_warning(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
     prog = CandidateProgram(src, {"purchase_cost": 5.0, "holding_cost": 2.0})
     terms = [Candidate("holding cost", "cost", ("holding_cost",))]
-    diags = probe(OPT, prog, 50.0, terms, runtime)
+    diags = run_l2(prog, 50.0, [(OPT, terms)], runtime)
     assert diags[0].severity == WARNING
     assert diags[0].issue_type == "objective_term_missing"
 
@@ -373,7 +374,7 @@ def test_opt_present_term_passes(runtime):
     src = "print('status: 2')\nprint(f\"objective: {data['purchase_cost'] * 10}\")\n"
     prog = CandidateProgram(src, {"purchase_cost": 5.0})
     terms = [Candidate("purchasing cost", "cost", ("purchase_cost",))]
-    diags = probe(OPT, prog, 50.0, terms, runtime)
+    diags = run_l2(prog, 50.0, [(OPT, terms)], runtime)
     assert diags[0].severity == PASS
 
 
@@ -381,7 +382,7 @@ def test_opt_infeasible_outcome_skipped(runtime):
     src = "print('status: 3')\n"
     prog = CandidateProgram(src, {"purchase_cost": 1.0})
     terms = [Candidate("cost", "cost", ("purchase_cost",))]
-    diags = probe(OPT, prog, 10.0, terms, runtime)
+    diags = run_l2(prog, 10.0, [(OPT, terms)], runtime)
     assert diags == []  # skipped, no diagnostic at all
 
 

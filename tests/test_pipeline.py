@@ -153,6 +153,33 @@ def test_plateau_report_describes_adopted_program(f1_v0, tmp_path):
                    for d in result.report.diagnostics)
 
 
+def test_guided_retry_reply_is_audited(f1_v0, tmp_path):
+    # The first repair imports subprocess; the guided retry's reply is the
+    # one adopted, so its prompt and reply sit beside the first attempt's.
+    mutant = scripted_reference_provider(drop=("storage_capacity",))
+    unsafe = f"```python\nimport subprocess\n{candidate_source()}\n```"
+    intact = f"```python\n{candidate_source()}\n```"
+
+    def fn(payload):
+        if payload["system"] != REPAIR_SYSTEM_PROMPT:
+            return mutant(payload)
+        return intact if "SAFETY VIOLATIONS DETECTED" in payload["user"] else unsafe
+
+    problem = render_prompt(f1_v0, SCHEMA_BASED)
+    result = run_instance(f1_v0, problem, SCHEMA_BASED, _client(fn),
+                          config=_FAST, run_dir=tmp_path / "run")
+    assert [e.get("decision") for e in result.events] == ["plateau"]
+    attempt = tmp_path / "run" / "attempt_1"
+    assert (attempt / "reply.txt").read_text() == unsafe
+    assert (attempt / "retry_reply.txt").read_text() == intact
+    assert (attempt / "retry_prompt.txt").read_text().startswith("SAFETY VIOLATIONS DETECTED")
+    assert (tmp_path / "run" / "code.py").read_text() in intact
+    decision = json.loads((attempt / "decision.json").read_text())
+    assert (decision["safety_violations"], decision["retry_safety_violations"]) == (
+        ["blocked_import"], [])
+    assert not {"prompt", "reply", "retry_prompt", "retry_reply"} & decision.keys()
+
+
 def test_budget_zero_still_runs_l2(f3_bottleneck_v0, tmp_path):
     # A zero budget disables regeneration and repair, not behavioural
     # verification: the dropped storage limit is still reported.
