@@ -252,11 +252,13 @@ class _Session:
     def __init__(self, arr: _Arrays, c: np.ndarray, params: SolveParams):
         m, n = arr.a.shape
         lp = HighsLp()
-        lp.num_col_, lp.num_row_ = n, m
+        lp.num_col_, lp.num_row_ = max(n, 1), m
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, arr.lower, arr.upper
+        if not n:  # HiGHS ends a model without columns in error: one fixed at 0 stands in
+            lp.col_cost_ = lp.col_lower_ = lp.col_upper_ = np.zeros(1)
         lp.row_lower_, lp.row_upper_ = arr.lb, arr.ub
         a = lp.a_matrix_
-        a.format_, a.num_col_, a.num_row_ = MatrixFormat.kRowwise, n, m
+        a.format_, a.num_col_, a.num_row_ = MatrixFormat.kRowwise, lp.num_col_, m
         a.start_, a.index_, a.value_ = arr.a.indptr, arr.a.indices, arr.a.data
         self.highs = _Highs()
         self.highs.setOptionValue("output_flag", False)
@@ -368,8 +370,6 @@ class HighsBackend:
 
     def solve(self, model: ModelSpec, params: SolveParams = SolveParams()) -> SolveResult:
         arr = _assemble(model)
-        if not model.variables:
-            return SolveResult(status=OPTIMAL, objective=model.objective.constant)
         status, x, fun, gap = milp(arr, params)
         if x is not None:
             return SolveResult(status, arr.sign * fun + model.objective.constant,
@@ -402,8 +402,6 @@ class HighsBackend:
         infeasible nor with a feasible point raises ``BackendError``.
         """
         arr = _assemble(model)
-        if not model.variables:
-            raise NotInfeasible("model is not infeasible; no IIS exists")
         probe = _Session(arr, np.zeros(len(arr.names)), SolveParams())
 
         def needed(rows: np.ndarray) -> np.ndarray:

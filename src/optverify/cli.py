@@ -139,8 +139,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.workers < 1:
-        raise ConfigError("workers must be at least 1")
     if args.provider is None and not args.llm_replay:
         print("configuration error: --provider or --llm-replay required",
               file=sys.stderr)
@@ -148,8 +146,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     instances_dir = Path(args.instances)
     files = _instance_files(instances_dir)
-    if args.limit:
-        files = files[: args.limit]
+    files = files[: args.limit]
     if not files:
         print(f"no instance files under {args.instances}", file=sys.stderr)
         return EXIT_CONFIG
@@ -267,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("workers", "limit"):
+            if getattr(args, name, None) is not None and getattr(args, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         return args.fn(args)
     except (ConfigError, SchemaError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -26,8 +26,6 @@ from .errors import BackendError, LlmError
 from .llm import data_key_lines, extract_code
 from .runtime import CRASH, TIMEOUT, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
-DUALITY_GAP_THRESHOLD = MIP_GAP
-
 _STDERR_EXCERPT_CHARS = 800
 
 # The Fatal (issue type, evidence) of each non-optimal status a run prints.
@@ -125,9 +123,9 @@ def _model_diagnostics(fatal: Diagnostic | None, model: ModelSpec,
         return [replace(fatal, evidence=f"{fatal.evidence}; unbounded ray variables: {ray}")
                 if ray else fatal]
     gap = result.duality_gap
-    if gap is not None and gap > DUALITY_GAP_THRESHOLD:
+    if gap is not None and gap > MIP_GAP:
         return [Diagnostic(LAYER_L1, INFO, "duality_gap", "model",
-                           f"primal-dual gap {gap:.4f} exceeds {DUALITY_GAP_THRESHOLD:g}")]
+                           f"primal-dual gap {gap:.4f} exceeds {MIP_GAP:g}")]
     return []
 
 

@@ -8,8 +8,8 @@ per instance, and every layer that runs the candidate uses it.
 at most one child per usable CPU is alive at a time, each under the limit
 counted from its own fork, and outcomes come back in input order;
 ``execute`` is a batch of one.  Each child gets its own session (the
-timeout kills its whole process group), a fresh temp working directory
-first on ``sys.path``, ``/dev/null`` as stdin,
+timeout kills its whole process group), its run directory as working
+directory and first on ``sys.path``, ``/dev/null`` as stdin,
 ``stdout.txt``/``stderr.txt`` in that directory as fds 1 and 2 (so C code
 such as HiGHS is captured too) and no other descriptor of the caller.  It
 runs the script as ``__main__`` and exits with the status and traceback
@@ -22,11 +22,11 @@ drops the thread pool HiGHS keeps.  Requires Linux (``fork``, ``setsid``,
 
 The run directory holds the program as written, ``candidate.py``, which the
 child runs by that relative name: tracebacks carry the program's own line
-numbers and no temp path, so crash evidence is the same on every run.  A
-program that carries a data record (``external_dict`` mode) has it
-serialized into the run directory as ``instance.json``; the child parses it
-into the script's ``data`` global, so a candidate can never mutate the
-caller's copy.
+numbers and no directory path, so crash evidence is the same on every run.
+A program that carries a data record (``external_dict`` mode) has the
+script's ``data`` global bound to the child's forked copy of it, so a
+candidate can never mutate the caller's copy; ``instance.json`` in the run
+directory is the audit copy of the record.
 
 Stdout is scanned for the output contract lines ``status: <int>`` and
 ``objective: <float>``; they may appear anywhere (solvers print noise) and
@@ -40,12 +40,12 @@ import os
 import re
 import runpy
 import select
-import shutil
 import signal
 import sys
 import tempfile
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, NoReturn, Sequence
@@ -118,15 +118,17 @@ class CandidateRuntime:
 
     One runtime serves every run of an instance: L1, each L2 perturbation
     and each repair re-verification run under its wall-clock limit
-    ``timeout_s``.  ``artifact_root``, when set, receives per-run copies of
-    the assembled script, the captured streams and the run's cost
-    (``exec.json``), one directory per run: a label already used gets the
-    run counter appended, so no run overwrites another.
+    ``timeout_s``.  Each run gets its own directory under ``artifact_root``
+    (under a temporary root, deleted with the batch, when there is none),
+    made when its child is spawned: the run keeps the script, the record,
+    the captured streams, the run's cost (``exec.json``) and whatever the
+    candidate writes there.  A label already used gets the run counter
+    appended, so no run overwrites another.
     """
 
     def __init__(self, artifact_root: str | Path | None = None,
                  timeout_s: float = DEFAULT_TIMEOUT_S):
-        self.artifact_root = Path(artifact_root) if artifact_root else None
+        self.artifact_root = Path(artifact_root).absolute() if artifact_root else None
         self.timeout_s = timeout_s
         self._run_counter = 0
 
@@ -136,18 +138,19 @@ class CandidateRuntime:
     def execute_all(self, runs: Sequence[tuple[CandidateProgram, str | None]]) -> list[ExecutionOutcome]:
         """Run each ``(program, run_label)``, at most one child per usable CPU
         at a time, each under the timeout counted from its own fork.
-        Outcomes and artifacts come in input order."""
+        Outcomes and run directories come in input order."""
         slots = len(os.sched_getaffinity(0))
         outcomes: list = [None] * len(runs)
-        with tempfile.TemporaryDirectory(prefix="optverify-run-") as tmp:
-            workdirs = [Path(tmp) / str(i) for i in range(len(runs))]
+        with (nullcontext(self.artifact_root) if self.artifact_root
+              else tempfile.TemporaryDirectory(prefix="optverify-run-")) as root:
             live: dict[int, _Child] = {}  # by pidfd
             poller = select.poll()
             spawned = 0
             try:
                 while spawned < len(runs) or live:
                     while spawned < len(runs) and len(live) < slots:
-                        pidfd, child = _spawn(runs[spawned][0], workdirs[spawned],
+                        program, label = runs[spawned]
+                        pidfd, child = _spawn(program, self._run_dir(Path(root), label),
                                               spawned, self.timeout_s)
                         live[pidfd] = child
                         poller.register(pidfd, select.POLLIN)
@@ -166,38 +169,29 @@ class CandidateRuntime:
                 for pidfd, child in live.items():
                     os.close(pidfd)
                     child.finish(exited=False)
-            for workdir, (_, label), outcome in zip(workdirs, runs, outcomes):
-                self._persist(workdir, outcome, label)
         return outcomes
 
-    def _persist(self, workdir: Path, outcome: ExecutionOutcome, label: str | None) -> None:
-        if self.artifact_root is None:
-            return
+    def _run_dir(self, root: Path, label: str | None) -> Path:
+        """Make the next run's directory: its label, or ``run_NNNN``, with
+        the run counter appended while the name is taken."""
         self._run_counter += 1
         name = label or f"run_{self._run_counter:04d}"
-        dest = self.artifact_root / name
+        workdir = root / name
         n = self._run_counter
-        while dest.exists():
-            dest = self.artifact_root / f"{name}_{n:04d}"
+        while workdir.exists():
+            workdir = root / f"{name}_{n:04d}"
             n += 1
-        dest.mkdir(parents=True)
-        for fname in (_SCRIPT, _DATA_FILE):
-            src = workdir / fname
-            if src.exists():
-                shutil.copy(src, dest / fname)
-        (dest / "stdout.txt").write_text(outcome.stdout, encoding="utf-8")
-        (dest / "stderr.txt").write_text(outcome.stderr, encoding="utf-8")
-        cost = {"duration_s": outcome.duration_s, "cpu_s": outcome.cpu_s,
-                "maxrss_mb": outcome.maxrss_mb}
-        (dest / "exec.json").write_text(
-            json.dumps(cost, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        workdir.mkdir(parents=True)
+        return workdir
 
 
 @dataclass
 class _Child:
-    """A forked run: its input position, pid, deadline and capture files."""
+    """A forked run: its input position, directory, pid, deadline and
+    capture files."""
 
     index: int
+    workdir: Path
     pid: int
     start: float
     deadline: float
@@ -205,9 +199,10 @@ class _Child:
     err: IO[str]
 
     def finish(self, exited: bool) -> ExecutionOutcome:
-        """Kill the child's process group, reap it and read back its streams;
-        ``exited`` tells whether it ended in time.  The group is killed in
-        every case, so no process the candidate started outlives the run."""
+        """Kill the child's process group, reap it, read back its streams and
+        write its cost to ``exec.json``; ``exited`` tells whether it ended in
+        time.  The group is killed in every case, so no process the candidate
+        started outlives the run."""
         try:
             os.killpg(self.pid, signal.SIGKILL)
         except ProcessLookupError:  # the child has not called setsid yet
@@ -221,16 +216,18 @@ class _Child:
         exit_kind = (TIMEOUT if not exited
                      else COMPLETED if os.waitstatus_to_exitcode(status) == 0 else CRASH)
         status_code, objective = parse_contract(stdout) if exit_kind == COMPLETED else (None, None)
-        return ExecutionOutcome(exit_kind, status_code, objective, stdout, stderr, duration,
-                                usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024)
+        cost = {"duration_s": duration, "cpu_s": usage.ru_utime + usage.ru_stime,
+                "maxrss_mb": usage.ru_maxrss / 1024}
+        self.workdir.mkdir(exist_ok=True)  # the candidate may have removed it
+        (self.workdir / "exec.json").write_text(
+            json.dumps(cost, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return ExecutionOutcome(exit_kind, status_code, objective, stdout, stderr, **cost)
 
 
 def _spawn(program: CandidateProgram, workdir: Path, index: int,
            timeout_s: float) -> tuple[int, _Child]:
     """Write the run directory and fork the child that runs it."""
-    workdir.mkdir()
-    injected = program.data is not None
-    if injected:
+    if program.data is not None:
         (workdir / _DATA_FILE).write_text(json.dumps(program.data), encoding="utf-8")
     (workdir / _SCRIPT).write_text(program.source, encoding="utf-8")
     # The parent holds the capture files open, so it reads them back
@@ -249,8 +246,8 @@ def _spawn(program: CandidateProgram, workdir: Path, index: int,
         err.close()
         raise SandboxSetupError(f"cannot fork a candidate: {exc}") from exc
     if pid == 0:
-        _run_child(workdir, injected, out.fileno(), err.fileno())
-    child = _Child(index, pid, start, start + timeout_s, out, err)
+        _run_child(workdir, program.data, out.fileno(), err.fileno())
+    child = _Child(index, workdir, pid, start, start + timeout_s, out, err)
     try:
         return os.pidfd_open(pid), child
     except BaseException:
@@ -258,10 +255,10 @@ def _spawn(program: CandidateProgram, workdir: Path, index: int,
         raise
 
 
-def _run_child(workdir: Path, injected: bool, out_fd: int, err_fd: int) -> NoReturn:
-    """Body of the forked child: run the script in ``workdir``, with the
-    record bound to ``data`` when ``injected``, then exit without returning
-    into the caller's stack."""
+def _run_child(workdir: Path, data: dict[str, Any] | None, out_fd: int, err_fd: int) -> NoReturn:
+    """Body of the forked child: run the script in ``workdir``, with
+    ``data`` bound to its global of that name unless None, then exit
+    without returning into the caller's stack."""
     code = 1
     try:
         os.setsid()
@@ -283,11 +280,7 @@ def _run_child(workdir: Path, injected: bool, out_fd: int, err_fd: int) -> NoRet
                                            errors="backslashreplace", closefd=False)
         sys.argv = [_SCRIPT]
         sys.path.insert(0, str(workdir))
-        init_globals = None
-        if injected:
-            with open(_DATA_FILE, encoding="utf-8") as fh:
-                init_globals = {"data": json.load(fh)}
-        code = _run_script(init_globals)
+        code = _run_script(None if data is None else {"data": data})
     finally:
         os._exit(code)
 

@@ -124,6 +124,18 @@ def test_empty_model_constant_objective():
     assert res.objective == pytest.approx(4.2)
 
 
+def test_model_without_variables_keeps_its_rows():
+    infeasible = ModelSpec(constraints=[Constraint("c", {}, "<=", -1.0)])
+    assert DEFAULT_BACKEND.solve(infeasible).status == "infeasible"
+    assert DEFAULT_BACKEND.compute_iis(infeasible) == {"c"}
+    feasible = ModelSpec(objective=Objective(constant=4.2),
+                         constraints=[Constraint("c", {}, "<=", 1.0)])
+    res = DEFAULT_BACKEND.solve(feasible)
+    assert (res.status, res.objective, res.values) == ("optimal", pytest.approx(4.2), {})
+    with pytest.raises(NotInfeasible):
+        DEFAULT_BACKEND.compute_iis(feasible)
+
+
 def test_status_code_mapping():
     assert status_to_code("optimal") == 2
     assert status_to_code("infeasible") == 3

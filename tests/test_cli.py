@@ -218,6 +218,22 @@ def test_run_rejects_zero_workers(bench_dir, tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["run", "--limit", "0"], "limit"),
+    (["run", "--limit", "-1"], "limit"),
+    (["ground-truth", "--workers", "-3"], "workers"),
+], ids=["run_limit_zero", "run_limit_negative", "ground_truth_workers_negative"])
+def test_counts_below_one_are_refused(bench_dir, tmp_path, capsys, argv, name):
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        argv = argv + ["--llm-replay", str(tmp_path / "fixtures")]
+    code = main(argv + ["--instances", str(mini), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"configuration error: {name} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt,suffix", [("schema", ".scenario.txt"), ("full", ".full.txt")])
 def test_run_renders_missing_prompt(bench_dir, tmp_path, monkeypatch, fmt, suffix):
     # Only the instance record is present, so `run` renders the prompt

@@ -371,7 +371,9 @@ def test_batch_keeps_input_order_and_sequential_names(tmp_path):
             runs[2][0].source, runs[0][0].source, runs[1][0].source]
 
 
-def test_failed_fork_mid_batch_reaps_started_children(monkeypatch):
+def _fork_only_once(monkeypatch) -> list[int]:
+    """Let the first fork succeed and fail every later one, on two CPUs;
+    returns the pids forked."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     real_fork = os.fork
     forked = []
@@ -385,6 +387,11 @@ def test_failed_fork_mid_batch_reaps_started_children(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork_once)
+    return forked
+
+
+def test_failed_fork_mid_batch_reaps_started_children(monkeypatch):
+    forked = _fork_only_once(monkeypatch)
     sleeper = CandidateProgram("import time\ntime.sleep(60)")
     start = time.monotonic()
     with pytest.raises(SandboxSetupError):
@@ -396,3 +403,58 @@ def test_failed_fork_mid_batch_reaps_started_children(monkeypatch):
     # tracker, so ``waitpid(-1)`` is no witness here.)
     with pytest.raises(ChildProcessError):
         os.waitpid(forked[0], os.WNOHANG)
+
+
+def test_failed_fork_mid_batch_keeps_started_runs(monkeypatch, tmp_path):
+    _fork_only_once(monkeypatch)
+    sleeper = CandidateProgram("import time\ntime.sleep(60)")
+    with pytest.raises(SandboxSetupError):
+        CandidateRuntime(artifact_root=tmp_path).execute_all(
+            [(sleeper, "first"), (sleeper, "second")])
+    assert (tmp_path / "first" / "candidate.py").read_text() == sleeper.source
+    assert (tmp_path / "first" / "exec.json").exists()
+
+
+def test_child_runs_in_its_run_directory(tmp_path):
+    src = (
+        "import os\n"
+        "print(f'cwd: {os.getcwd()}')\n"
+        "with open('model.json', 'w') as fh:\n"
+        "    fh.write('{}')\n"
+        "print('status: 2')\n"
+    )
+    outcome = CandidateRuntime(artifact_root=tmp_path).execute(
+        CandidateProgram(src), run_label="probe")
+    assert outcome.exit_kind == COMPLETED, outcome.stderr
+    assert f"cwd: {tmp_path / 'probe'}" in outcome.stdout.splitlines()
+    assert (tmp_path / "probe" / "model.json").read_text() == "{}"
+
+
+def test_candidate_removing_its_run_directory_still_ends_as_a_run(tmp_path):
+    src = "import os, shutil\nshutil.rmtree(os.getcwd())\nprint('status: 2')"
+    outcome = CandidateRuntime(artifact_root=tmp_path).execute(
+        CandidateProgram(src), run_label="probe")
+    assert (outcome.exit_kind, outcome.status_code) == (COMPLETED, 2)
+    assert (tmp_path / "probe" / "exec.json").exists()
+
+
+def test_relative_root_imports_module_written_beside_candidate(tmp_path, monkeypatch):
+    # The root is resolved once, against the caller's working directory, so
+    # the child's ``sys.path[0]`` names its own directory from inside it.
+    monkeypatch.chdir(tmp_path)
+    src = (
+        "import importlib, os, sys\n"
+        "with open('helper.py', 'w') as fh:\n"
+        "    fh.write('ANSWER = 7\\n')\n"
+        "importlib.invalidate_caches()\n"
+        "import helper\n"
+        "print(f'path0: {sys.path[0]}')\n"
+        "print('status: 2')\n"
+        "print(f'objective: {helper.ANSWER}')\n"
+    )
+    outcome = CandidateRuntime(artifact_root="runs").execute(
+        CandidateProgram(src), run_label="probe")
+    assert outcome.exit_kind == COMPLETED, outcome.stderr
+    assert outcome.objective == 7.0
+    assert f"path0: {tmp_path / 'runs' / 'probe'}" in outcome.stdout.splitlines()
+    assert (tmp_path / "runs" / "probe" / "helper.py").exists()
