@@ -6,11 +6,14 @@ of the shared base scenario that touches only its declared fields; variants
 v1..v4 apply seeded +/-15% perturbation to demand curves and storage
 capacities, leaving the structural skeleton untouched.
 
-Determinism contract: the seed for (archetype, variant) is the little-endian
-uint32 of the first four bytes of ``SHA256("{archetype_name}|{v}")``, fed to
-NumPy's PCG64 generator; uniforms are drawn demand-first (product order,
-period order) and then storage (location order).  Two runs of
-:func:`generate_suite` produce byte-identical trees.
+Determinism contract: :func:`build_instance` is the one builder and the
+only place the draws happen, on the archetype's raw record before its single
+validation.  The seed for (archetype, variant) is the little-endian uint32 of
+the first four bytes of ``SHA256("{archetype_name}|{v}")``, fed to NumPy's
+PCG64 generator; uniforms are drawn demand-first (product order, period
+order, each entry floored) and then storage (location order).  Two runs of
+:func:`generate_suite` produce byte-identical trees; the tests pin the
+tree's digest, which holds as long as NumPy's PCG64 ``uniform`` stream does.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -468,69 +471,41 @@ def instance_name(archetype_id: str, variant: int) -> str:
     return f"retail_{archetype_id}_v{variant}"
 
 
-def apply_archetype(archetype_id: str) -> ScenarioInstance:
-    """Base scenario with the archetype's declared deltas applied."""
-    try:
-        arch = ARCHETYPES[archetype_id]
-    except KeyError:
-        raise UnknownArchetype(archetype_id) from None
-    raw = base_raw()
-    arch.modifier(raw)
-    raw["name"] = archetype_name(archetype_id)
-    raw["description"] = arch.description
-    return validate_instance(raw)
-
-
 def variant_seed(archetype_name_: str, variant: int) -> int:
     """uint32 little-endian of the first 4 bytes of SHA256("{name}|{v}")."""
     digest = hashlib.sha256(f"{archetype_name_}|{variant}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
 
-def perturb_variant(
-    inst: ScenarioInstance,
-    archetype_name_: str,
-    variant: int,
-) -> ScenarioInstance:
-    """Seeded numeric variant of one archetype instance.
+def build_instance(archetype_id: str, variant: int) -> ScenarioInstance:
+    """Suite instance ``retail_{archetype_id}_v{variant}``, validated once.
 
-    v0 returns the instance unchanged.  v1..v4 scale each demand entry by an
-    independent U(1-alpha, 1+alpha) draw (alpha = ``PERTURBATION_ALPHA``) and
-    floor it, then scale each storage capacity by a further draw; nothing else
-    changes.
+    The archetype's modifier edits :func:`base_raw`.  v0 takes no draws;
+    v1..v4 then scale each demand entry of that same record by an independent
+    U(1-alpha, 1+alpha) draw (alpha = ``PERTURBATION_ALPHA``) and floor it,
+    then scale each storage capacity by a further draw; nothing else changes.
     """
+    try:
+        arch = ARCHETYPES[archetype_id]
+    except KeyError:
+        raise UnknownArchetype(archetype_id) from None
     if variant not in VARIANTS:
         raise BadVariantIndex(f"variant {variant} outside {VARIANTS}")
-    if variant == 0:
-        return inst
-
-    lo, hi = 1.0 - PERTURBATION_ALPHA, 1.0 + PERTURBATION_ALPHA
-    rng = np.random.default_rng(variant_seed(archetype_name_, variant))
-    raw = json.loads(dumps_instance(inst))
-    for p in raw["products"]:
-        draws = rng.uniform(lo, hi, size=len(raw["demand_curve"][p]))
-        raw["demand_curve"][p] = [
-            math.floor(d * u) for d, u in zip(raw["demand_curve"][p], draws)
-        ]
-    for l in raw["locations"]:
-        raw["cold_capacity"][l] = raw["cold_capacity"][l] * rng.uniform(lo, hi)
+    raw = base_raw()
+    arch.modifier(raw)
+    if variant:
+        lo, hi = 1.0 - PERTURBATION_ALPHA, 1.0 + PERTURBATION_ALPHA
+        rng = np.random.default_rng(variant_seed(archetype_name(archetype_id), variant))
+        for p in raw["products"]:
+            draws = rng.uniform(lo, hi, size=len(raw["demand_curve"][p]))
+            raw["demand_curve"][p] = [
+                math.floor(d * u) for d, u in zip(raw["demand_curve"][p], draws)
+            ]
+        for l in raw["locations"]:
+            raw["cold_capacity"][l] = raw["cold_capacity"][l] * rng.uniform(lo, hi)
+    raw["name"] = instance_name(archetype_id, variant)
+    raw["description"] = arch.description
     return validate_instance(raw)
-
-
-def build_instance(archetype_id: str, variant: int) -> ScenarioInstance:
-    """Fully-named suite instance for (archetype, variant)."""
-    inst = perturb_variant(
-        apply_archetype(archetype_id), archetype_name(archetype_id), variant)
-    return replace(inst, name=instance_name(archetype_id, variant))
-
-
-def iter_suite():
-    """Yield (archetype, variant, instance) over the full suite in registry order."""
-    for arch in ARCHETYPES.values():
-        modified = apply_archetype(arch.id)
-        for v in VARIANTS:
-            inst = perturb_variant(modified, archetype_name(arch.id), v)
-            yield arch, v, replace(inst, name=instance_name(arch.id, v))
 
 
 def generate_suite(output_dir: str | Path) -> dict[str, Any]:
@@ -543,22 +518,24 @@ def generate_suite(output_dir: str | Path) -> dict[str, Any]:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for arch, v, inst in iter_suite():
-        name = inst.name
-        (out / f"{name}.json").write_text(dumps_instance(inst), encoding="utf-8")
-        (out / f"{name}.scenario.txt").write_text(
-            render_prompt(inst, SCHEMA_BASED), encoding="utf-8")
-        (out / f"{name}.full.txt").write_text(
-            render_prompt(inst, DATA_EMBEDDED), encoding="utf-8")
-        entries.append({
-            "name": name,
-            "family": arch.family,
-            "archetype": archetype_name(arch.id),
-            "variant": v,
-            "instance_file": f"{name}.json",
-            "scenario_prompt": f"{name}.scenario.txt",
-            "full_prompt": f"{name}.full.txt",
-        })
+    for arch in ARCHETYPES.values():
+        for v in VARIANTS:
+            inst = build_instance(arch.id, v)
+            name = inst.name
+            (out / f"{name}.json").write_text(dumps_instance(inst), encoding="utf-8")
+            (out / f"{name}.scenario.txt").write_text(
+                render_prompt(inst, SCHEMA_BASED), encoding="utf-8")
+            (out / f"{name}.full.txt").write_text(
+                render_prompt(inst, DATA_EMBEDDED), encoding="utf-8")
+            entries.append({
+                "name": name,
+                "family": arch.family,
+                "archetype": archetype_name(arch.id),
+                "variant": v,
+                "instance_file": f"{name}.json",
+                "scenario_prompt": f"{name}.scenario.txt",
+                "full_prompt": f"{name}.full.txt",
+            })
     manifest = {"count": len(entries), "instances": entries}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -20,10 +20,9 @@ derived from the instance's active mechanisms.
 
 from __future__ import annotations
 
-import json
 import re
 
-from .scenario import ScenarioInstance, to_json_dict
+from .scenario import ScenarioInstance, dumps_instance
 
 # The format names ``optverify run --format`` and ``run_instance`` accept.
 SCHEMA_BASED = "schema"
@@ -561,10 +560,9 @@ def render_prompt(inst: ScenarioInstance, prompt_format: str) -> str:
         sections.append(f"[OUTPUT FORMAT]\n{_output_format(embed_json=False)}")
         sections.append(f"[TASK]\n{_TASK_SCHEMA}")
     else:
-        payload = json.dumps(to_json_dict(inst), indent=2, ensure_ascii=False)
         sections.append(
             "[DATA]\nThe following JSON contains all instance data. Parse it directly\n"
-            f"in your code.\n\n```json\n{payload}\n```"
+            f"in your code.\n\n```json\n{dumps_instance(inst)}```"
         )
         sections.append(f"[OUTPUT FORMAT]\n{_output_format(embed_json=True)}")
         sections.append(f"[TASK]\n{_TASK_EMBEDDED}")

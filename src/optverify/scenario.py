@@ -17,6 +17,7 @@ Two conventions matter everywhere downstream:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -71,17 +72,20 @@ class ScenarioInstance:
     network: Network = field(default_factory=Network)
 
 
-def _require(raw: Mapping[str, Any], key: str) -> Any:
+def _require(raw: Mapping[str, Any], key: str, label: str | None = None) -> Any:
     if key not in raw or raw[key] is None:
-        raise SchemaError(f"{key}: missing required field")
+        raise SchemaError(f"{label or key}: missing required field")
     return raw[key]
 
 
 def _as_number(value: Any, field_name: str) -> float:
     # Returns the value unchanged (int stays int) so serialization
     # round-trips byte-exactly; callers only rely on numeric semantics.
+    # Ints are always finite, and math.isfinite overflows on huge ones.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{field_name}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{field_name}: expected a finite number, got {value!r}")
     return value
 
 
@@ -113,9 +117,7 @@ def _per_key_map(
     caller checks).  ``label`` overrides the field name used in errors (for
     nested records).
     """
-    if key not in raw or raw[key] is None:
-        raise SchemaError(f"{label or key}: missing required field")
-    value = raw[key]
+    value = _require(raw, key, label)
     key = label or key
     if not isinstance(value, Mapping):
         raise SchemaError(f"{key}: expected a mapping")
@@ -217,31 +219,22 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
                            minimum=0.0, label="costs.waste"),
         lost_sales=_per_key_map(costs_raw, "lost_sales", products,
                                 minimum=0.0, label="costs.lost_sales"),
-        fixed_order=_nonneg_scalar(costs_raw, "costs.fixed_order", "fixed_order"),
-        transshipment=_nonneg_scalar(costs_raw, "costs.transshipment", "transshipment"),
+        fixed_order=_nonneg_scalar(costs_raw, "costs.fixed_order"),
+        transshipment=_nonneg_scalar(costs_raw, "costs.transshipment"),
     )
 
     cons_raw = raw.get("constraints") or {}
     if not isinstance(cons_raw, Mapping):
         raise SchemaError("constraints: expected a mapping")
-    moq = _as_number(cons_raw.get("moq", 0), "constraints.moq")
-    if moq < 0:
-        raise SchemaError(f"constraints.moq: value {moq} below 0")
     pack = cons_raw.get("pack_size", 1)
     pack_num = _as_number(pack, "constraints.pack_size")
     if pack_num != int(pack_num) or pack_num < 1:
         raise SchemaError(f"constraints.pack_size: expected an integer >= 1, got {pack!r}")
-    budget = cons_raw.get("budget_per_period")
-    if budget is not None:
-        budget = _as_number(budget, "constraints.budget_per_period")
-    waste_pct = cons_raw.get("waste_limit_pct")
-    if waste_pct is not None:
-        waste_pct = _as_number(waste_pct, "constraints.waste_limit_pct")
-        if waste_pct < 0:
-            raise SchemaError(f"constraints.waste_limit_pct: value {waste_pct} below 0")
     constraints = SideConstraints(
-        moq=moq, pack_size=int(pack_num),
-        budget_per_period=budget, waste_limit_pct=waste_pct,
+        moq=_nonneg_scalar(cons_raw, "constraints.moq", 0),
+        pack_size=int(pack_num),
+        budget_per_period=_nonneg_scalar(cons_raw, "constraints.budget_per_period", None),
+        waste_limit_pct=_nonneg_scalar(cons_raw, "constraints.waste_limit_pct", None),
     )
 
     net_raw = raw.get("network") or {}
@@ -274,10 +267,15 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
     )
 
 
-def _nonneg_scalar(raw: Mapping[str, Any], label: str, key: str) -> float:
-    if key not in raw:
-        raise SchemaError(f"{label}: missing required field")
-    value = _as_number(raw[key], label)
+def _nonneg_scalar(raw: Mapping[str, Any], label: str, default: Any = ...) -> float | None:
+    """The number >= 0 keyed by ``label``'s last part: required unless a
+    ``default`` is given, and a ``None`` default lets absent or null mean
+    inactive."""
+    key = label.rpartition(".")[2]
+    value = _require(raw, key, label) if default is ... else raw.get(key, default)
+    if value is None and default is None:
+        return None
+    value = _as_number(value, label)
     if value < 0:
         raise SchemaError(f"{label}: value {value} below 0")
     return value

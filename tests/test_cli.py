@@ -68,6 +68,20 @@ def test_ground_truth_command(bench_dir, tmp_path, capsys):
     assert payload["retail_f1_base_v0"]["objective"] == pytest.approx(378951.5, rel=1e-6)
 
 
+def test_ground_truth_refuses_non_finite_number(bench_dir, tmp_path, capsys):
+    mini = tmp_path / "instances"
+    mini.mkdir()
+    raw = json.loads((bench_dir / "retail_f1_base_v0.json").read_text())
+    raw["demand_curve"]["SKU_Basic"][3] = float("nan")
+    (mini / "retail_f1_base_v0.json").write_text(json.dumps(raw))
+    code = main(["ground-truth", "--instances", str(mini),
+                 "--out", str(tmp_path / "gt.json")])
+    assert code == EXIT_CONFIG
+    assert ("demand_curve[SKU_Basic]: expected a finite number, got nan"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "gt.json").exists()
+
+
 def _seed_fixtures(instances_dir: Path, fixture_dir: Path, names: list[str]) -> None:
     """Record every reply the pipeline will need into the fixture store."""
     for name in names:

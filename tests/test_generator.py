@@ -12,13 +12,12 @@ from optverify.errors import BadVariantIndex, UnknownArchetype
 from optverify.generator import (
     ARCHETYPES,
     FAMILY_ARCHETYPE_COUNTS,
-    apply_archetype,
+    VARIANTS,
     archetype_name,
     base_raw,
     base_scenario,
     build_instance,
     generate_suite,
-    perturb_variant,
     variant_seed,
 )
 from optverify.scenario import to_json_dict
@@ -26,6 +25,11 @@ from optverify.scenario import to_json_dict
 # Computed once with a standalone SHA-256 oracle:
 #   uint32-LE of sha256(b"retail_f1_base|1")[:4]
 GOLDEN_SEED_F1_BASE_V1 = 1290969454
+
+# SHA-256 of the ``generate_suite`` tree (``_tree_digest``), recorded with
+# numpy 2.4.6.  The v1..v4 draws come from numpy's PCG64 ``uniform``, so a
+# numpy that changes that stream changes this digest.
+SUITE_DIGEST = "59d9fe11053a8fd7ff77617f1c759c269a0c68fd0a6bd6ef42807179b60dd4d5"
 
 LISTING_FIRST_11 = [303, 311, 328, 365, 435, 549, 711, 906, 1100, 1245, 1300]
 
@@ -53,13 +57,13 @@ def test_registry_shape():
 
 
 def test_f1_base_is_identity(base):
-    inst = apply_archetype("f1_base")
+    inst = build_instance("f1_base", 0)
     assert to_json_dict(inst)["demand_curve"] == to_json_dict(base)["demand_curve"]
     assert inst.cold_capacity == base.cold_capacity
 
 
 def test_f3_storage_bottleneck_values():
-    inst = apply_archetype("f3_storage_bottleneck")
+    inst = build_instance("f3_storage_bottleneck", 0)
     assert inst.cold_capacity == {
         "DC1": pytest.approx(1200),
         "DC2": pytest.approx(1050),
@@ -70,12 +74,12 @@ def test_f3_storage_bottleneck_values():
 
 
 def test_f6_moq_binary_value():
-    inst = apply_archetype("f6_moq_binary")
+    inst = build_instance("f6_moq_binary", 0)
     assert inst.constraints.moq == 300
 
 
 def test_f1_52_weeks_tiling():
-    inst = apply_archetype("f1_52_weeks")
+    inst = build_instance("f1_52_weeks", 0)
     assert inst.periods == 52
     base_curve = base_scenario().demand_curve["SKU_Basic"]
     curve = inst.demand_curve["SKU_Basic"]
@@ -88,7 +92,9 @@ def test_f1_52_weeks_tiling():
 
 def test_unknown_archetype():
     with pytest.raises(UnknownArchetype):
-        apply_archetype("f9_nonexistent")
+        build_instance("f9_nonexistent", 0)
+    with pytest.raises(UnknownArchetype):
+        build_instance("f9_nonexistent", 5)
 
 
 def _diff_paths(a: dict, b: dict) -> set[str]:
@@ -112,7 +118,7 @@ def _diff_paths(a: dict, b: dict) -> set[str]:
 def test_archetype_touches_only_declared_fields(archetype_id):
     arch = ARCHETYPES[archetype_id]
     base = base_raw()
-    modified = to_json_dict(apply_archetype(archetype_id))
+    modified = to_json_dict(build_instance(archetype_id, 0))
     assert _diff_paths(base, modified) <= set(arch.touched)
 
 
@@ -123,28 +129,30 @@ def test_variant_seed_golden_value():
 
 
 def test_variant_zero_is_unperturbed(base):
-    assert perturb_variant(base, "retail_f1_base", 0) is base
+    v0 = build_instance("f1_base", 0)
+    assert v0.name == "retail_f1_base_v0"
+    assert to_json_dict(v0) == {**to_json_dict(base), "name": v0.name,
+                                "description": v0.description}
 
 
-def test_variant_determinism(base):
-    a = perturb_variant(base, "retail_f1_base", 2)
-    b = perturb_variant(base, "retail_f1_base", 2)
-    assert a == b
+def test_variant_determinism():
+    assert build_instance("f1_base", 2) == build_instance("f1_base", 2)
 
 
-def test_variants_differ_from_each_other(base):
-    v1 = perturb_variant(base, "retail_f1_base", 1)
-    v2 = perturb_variant(base, "retail_f1_base", 2)
+def test_variants_differ_from_each_other():
+    v1 = build_instance("f1_base", 1)
+    v2 = build_instance("f1_base", 2)
     assert v1.demand_curve != v2.demand_curve
 
 
-def test_bad_variant_index(base):
+def test_bad_variant_index():
     with pytest.raises(BadVariantIndex):
-        perturb_variant(base, "retail_f1_base", 5)
+        build_instance("f1_base", 5)
 
 
-def test_perturbation_bounds_and_structure(base):
-    pert = perturb_variant(base, "retail_f1_base", 3)
+def test_perturbation_bounds_and_structure():
+    base = build_instance("f1_base", 0)
+    pert = build_instance("f1_base", 3)
     for p in base.products:
         for orig, new in zip(base.demand_curve[p], pert.demand_curve[p]):
             assert math.floor(0.85 * orig) <= new <= math.floor(1.15 * orig)
@@ -158,8 +166,11 @@ def test_perturbation_bounds_and_structure(base):
     assert pert.production_cap == base.production_cap
 
 
-def test_perturbation_changes_only_demand_and_storage(base):
-    pert = perturb_variant(base, "retail_f1_base", 1)
+@pytest.mark.parametrize("archetype_id,variant",
+                         [(a, v) for a in sorted(ARCHETYPES) for v in VARIANTS[1:]])
+def test_perturbation_changes_only_demand_and_storage(archetype_id, variant):
+    base = build_instance(archetype_id, 0)
+    pert = build_instance(archetype_id, variant)
     diff = _diff_paths(to_json_dict(base), to_json_dict(pert))
     assert diff <= {"demand_curve", "cold_capacity"}
     assert diff  # something did change
@@ -172,7 +183,7 @@ def test_build_instance_names():
 
 
 def test_multiechelon_rewrite_consistency():
-    inst = apply_archetype("f7_multiechelon_chain")
+    inst = build_instance("f7_multiechelon_chain", 0)
     assert len(inst.locations) == 6
     zero_demand = [l for l in inst.locations if inst.demand_share[l] == 0]
     assert set(zero_demand) == {"Plant", "DC_A", "DC_B"}
@@ -209,6 +220,7 @@ def test_generate_suite_deterministic_and_complete(tmp_path):
 
     generate_suite(tmp_path / "b")
     assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+    assert _tree_digest(tmp_path / "a") == SUITE_DIGEST
 
 
 def test_emitted_instance_file_schema(tmp_path):

@@ -42,6 +42,12 @@ def test_missing_required_field_is_named(raw_base):
         validate_instance(raw_base)
 
 
+def test_null_required_scalar_reads_missing(raw_base):
+    raw_base["costs"]["transshipment"] = None
+    with pytest.raises(SchemaError, match=r"costs\.transshipment: missing required field"):
+        validate_instance(raw_base)
+
+
 def test_wrong_arity_is_reported(raw_base):
     raw_base["demand_curve"]["SKU_Basic"] = raw_base["demand_curve"]["SKU_Basic"][:-1]
     with pytest.raises(SchemaError, match="demand_curve"):
@@ -69,6 +75,28 @@ def test_negative_cost_rejected(raw_base):
 def test_return_rate_must_be_below_one(raw_base):
     raw_base["return_rate"]["SKU_Basic"] = 1.0
     with pytest.raises(SchemaError, match="return_rate"):
+        validate_instance(raw_base)
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("demand_curve", "SKU_Basic", 3), float("nan"), "demand_curve[SKU_Basic]"),
+    (("cold_capacity", "DC2"), float("inf"), "cold_capacity[DC2]"),
+    (("costs", "fixed_order"), float("nan"), "costs.fixed_order"),
+], ids=["array_entry", "map_value", "scalar"])
+def test_non_finite_number_rejected(raw_base, path, value, field):
+    *parents, last = path
+    target = raw_base
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(SchemaError) as exc:
+        validate_instance(raw_base)
+    assert str(exc.value) == f"{field}: expected a finite number, got {value!r}"
+
+
+def test_negative_budget_rejected(raw_base):
+    raw_base["constraints"]["budget_per_period"] = -5
+    with pytest.raises(SchemaError, match=r"constraints\.budget_per_period: value -5 below 0"):
         validate_instance(raw_base)
 
 
