@@ -96,10 +96,6 @@ def base_raw() -> dict[str, Any]:
     }
 
 
-def base_scenario() -> ScenarioInstance:
-    return validate_instance(base_raw())
-
-
 # --------------------------------------------------------------------------
 # Archetype registry
 # --------------------------------------------------------------------------
@@ -459,8 +455,6 @@ ARCHETYPES: dict[str, Archetype] = {
               {"constraints.waste_limit_pct"}, _mod_sustainability),
     ]
 }
-
-FAMILY_ARCHETYPE_COUNTS = {"F1": 4, "F2": 6, "F3": 4, "F4": 6, "F5": 4, "F6": 4, "F7": 6, "F8": 4}
 
 
 def archetype_name(archetype_id: str) -> str:

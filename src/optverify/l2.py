@@ -399,12 +399,15 @@ def perturb_source(source: str, param_key: str, factor: float) -> str | None:
 
 
 def _splice(source: str, node: ast.AST, replacement: str) -> str:
-    lines = source.splitlines(keepends=True)
+    # AST columns count UTF-8 bytes, and the AST ends lines only at \n,
+    # \r\n and \r, as bytes.splitlines does; str.splitlines also ends them
+    # at U+2028, form feed and others.
+    lines = source.encode().splitlines(keepends=True)
     start_line, start_col = node.lineno - 1, node.col_offset
     end_line, end_col = node.end_lineno - 1, node.end_col_offset
-    prefix = "".join(lines[:start_line]) + lines[start_line][:start_col]
-    suffix = lines[end_line][end_col:] + "".join(lines[end_line + 1:])
-    return prefix + replacement + suffix
+    prefix = b"".join(lines[:start_line]) + lines[start_line][:start_col]
+    suffix = lines[end_line][end_col:] + b"".join(lines[end_line + 1:])
+    return prefix.decode() + replacement + suffix.decode()
 
 
 # --------------------------------------------------------------------------

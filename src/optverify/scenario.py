@@ -5,6 +5,11 @@ dimensions (periods, products, locations), demand, capacities, costs, and the
 substitution/transshipment network.  Instances are validated once and are
 immutable afterwards, so they can be shared freely across pipeline workers.
 
+The frozen dataclasses below are the instance schema, and the only copy of
+it.  :func:`validate_instance` refuses a key that they do not declare and a
+map entry for an undeclared product or location, and the on-disk file
+(:func:`dumps_instance`) is their fields in declaration order.
+
 Two conventions matter everywhere downstream:
 
 * Periods are 1-indexed in the model (``t = 1..T``) but stored 0-indexed in
@@ -18,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping
 
 from .errors import SchemaError
 
@@ -72,10 +77,18 @@ class ScenarioInstance:
     network: Network = field(default_factory=Network)
 
 
-def _require(raw: Mapping[str, Any], key: str, label: str | None = None) -> Any:
+def _require(raw: Mapping[str, Any], path: str) -> Any:
+    key = path.rpartition(".")[2]
     if key not in raw or raw[key] is None:
-        raise SchemaError(f"{label or key}: missing required field")
+        raise SchemaError(f"{path}: missing required field")
     return raw[key]
+
+
+def _declared_keys(raw: Mapping[str, Any], path: str, schema: type) -> None:
+    declared = {f.name for f in fields(schema)}
+    unknown = sorted(str(k) for k in raw if k not in declared)
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {unknown}")
 
 
 def _as_number(value: Any, field_name: str) -> float:
@@ -101,51 +114,52 @@ def _id_list(raw: Mapping[str, Any], key: str) -> tuple[str, ...]:
 
 def _per_key_map(
     raw: Mapping[str, Any],
-    key: str,
-    keys: Iterable[str],
+    path: str,
+    keys: tuple[str, ...],
     *,
     arity: int | None = None,
     minimum: float | None = None,
     maximum: float | None = None,
     integral: bool = False,
-    label: str | None = None,
 ) -> dict[str, Any]:
-    """Validate a {product-or-location: value} map.
+    """Validate the {product-or-location: value} map keyed by ``path``'s
+    last part, with exactly one entry per id in ``keys``.
 
     ``arity`` turns the values into fixed-length numeric arrays; otherwise the
     values are scalars.  Bounds are inclusive (``maximum`` exclusive only via
-    caller checks).  ``label`` overrides the field name used in errors (for
-    nested records).
+    caller checks).
     """
-    value = _require(raw, key, label)
-    key = label or key
+    value = _require(raw, path)
     if not isinstance(value, Mapping):
-        raise SchemaError(f"{key}: expected a mapping")
+        raise SchemaError(f"{path}: expected a mapping")
+    undeclared = sorted(str(k) for k in value if k not in keys)
+    if undeclared:
+        raise SchemaError(f"{path}: entries for undeclared {undeclared}")
     out: dict[str, Any] = {}
     for k in keys:
         if k not in value:
-            raise SchemaError(f"{key}: missing entry for {k!r}")
+            raise SchemaError(f"{path}: missing entry for {k!r}")
         entry = value[k]
         if arity is not None:
             if not isinstance(entry, (list, tuple)):
-                raise SchemaError(f"{key}[{k}]: expected an array")
+                raise SchemaError(f"{path}[{k}]: expected an array")
             if len(entry) != arity:
                 raise SchemaError(
-                    f"{key}[{k}]: expected {arity} entries, got {len(entry)}"
+                    f"{path}[{k}]: expected {arity} entries, got {len(entry)}"
                 )
-            nums = tuple(_as_number(v, f"{key}[{k}]") for v in entry)
+            nums = tuple(_as_number(v, f"{path}[{k}]") for v in entry)
             for v in nums:
                 if minimum is not None and v < minimum:
-                    raise SchemaError(f"{key}[{k}]: value {v} below {minimum}")
+                    raise SchemaError(f"{path}[{k}]: value {v} below {minimum}")
             out[k] = nums
         else:
-            num = _as_number(entry, f"{key}[{k}]")
+            num = _as_number(entry, f"{path}[{k}]")
             if integral and num != int(num):
-                raise SchemaError(f"{key}[{k}]: expected an integer, got {num}")
+                raise SchemaError(f"{path}[{k}]: expected an integer, got {num}")
             if minimum is not None and num < minimum:
-                raise SchemaError(f"{key}[{k}]: value {num} below {minimum}")
+                raise SchemaError(f"{path}[{k}]: value {num} below {minimum}")
             if maximum is not None and num > maximum:
-                raise SchemaError(f"{key}[{k}]: value {num} above {maximum}")
+                raise SchemaError(f"{path}[{k}]: value {num} above {maximum}")
             out[k] = int(num) if integral else num
     return out
 
@@ -172,12 +186,14 @@ def _edges(block: Any, key: str, valid_ids: tuple[str, ...]) -> tuple[tuple[str,
 def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
     """Validate a raw instance record and return the immutable instance.
 
-    Raises :class:`SchemaError` naming the first offending field.  Absent
+    Raises :class:`SchemaError` naming the first offending field, or the
+    keys and map entries the dataclasses above do not declare.  Absent
     optional side constraints (budget, waste cap) normalize to ``None``;
     an absent ``network`` block normalizes to empty edge lists.
     """
     if not isinstance(raw, Mapping):
         raise SchemaError("instance: expected a mapping at top level")
+    _declared_keys(raw, "instance", ScenarioInstance)
 
     name = str(_require(raw, "name"))
     description = str(raw.get("description", ""))
@@ -210,15 +226,12 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
     costs_raw = _require(raw, "costs")
     if not isinstance(costs_raw, Mapping):
         raise SchemaError("costs: expected a mapping")
+    _declared_keys(costs_raw, "costs", Costs)
     costs = Costs(
-        purchasing=_per_key_map(costs_raw, "purchasing", products,
-                                minimum=0.0, label="costs.purchasing"),
-        inventory=_per_key_map(costs_raw, "inventory", products,
-                               minimum=0.0, label="costs.inventory"),
-        waste=_per_key_map(costs_raw, "waste", products,
-                           minimum=0.0, label="costs.waste"),
-        lost_sales=_per_key_map(costs_raw, "lost_sales", products,
-                                minimum=0.0, label="costs.lost_sales"),
+        purchasing=_per_key_map(costs_raw, "costs.purchasing", products, minimum=0.0),
+        inventory=_per_key_map(costs_raw, "costs.inventory", products, minimum=0.0),
+        waste=_per_key_map(costs_raw, "costs.waste", products, minimum=0.0),
+        lost_sales=_per_key_map(costs_raw, "costs.lost_sales", products, minimum=0.0),
         fixed_order=_nonneg_scalar(costs_raw, "costs.fixed_order"),
         transshipment=_nonneg_scalar(costs_raw, "costs.transshipment"),
     )
@@ -226,6 +239,7 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
     cons_raw = raw.get("constraints") or {}
     if not isinstance(cons_raw, Mapping):
         raise SchemaError("constraints: expected a mapping")
+    _declared_keys(cons_raw, "constraints", SideConstraints)
     pack = cons_raw.get("pack_size", 1)
     pack_num = _as_number(pack, "constraints.pack_size")
     if pack_num != int(pack_num) or pack_num < 1:
@@ -240,6 +254,7 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
     net_raw = raw.get("network") or {}
     if not isinstance(net_raw, Mapping):
         raise SchemaError("network: expected a mapping")
+    _declared_keys(net_raw, "network", Network)
     network = Network(
         sub_edges=_edges(net_raw.get("sub_edges"), "network.sub_edges", products),
         trans_edges=_edges(net_raw.get("trans_edges"), "network.trans_edges", locations),
@@ -272,7 +287,7 @@ def _nonneg_scalar(raw: Mapping[str, Any], label: str, default: Any = ...) -> fl
     ``default`` is given, and a ``None`` default lets absent or null mean
     inactive."""
     key = label.rpartition(".")[2]
-    value = _require(raw, key, label) if default is ... else raw.get(key, default)
+    value = _require(raw, label) if default is ... else raw.get(key, default)
     if value is None and default is None:
         return None
     value = _as_number(value, label)
@@ -306,44 +321,10 @@ def substitution_neighbors(inst: ScenarioInstance, product: str) -> tuple[set[st
 
 
 def to_json_dict(inst: ScenarioInstance) -> dict[str, Any]:
-    """Canonical JSON-compatible representation (stable key order)."""
-    return {
-        "name": inst.name,
-        "description": inst.description,
-        "periods": inst.periods,
-        "products": list(inst.products),
-        "locations": list(inst.locations),
-        "shelf_life": dict(inst.shelf_life),
-        "lead_time": dict(inst.lead_time),
-        "demand_curve": {p: list(v) for p, v in inst.demand_curve.items()},
-        "demand_share": dict(inst.demand_share),
-        "production_cap": {p: list(v) for p, v in inst.production_cap.items()},
-        "cold_capacity": dict(inst.cold_capacity),
-        "cold_usage": dict(inst.cold_usage),
-        "labor_cap": {l: list(v) for l, v in inst.labor_cap.items()},
-        "labor_usage": dict(inst.labor_usage),
-        "return_rate": dict(inst.return_rate),
-        "costs": {
-            "purchasing": dict(inst.costs.purchasing),
-            "inventory": dict(inst.costs.inventory),
-            "waste": dict(inst.costs.waste),
-            "lost_sales": dict(inst.costs.lost_sales),
-            "fixed_order": inst.costs.fixed_order,
-            "transshipment": inst.costs.transshipment,
-        },
-        "constraints": {
-            "moq": inst.constraints.moq,
-            "pack_size": inst.constraints.pack_size,
-            "budget_per_period": inst.constraints.budget_per_period,
-            "waste_limit_pct": inst.constraints.waste_limit_pct,
-        },
-        "network": {
-            "sub_edges": [list(e) for e in inst.network.sub_edges],
-            "trans_edges": [list(e) for e in inst.network.trans_edges],
-        },
-    }
+    """The instance as its file's JSON: the parse of :func:`dumps_instance`."""
+    return json.loads(dumps_instance(inst))
 
 
 def dumps_instance(inst: ScenarioInstance) -> str:
-    """Serialize to the on-disk instance format (UTF-8 JSON, 2-space indent)."""
-    return json.dumps(to_json_dict(inst), indent=2, ensure_ascii=False) + "\n"
+    """The on-disk format: UTF-8 JSON, 2-space indent, fields in declaration order."""
+    return json.dumps(inst, default=vars, indent=2, ensure_ascii=False) + "\n"

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from optverify.generator import base_raw, base_scenario, build_instance
+from optverify.generator import base_raw, build_instance
 from optverify.runtime import CandidateRuntime
+from optverify.scenario import validate_instance
 
 
 @pytest.fixture(scope="session")
 def base():
-    return base_scenario()
+    return validate_instance(base_raw())
 
 
 @pytest.fixture()

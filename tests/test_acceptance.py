@@ -45,15 +45,13 @@ from optverify.pipeline import run_instance
 from optverify.prompts import SCHEMA_BASED
 from optverify.reference import (
     candidate_source,
-    check_flow_conservation,
-    extract_solution,
     solve_reference,
 )
 from optverify.repair import repair_loop, safety_check
 from optverify.runtime import EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 from optverify.scenario import to_json_dict, validate_instance
 
-from .helpers import scripted_reference_provider
+from .helpers import check_flow_conservation, extract_solution, scripted_reference_provider
 
 GROUND_TRUTH_BUDGET_S = 20 * 60
 PER_SOLVE_BUDGET_S = 70  # 60 s solver limit plus model-build overhead

@@ -82,6 +82,19 @@ def test_ground_truth_refuses_non_finite_number(bench_dir, tmp_path, capsys):
     assert not (tmp_path / "gt.json").exists()
 
 
+def test_ground_truth_refuses_undeclared_key(bench_dir, tmp_path, capsys):
+    mini = tmp_path / "instances"
+    mini.mkdir()
+    raw = json.loads((bench_dir / "retail_f1_base_v0.json").read_text())
+    raw["constraint"] = {"budget_per_period": 10000}
+    (mini / "retail_f1_base_v0.json").write_text(json.dumps(raw))
+    code = main(["ground-truth", "--instances", str(mini),
+                 "--out", str(tmp_path / "gt.json")])
+    assert code == EXIT_CONFIG
+    assert "instance: unknown keys ['constraint']" in capsys.readouterr().err
+    assert not (tmp_path / "gt.json").exists()
+
+
 def _seed_fixtures(instances_dir: Path, fixture_dir: Path, names: list[str]) -> None:
     """Record every reply the pipeline will need into the fixture store."""
     for name in names:

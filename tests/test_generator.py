@@ -11,16 +11,14 @@ import pytest
 from optverify.errors import BadVariantIndex, UnknownArchetype
 from optverify.generator import (
     ARCHETYPES,
-    FAMILY_ARCHETYPE_COUNTS,
     VARIANTS,
     archetype_name,
     base_raw,
-    base_scenario,
     build_instance,
     generate_suite,
     variant_seed,
 )
-from optverify.scenario import to_json_dict
+from optverify.scenario import to_json_dict, validate_instance
 
 # Computed once with a standalone SHA-256 oracle:
 #   uint32-LE of sha256(b"retail_f1_base|1")[:4]
@@ -32,6 +30,8 @@ GOLDEN_SEED_F1_BASE_V1 = 1290969454
 SUITE_DIGEST = "59d9fe11053a8fd7ff77617f1c759c269a0c68fd0a6bd6ef42807179b60dd4d5"
 
 LISTING_FIRST_11 = [303, 311, 328, 365, 435, 549, 711, 906, 1100, 1245, 1300]
+
+FAMILY_ARCHETYPE_COUNTS = {"F1": 4, "F2": 6, "F3": 4, "F4": 6, "F5": 4, "F6": 4, "F7": 6, "F8": 4}
 
 
 def test_base_demand_curve_matches_published_values(base):
@@ -81,7 +81,7 @@ def test_f6_moq_binary_value():
 def test_f1_52_weeks_tiling():
     inst = build_instance("f1_52_weeks", 0)
     assert inst.periods == 52
-    base_curve = base_scenario().demand_curve["SKU_Basic"]
+    base_curve = validate_instance(base_raw()).demand_curve["SKU_Basic"]
     curve = inst.demand_curve["SKU_Basic"]
     assert len(curve) == 52
     assert list(curve[:20]) == list(base_curve)

@@ -214,6 +214,23 @@ def test_perturb_source_scales_data_not_shape(src, key, factor, name, expected):
     assert scope[name] == expected
 
 
+@pytest.mark.parametrize("src,expected", [
+    ('costs = {"café_cost": 2.0, "holding": 5.0}\n',
+     'costs = {"café_cost": 2.0, "holding": 0.005}\n'),
+    ('names = {"café": 1}; holding = 4.0\nprint(holding)\n',
+     'names = {"café": 1}; holding = 0.004\nprint(holding)\n'),
+    ('note = "a\u2028b"\nholding = 4.0\n', 'note = "a\u2028b"\nholding = 0.004\n'),
+    ('note = "a\fb"\nholding = 4.0\n', 'note = "a\fb"\nholding = 0.004\n'),
+    ('x = "é"; holding = 4.0\r\nprint(holding)\r\n',
+     'x = "é"; holding = 0.004\r\nprint(holding)\r\n'),
+], ids=["multibyte_same_line", "multibyte_earlier_statement", "line_separator_in_string",
+        "form_feed_in_string", "multibyte_crlf"])
+def test_perturb_source_rewrites_only_the_literal(src, expected):
+    out = perturb_source(src, "holding", 0.001)
+    compile(out, "<perturbed>", "exec")
+    assert out == expected
+
+
 def test_perturb_source_no_match():
     assert perturb_source("x = 1\n", "capacity", 2.0) is None
 

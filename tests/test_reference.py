@@ -9,12 +9,12 @@ from optverify.generator import ARCHETYPES, build_instance
 from optverify.reference import (
     MUTATIONS,
     build_reference_model,
-    check_flow_conservation,
-    extract_solution,
     ground_truth,
     solve_reference,
 )
 from optverify.scenario import demand_at, to_json_dict, validate_instance
+
+from .helpers import check_flow_conservation, extract_solution
 
 # Golden regression value: one solve of this builder on f1_base_v0, frozen.
 F1_BASE_V0_OBJECTIVE = 378951.5

@@ -94,6 +94,24 @@ def test_non_finite_number_rejected(raw_base, path, value, field):
     assert str(exc.value) == f"{field}: expected a finite number, got {value!r}"
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("constraint",), {"budget_per_period": 10000}, "instance: unknown keys ['constraint']"),
+    (("constraints", "budget"), 10000, "constraints: unknown keys ['budget']"),
+    (("costs", "holding"), 1.0, "costs: unknown keys ['holding']"),
+    (("network", "trans_edge"), [["DC1", "DC2"]], "network: unknown keys ['trans_edge']"),
+    (("cold_capacity", "DC9"), 100.0, "cold_capacity: entries for undeclared ['DC9']"),
+], ids=["top_level", "constraints", "costs", "network", "map_entry"])
+def test_undeclared_key_rejected(raw_base, path, value, message):
+    *parents, last = path
+    target = raw_base
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(SchemaError) as exc:
+        validate_instance(raw_base)
+    assert str(exc.value) == message
+
+
 def test_negative_budget_rejected(raw_base):
     raw_base["constraints"]["budget_per_period"] = -5
     with pytest.raises(SchemaError, match=r"constraints\.budget_per_period: value -5 below 0"):
@@ -152,9 +170,9 @@ def test_validate_serialize_roundtrip_idempotent(base):
 
 @given(st.integers(min_value=1, max_value=20))
 def test_share_partition_property(t):
-    from optverify.generator import base_scenario
+    from optverify.generator import base_raw
 
-    inst = base_scenario()
+    inst = validate_instance(base_raw())
     for p in inst.products:
         total = sum(demand_at(inst, p, l, t) for l in inst.locations)
         assert abs(total - inst.demand_curve[p][t - 1]) < 1e-9
