@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .backend import DEFAULT_BACKEND, MIP_GAP, ModelSpec, SolveParams
 from .diagnostics import FATAL, INFO, LAYER_L1, Diagnostic
-from .errors import BackendError, LlmError
+from .errors import BackendError, LlmError, NotInfeasible
 from .llm import data_key_lines, extract_code
 from .runtime import CRASH, TIMEOUT, CandidateProgram, CandidateRuntime, ExecutionOutcome
 
@@ -107,12 +107,12 @@ def _model_diagnostics(fatal: Diagnostic | None, model: ModelSpec,
                        timeout_s: float) -> list[Diagnostic]:
     """``fatal`` with the IIS of an infeasible ``model`` or the ray of an
     unbounded one in its evidence; with no Fatal, an Info on a wide
-    duality gap.  An IIS probe that ends neither infeasible nor feasible
-    leaves the Fatal without IIS evidence."""
+    duality gap.  A feasible ``model``, or an IIS probe that ends neither
+    infeasible nor feasible, leaves the Fatal without IIS evidence."""
     if fatal is not None and fatal.issue_type == "infeasible":
         try:
             iis = ", ".join(sorted(DEFAULT_BACKEND.compute_iis(model)))
-        except BackendError:  # a probe neither infeasible nor feasible
+        except (BackendError, NotInfeasible):
             return [fatal]
         return [replace(fatal, evidence=f"{fatal.evidence}; IIS constraints: {iis}")]
     if fatal is not None and fatal.issue_type != "unbounded":
@@ -181,26 +181,17 @@ Return ONLY the corrected Python code in a ```python block.
 """
 
 
-def _data_instructions(program: CandidateProgram) -> str:
-    if program.data is not None:
-        return (
-            "## Data Structure\n"
-            "The `data` variable is PRE-DEFINED with these keys:\n"
-            f"{data_key_lines(program.data)}\n"
-            'CRITICAL: Do NOT create data = {...}. Just use data["key"] directly.'
-        )
-    return (
-        "## Note\n"
-        "Code is self-contained: all data is defined within the code itself."
-    )
-
-
 def build_regeneration_prompt(problem: str, failed: CandidateProgram, error: str) -> str:
     return _REGENERATION_TEMPLATE.format(
         problem=problem,
         failed_code=failed.source,
         error=error,
-        data_instructions=_data_instructions(failed),
+        data_instructions=(
+            "## Data Structure\nThe `data` variable is PRE-DEFINED with these keys:\n"
+            f"{data_key_lines(failed.data)}\n"
+            'CRITICAL: Do NOT create data = {...}. Just use data["key"] directly.'
+            if failed.data is not None else
+            "## Note\nCode is self-contained: all data is defined within the code itself."),
     )
 
 

@@ -10,7 +10,8 @@ Generation follows an extraction-first strategy: first ask the model to pull
 the numeric parameters out of the problem text into a structured record,
 then generate code that references the pre-loaded ``data`` dict; fall back
 to fully self-contained code when extraction fails or the generated code
-insists on parsing embedded data itself.
+insists on parsing embedded data itself.  Each prompt is one ``str.format``
+template, filled once, so its text reads as it is sent.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class HttpTransport:
             raise LlmError("transport", f"provider returned {resp.status_code}")
         try:
             return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise LlmError("transport", f"malformed provider reply: {exc}") from exc
 
 
@@ -186,16 +187,20 @@ COT_SYSTEM_PROMPT = (
     "reasoning."
 )
 
-_COT_STEP1 = """\
+_COT_TEMPLATE = """\
+Solve this optimization problem using chain-of-thought reasoning.
+
+## Problem
+{problem}
+
+---
 ## STEP 1: UNDERSTAND THE PROBLEM
 First, analyze the problem:
 - What is the objective? (minimize cost / maximize profit / etc.)
 - What decisions need to be made?
 - What constraints exist?
 - What parameters are given?
-"""
 
-_COT_STEP2_TEMPLATE = """\
 ## STEP 2: FORMULATE THE MATHEMATICAL MODEL
 Write the formal model:
 - Sets and indices
@@ -207,21 +212,22 @@ Write the formal model:
   items to select). State your choice and reasoning.
 - Constraints in mathematical notation
 - Objective function
-"""
 
-_COT_RULES_TAIL = """\
+## STEP 3: GENERATE GUROBI CODE
+{code_line}
+
+**CRITICAL RULES:**
+1. {rule_1}
 2. Model variable must be named `m`
 3. Set `m.Params.OutputFlag = 0`
-4. Print exactly: `print(f"status: {m.Status}")` and
-   `print(f"objective: {m.ObjVal}")`
+4. Print exactly: `print(f"status: {{m.Status}}")` and
+   `print(f"objective: {{m.ObjVal}}")`
 5. Implement ALL constraints mentioned in the problem description
    (not just those in Step 2 -- re-read the problem to ensure
    nothing is missed)
 6. Include ALL cost/revenue terms from the problem in the objective
    function
-"""
-
-_COT_GUIDELINES = """\
+{rule_7}
 **Big-M Guidelines (if using indicator/logical constraints):**
 - NEVER hardcode Big-M values like `M = 1e6`
 - ALWAYS compute M dynamically from data parameters
@@ -229,19 +235,15 @@ _COT_GUIDELINES = """\
 **Edge Case Handling:**
 - Check array length before iteration
 - Avoid division by zero: `max(value, 1e-6)`
-"""
 
-_COT_STEP4_TEMPLATE = """\
-## STEP 4: VERIFY COMPLETENESS
+{data_keys}## STEP 4: VERIFY COMPLETENESS
 Before finalizing, cross-check your code against the original problem:
 - Does the objective include EVERY cost/revenue term mentioned in the
   problem?
 - Is EVERY constraint from the problem implemented in the code?
 - {values_line}
 If anything is missing, fix the code before returning it.
-"""
 
-_COT_CLOSING = """\
 ---
 Now solve the problem. Show your reasoning for Steps 1-2, then
 provide the final code in a ```python block.
@@ -256,47 +258,28 @@ def build_cot_prompt(problem: str, record: Mapping[str, Any] | None = None) -> s
     with their types (see :func:`data_key_lines`).  Without one the
     code must be self-contained.
     """
-    parts = [
-        "Solve this optimization problem using chain-of-thought reasoning.\n",
-        f"## Problem\n{problem}\n",
-        "---",
-        _COT_STEP1,
-    ]
-    if record is None:
-        parts.append(_COT_STEP2_TEMPLATE.format(
-            parameters_line="Parameters (extract all numerical values from the problem\n  description)"))
-        parts.append(
-            "## STEP 3: GENERATE GUROBI CODE\n"
-            "Write self-contained Python code using gurobipy.\n"
-            "\n"
-            "**CRITICAL RULES:**\n"
-            "1. Define ALL data within your code (extract numbers from the problem\n"
-            "   description above)\n"
-            + _COT_RULES_TAIL
+    if record is not None:
+        return _COT_TEMPLATE.format(
+            problem=problem,
+            parameters_line="Parameters (reference the data keys listed below)",
+            code_line="Write Python code using gurobipy.",
+            rule_1="The `data` variable is PRE-LOADED with the problem data. Do NOT\n"
+                   '   define or redefine `data`. Just use data["key"] directly.',
+            rule_7="7. Do NOT use `import json` or `json.loads()`. Data is already a\n"
+                   "   Python dict.\n",
+            data_keys=f"## Available Data Keys\n{data_key_lines(record)}\n\n",
+            values_line="Are data keys accessed correctly?",
         )
-        parts.append(_COT_GUIDELINES)
-        parts.append(_COT_STEP4_TEMPLATE.format(
-            values_line="Are all numerical values correctly extracted from the problem\n  description?"))
-    else:
-        parts.append(_COT_STEP2_TEMPLATE.format(
-            parameters_line="Parameters (reference the data keys listed below)"))
-        parts.append(
-            "## STEP 3: GENERATE GUROBI CODE\n"
-            "Write Python code using gurobipy.\n"
-            "\n"
-            "**CRITICAL RULES:**\n"
-            "1. The `data` variable is PRE-LOADED with the problem data. Do NOT\n"
-            "   define or redefine `data`. Just use data[\"key\"] directly.\n"
-            + _COT_RULES_TAIL
-            + "7. Do NOT use `import json` or `json.loads()`. Data is already a\n"
-            "   Python dict.\n"
-        )
-        parts.append(_COT_GUIDELINES)
-        parts.append(f"## Available Data Keys\n{data_key_lines(record)}\n")
-        parts.append(_COT_STEP4_TEMPLATE.format(
-            values_line="Are data keys accessed correctly?"))
-    parts.append(_COT_CLOSING)
-    return "\n".join(parts)
+    return _COT_TEMPLATE.format(
+        problem=problem,
+        parameters_line="Parameters (extract all numerical values from the problem\n  description)",
+        code_line="Write self-contained Python code using gurobipy.",
+        rule_1="Define ALL data within your code (extract numbers from the problem\n"
+               "   description above)",
+        rule_7="",
+        data_keys="",
+        values_line="Are all numerical values correctly extracted from the problem\n  description?",
+    )
 
 
 EXTRACTION_SYSTEM_PROMPT = (

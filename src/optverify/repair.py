@@ -1,7 +1,8 @@
 """Diagnosis-guided repair with safety and regression guards.
 
-Warnings (and only Warnings) trigger targeted repair.  Three mechanisms keep
-repair from making things worse:
+Warnings (and only Warnings) trigger targeted repair, through one prompt
+template filled with L2's evidence.  Three mechanisms keep repair from
+making things worse:
 
 * safety check - repaired code must not fabricate or mutate the injected
   data record, and must not import process-spawning modules; one guided
@@ -134,7 +135,7 @@ def safety_check(source: str, data_mode: str) -> list[SafetyViolation]:
 
 REPAIR_SYSTEM_PROMPT = "You are an optimization code repair expert."
 
-_REPAIR_RULES = """\
+_REPAIR_TEMPLATE = """\
 CRITICAL RULES:
 1. ONLY fix the actionable issues listed in the ISSUES DETECTED
    section
@@ -144,9 +145,33 @@ CRITICAL RULES:
 4. Preserve all working code -- only change what is broken
 5. Do NOT change hardcoded data values unless the diagnostic
    evidence specifically requires it
-"""
 
-_REPAIR_INSTRUCTIONS = """\
+Fix this optimization code based on the behavioral verification
+report.
+
+## Problem
+{problem}
+
+{data}
+
+## Current Code
+```python
+{source}
+```
+
+## Current objective value: {objective}
+
+---
+## ISSUES DETECTED ({count} actionable)
+
+{issues}
+
+---
+## REFERENCE ONLY (DO NOT FIX)
+
+{reference}
+
+---
 ## REPAIR INSTRUCTIONS
 
 1. Read each Issue carefully, especially the Evidence field
@@ -155,8 +180,12 @@ _REPAIR_INSTRUCTIONS = """\
 4. DO NOT fix items in the REFERENCE section -- they are likely
    normal
 5. Preserve all working code -- only change what is broken
+
+{safety}
+Return the COMPLETE fixed code in a ```python block.
 """
 
+# The ``{safety}`` fills; kept out of the template because they hold braces.
 _SAFETY_RULES_EXTERNAL = """\
 ## SAFETY RULES
 - Do NOT redefine the `data` variable (no `data = {...}`)
@@ -171,16 +200,6 @@ _SAFETY_RULES_SELF = """\
 """
 
 
-def _data_section(program: CandidateProgram) -> str:
-    if program.data is not None:
-        return (
-            "## Data Structure\n"
-            "The `data` variable is PRE-LOADED with these keys (types only,\n"
-            f"values are supplied at runtime):\n{data_key_lines(program.data)}"
-        )
-    return "## Data\nCode is self-contained."
-
-
 def build_repair_prompt(
     problem: str,
     program: CandidateProgram,
@@ -188,55 +207,26 @@ def build_repair_prompt(
     actionable: Sequence[Diagnostic],
     reference_only: Sequence[Diagnostic],
 ) -> str:
-    issue_blocks = []
-    for i, d in enumerate(actionable, start=1):
-        issue_blocks.append(
+    return _REPAIR_TEMPLATE.format(
+        problem=problem,
+        data=("## Data Structure\n"
+              "The `data` variable is PRE-LOADED with these keys (types only,\n"
+              f"values are supplied at runtime):\n{data_key_lines(program.data)}"
+              if program.data is not None else "## Data\nCode is self-contained."),
+        source=program.source,
+        objective=current_objective,
+        count=len(actionable),
+        issues="\n\n".join(
             f"=== Issue {i} [{d.layer}] [{d.severity}] ===\n"
-            f"Type: {d.issue_type}\n"
-            f"Target: {d.target}\n"
-            f"Evidence: {d.evidence}"
-        )
-    reference_blocks = []
-    for i, d in enumerate(reference_only, start=1):
-        reference_blocks.append(
-            f"{i}. [{d.layer}] {d.issue_type} -- {d.target}\n"
-            f"   {d.evidence}\n"
-            "   Action: DO NOT FIX"
-        )
-    reference_text = (
-        "Below items are NORMAL in most cases and are shown for context only.\n\n"
-        + "\n\n".join(reference_blocks)
-        if reference_blocks
-        else "(none)"
-    )
-    safety = _SAFETY_RULES_EXTERNAL if program.data_mode == EXTERNAL_DICT else _SAFETY_RULES_SELF
-    return (
-        f"{_REPAIR_RULES}\n"
-        "Fix this optimization code based on the behavioral verification\n"
-        "report.\n"
-        "\n"
-        f"## Problem\n{problem}\n"
-        "\n"
-        f"{_data_section(program)}\n"
-        "\n"
-        f"## Current Code\n```python\n{program.source}\n```\n"
-        "\n"
-        f"## Current objective value: {current_objective}\n"
-        "\n"
-        "---\n"
-        f"## ISSUES DETECTED ({len(actionable)} actionable)\n"
-        "\n"
-        + "\n\n".join(issue_blocks)
-        + "\n\n"
-        "---\n"
-        "## REFERENCE ONLY (DO NOT FIX)\n"
-        "\n"
-        f"{reference_text}\n"
-        "\n"
-        "---\n"
-        f"{_REPAIR_INSTRUCTIONS}\n"
-        f"{safety}\n"
-        "Return the COMPLETE fixed code in a ```python block.\n"
+            f"Type: {d.issue_type}\nTarget: {d.target}\nEvidence: {d.evidence}"
+            for i, d in enumerate(actionable, start=1)),
+        reference=("Below items are NORMAL in most cases and are shown for context only.\n\n"
+                   + "\n\n".join(
+                       f"{i}. [{d.layer}] {d.issue_type} -- {d.target}\n"
+                       f"   {d.evidence}\n   Action: DO NOT FIX"
+                       for i, d in enumerate(reference_only, start=1))
+                   if reference_only else "(none)"),
+        safety=_SAFETY_RULES_EXTERNAL if program.data is not None else _SAFETY_RULES_SELF,
     )
 
 

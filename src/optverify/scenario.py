@@ -91,6 +91,12 @@ def _declared_keys(raw: Mapping[str, Any], path: str, schema: type) -> None:
         raise SchemaError(f"{path}: unknown keys {unknown}")
 
 
+def _as_str(value: Any, field_name: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{field_name}: expected a string, got {value!r}")
+    return value
+
+
 def _as_number(value: Any, field_name: str) -> float:
     # Returns the value unchanged (int stays int) so serialization
     # round-trips byte-exactly; callers only rely on numeric semantics.
@@ -106,7 +112,7 @@ def _id_list(raw: Mapping[str, Any], key: str) -> tuple[str, ...]:
     value = _require(raw, key)
     if not isinstance(value, (list, tuple)) or not value:
         raise SchemaError(f"{key}: expected a non-empty list of identifiers")
-    ids = tuple(str(v) for v in value)
+    ids = tuple(_as_str(v, f"{key}[{i}]") for i, v in enumerate(value))
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{key}: identifiers must be unique")
     return ids
@@ -174,11 +180,14 @@ def _edges(block: Any, key: str, valid_ids: tuple[str, ...]) -> tuple[tuple[str,
     for i, pair in enumerate(block):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"{key}[{i}]: expected a [from, to] pair")
-        a, b = str(pair[0]), str(pair[1])
+        a, b = _as_str(pair[0], f"{key}[{i}]"), _as_str(pair[1], f"{key}[{i}]")
         if a not in id_set or b not in id_set:
             raise SchemaError(f"{key}[{i}]: edge [{a}, {b}] references an undeclared id")
         if a == b:
             raise SchemaError(f"{key}[{i}]: self-loop [{a}, {b}] not allowed")
+        # The models name each edge's variables by its pair.
+        if (a, b) in edges:
+            raise SchemaError(f"{key}[{i}]: duplicate edge [{a}, {b}]")
         edges.append((a, b))
     return tuple(edges)
 
@@ -195,8 +204,8 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
         raise SchemaError("instance: expected a mapping at top level")
     _declared_keys(raw, "instance", ScenarioInstance)
 
-    name = str(_require(raw, "name"))
-    description = str(raw.get("description", ""))
+    name = _as_str(_require(raw, "name"), "name")
+    description = _as_str(raw.get("description", ""), "description")
 
     periods = _require(raw, "periods")
     if not isinstance(periods, int) or isinstance(periods, bool) or periods < 1:

@@ -68,31 +68,41 @@ def test_ground_truth_command(bench_dir, tmp_path, capsys):
     assert payload["retail_f1_base_v0"]["objective"] == pytest.approx(378951.5, rel=1e-6)
 
 
-def test_ground_truth_refuses_non_finite_number(bench_dir, tmp_path, capsys):
+def _assert_ground_truth_refuses(bench_dir, tmp_path, capsys, edit, message):
+    """``ground-truth`` over the base v0 record after ``edit`` exits 2 with
+    ``message`` and writes no output file."""
     mini = tmp_path / "instances"
     mini.mkdir()
     raw = json.loads((bench_dir / "retail_f1_base_v0.json").read_text())
-    raw["demand_curve"]["SKU_Basic"][3] = float("nan")
+    edit(raw)
     (mini / "retail_f1_base_v0.json").write_text(json.dumps(raw))
     code = main(["ground-truth", "--instances", str(mini),
                  "--out", str(tmp_path / "gt.json")])
     assert code == EXIT_CONFIG
-    assert ("demand_curve[SKU_Basic]: expected a finite number, got nan"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "gt.json").exists()
+
+
+def test_ground_truth_refuses_non_finite_number(bench_dir, tmp_path, capsys):
+    def edit(raw):
+        raw["demand_curve"]["SKU_Basic"][3] = float("nan")
+    _assert_ground_truth_refuses(bench_dir, tmp_path, capsys, edit,
+                                 "demand_curve[SKU_Basic]: expected a finite number, got nan")
 
 
 def test_ground_truth_refuses_undeclared_key(bench_dir, tmp_path, capsys):
-    mini = tmp_path / "instances"
-    mini.mkdir()
-    raw = json.loads((bench_dir / "retail_f1_base_v0.json").read_text())
-    raw["constraint"] = {"budget_per_period": 10000}
-    (mini / "retail_f1_base_v0.json").write_text(json.dumps(raw))
-    code = main(["ground-truth", "--instances", str(mini),
-                 "--out", str(tmp_path / "gt.json")])
-    assert code == EXIT_CONFIG
-    assert "instance: unknown keys ['constraint']" in capsys.readouterr().err
-    assert not (tmp_path / "gt.json").exists()
+    def edit(raw):
+        raw["constraint"] = {"budget_per_period": 10000}
+    _assert_ground_truth_refuses(bench_dir, tmp_path, capsys, edit,
+                                 "instance: unknown keys ['constraint']")
+
+
+def test_ground_truth_refuses_duplicate_edge(bench_dir, tmp_path, capsys):
+    # Without the refusal the solver sees two variables of one name and fails.
+    def edit(raw):
+        raw["network"]["sub_edges"].append(["SKU_Basic", "SKU_Premium"])
+    _assert_ground_truth_refuses(bench_dir, tmp_path, capsys, edit,
+                                 "network.sub_edges[1]: duplicate edge [SKU_Basic, SKU_Premium]")
 
 
 def _seed_fixtures(instances_dir: Path, fixture_dir: Path, names: list[str]) -> None:

@@ -7,6 +7,7 @@ from scipy.optimize._highspy._core import HighsModelStatus
 from optverify import backend
 from optverify.backend import Constraint, ModelSpec, Objective, Variable
 from optverify.diagnostics import INFO
+from optverify.errors import LlmError
 from optverify.l1 import (
     REGENERATION_SYSTEM_PROMPT,
     build_regeneration_prompt,
@@ -113,6 +114,18 @@ def test_infeasible_keeps_its_fatal_when_an_iis_probe_ends_undecided(runtime, mo
     assert "IIS" not in result.fatal.evidence
 
 
+def test_infeasible_keeps_its_fatal_when_the_model_is_feasible(runtime):
+    # The program's status and the model passed for enrichment disagree:
+    # no IIS exists, so the Fatal stays without IIS evidence.
+    model = ModelSpec(
+        variables=[Variable("x", lower=-math.inf)],
+        constraints=[Constraint("x_ge_1", {"x": 1.0}, ">=", 1.0)],
+    )
+    result = l1_verify(CandidateProgram("print('status: 3')"), runtime, model_spec=model)
+    assert result.fatal.issue_type == "infeasible"
+    assert result.fatal.evidence == "solver reported the model infeasible"
+
+
 def test_infeasible_without_model_spec_raw_status(runtime):
     result = l1_verify(CandidateProgram("print('status: 3')"), runtime)
     assert result.fatal.issue_type == "infeasible"
@@ -189,6 +202,36 @@ def test_regeneration_loop_recovers(runtime):
     final, result = l1_verify_with_regeneration(
         program, "problem", _client(fixer), runtime, max_regenerations=3)
     assert result.passed
+    assert result.objective == 10.0
+    assert "status: 2" in final.source
+
+
+def test_regeneration_llm_error_ends_loop_with_last_failure(runtime):
+    calls = []
+
+    def broken_then_down(payload):
+        calls.append(1)
+        if len(calls) > 1:
+            raise LlmError("auth", "provider returned 401")
+        return "```python\nraise RuntimeError('regen 1')\n```"
+
+    final, result = l1_verify_with_regeneration(
+        CandidateProgram("raise RuntimeError('broken')"), "problem",
+        _client(broken_then_down), runtime, max_regenerations=3)
+    assert len(calls) == 2
+    assert final.source == "raise RuntimeError('regen 1')"
+    assert result.fatal.issue_type == "runtime_error"
+    assert "regen 1" in result.fatal.evidence
+
+
+def test_regeneration_reply_without_code_uses_an_attempt(runtime):
+    replies = iter(["I cannot fix this.",
+                    "```python\nprint('status: 2')\nprint('objective: 10')\n```"])
+    audit = []
+    final, result = l1_verify_with_regeneration(
+        CandidateProgram("raise RuntimeError('broken')"), "problem",
+        _client(lambda payload: next(replies)), runtime, max_regenerations=2, audit=audit)
+    assert [e["attempt"] for e in audit] == [1, 2]
     assert result.objective == 10.0
     assert "status: 2" in final.source
 

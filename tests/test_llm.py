@@ -3,10 +3,13 @@ from __future__ import annotations
 import pickle
 
 import pytest
+import requests
 
+from optverify import llm
 from optverify.errors import ExtractionError, GenerationError, LlmError
 from optverify.llm import (
     CallableTransport,
+    HttpTransport,
     LlmClient,
     LlmConfig,
     RecordingTransport,
@@ -104,6 +107,74 @@ def test_request_hash_sensitivity():
     c = request_hash(canonical_request(LlmConfig(model_name="m2"), "s", "u"))
     assert a != b and a != c
     assert a == request_hash(canonical_request(config, "s", "u"))
+
+
+class _FakeResponse:
+    def __init__(self, status_code, payload=None):
+        self.status_code = status_code
+        self.payload = payload
+
+    def json(self):
+        if self.payload is None:
+            raise ValueError("no JSON body")
+        return self.payload
+
+
+def _http_send(monkeypatch, response, env_key=None):
+    """One ``HttpTransport.send`` against a stubbed ``requests.post``;
+    returns its reply or error, and the request it made."""
+    sent = {}
+
+    def post(url, json, headers, timeout):
+        sent.update(url=url, body=json, headers=headers)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+    monkeypatch.setattr(llm.requests, "post", post)
+    monkeypatch.delenv("OPTVERIFY_TEST_KEY", raising=False)
+    if env_key is not None:
+        monkeypatch.setenv("OPTVERIFY_TEST_KEY", env_key)
+    transport = HttpTransport(LlmConfig(endpoint="http://provider.invalid/v1",
+                                        model_name="m", api_key_env="OPTVERIFY_TEST_KEY"))
+    try:
+        result = transport.send(canonical_request(transport.config, "sys", "user"))
+    except LlmError as exc:
+        result = exc
+    return result, sent
+
+
+@pytest.mark.parametrize("response,kind,message", [
+    (_FakeResponse(401), "auth", "provider returned 401"),
+    (_FakeResponse(403), "auth", "provider returned 403"),
+    (_FakeResponse(429), "rate_limit", "provider returned 429"),
+    (_FakeResponse(500), "transport", "provider returned 500"),
+    (requests.ConnectionError("connection refused"), "transport", "connection refused"),
+    (_FakeResponse(200, {"id": "x"}), "transport", "malformed provider reply"),
+    (_FakeResponse(200), "transport", "malformed provider reply"),
+    (_FakeResponse(200, ["choices"]), "transport", "malformed provider reply"),
+], ids=["401", "403", "429", "500", "connection", "no_choices", "not_json", "list_body"])
+def test_http_transport_error_kinds(monkeypatch, response, kind, message):
+    err, _ = _http_send(monkeypatch, response)
+    assert isinstance(err, LlmError)
+    assert err.kind == kind
+    assert err.message.startswith(message)
+
+
+def test_http_transport_request_and_reply(monkeypatch):
+    ok = _FakeResponse(200, {"choices": [{"message": {"content": "the code"}}]})
+    reply, sent = _http_send(monkeypatch, ok)
+    assert reply == "the code"
+    assert sent["url"] == "http://provider.invalid/v1"
+    assert sent["body"] == {
+        "model": "m", "temperature": 0.0, "max_tokens": 8192,
+        "messages": [{"role": "system", "content": "sys"},
+                     {"role": "user", "content": "user"}],
+    }
+    assert "Authorization" not in sent["headers"]
+
+    _, sent = _http_send(monkeypatch, ok, env_key="sk-test")
+    assert sent["headers"]["Authorization"] == "Bearer sk-test"
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from optverify import l2
+from optverify import l2, repair
 from optverify.config import PipelineConfig
 from optverify.diagnostics import INFO, NEEDS_REPAIR, VERIFIED, WARNING, Diagnostic
-from optverify.errors import ConfigError
+from optverify.errors import ConfigError, LlmError
 from optverify.l1 import l1_verify
 from optverify.llm import CallableTransport, LlmClient, LlmConfig
 from optverify.repair import (
@@ -245,6 +245,31 @@ def test_self_contained_extraction_prompts_list_bound_data():
     assert len(extraction) == 2
     for user in extraction:
         assert "## Available Data Parameters\n['data', 'scale', 'unit_cost', 'quantity']" in user
+
+
+def test_llm_error_ends_repair_with_first_pass_state(monkeypatch):
+    passes = []
+    run = repair.run_l2
+    monkeypatch.setattr(repair, "run_l2", lambda *a: passes.append(run(*a)) or passes[-1])
+
+    def fn(payload):
+        user = payload["user"]
+        if "KEY CONSTRAINTS" in user:
+            return _EMPTY_REPLY
+        if "KEY OBJECTIVE" in user:
+            return ('[{"description": "holding cost", "role": "cost", '
+                    '"parameters": ["holding_cost"]}]')
+        raise LlmError("auth", "provider returned 401")
+
+    program = CandidateProgram(_BASE_SOURCE, _RECORD)
+    out = _loop(program, _client(fn))
+    assert out.events == [{"iteration": 1, "decision": "llm_error",
+                           "detail": "auth: provider returned 401"}]
+    assert out.program is program
+    assert out.objective == 100.0
+    assert len(passes) == 1
+    assert out.diagnostics is passes[0]
+    assert out.report.status == NEEDS_REPAIR
 
 
 def test_identical_code_terminates():

@@ -78,17 +78,20 @@ def test_return_rate_must_be_below_one(raw_base):
         validate_instance(raw_base)
 
 
+def _assign(raw, path, value):
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
 @pytest.mark.parametrize("path,value,field", [
     (("demand_curve", "SKU_Basic", 3), float("nan"), "demand_curve[SKU_Basic]"),
     (("cold_capacity", "DC2"), float("inf"), "cold_capacity[DC2]"),
     (("costs", "fixed_order"), float("nan"), "costs.fixed_order"),
 ], ids=["array_entry", "map_value", "scalar"])
 def test_non_finite_number_rejected(raw_base, path, value, field):
-    *parents, last = path
-    target = raw_base
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    _assign(raw_base, path, value)
     with pytest.raises(SchemaError) as exc:
         validate_instance(raw_base)
     assert str(exc.value) == f"{field}: expected a finite number, got {value!r}"
@@ -102,14 +105,44 @@ def test_non_finite_number_rejected(raw_base, path, value, field):
     (("cold_capacity", "DC9"), 100.0, "cold_capacity: entries for undeclared ['DC9']"),
 ], ids=["top_level", "constraints", "costs", "network", "map_entry"])
 def test_undeclared_key_rejected(raw_base, path, value, message):
-    *parents, last = path
-    target = raw_base
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    _assign(raw_base, path, value)
     with pytest.raises(SchemaError) as exc:
         validate_instance(raw_base)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key,edges,message", [
+    ("sub_edges", [["SKU_Basic", "SKU_Premium"], ["SKU_Basic", "SKU_Premium"]],
+     "network.sub_edges[1]: duplicate edge [SKU_Basic, SKU_Premium]"),
+    ("trans_edges", [["DC1", "DC2"], ["DC2", "DC1"], ["DC1", "DC2"]],
+     "network.trans_edges[2]: duplicate edge [DC1, DC2]"),
+], ids=["sub_edges", "trans_edges"])
+def test_duplicate_edge_rejected(raw_base, key, edges, message):
+    raw_base["network"][key] = edges
+    with pytest.raises(SchemaError) as exc:
+        validate_instance(raw_base)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("name",), ["a"], "name: expected a string, got ['a']"),
+    (("description",), None, "description: expected a string, got None"),
+    (("description",), 7, "description: expected a string, got 7"),
+    (("products", 2), None, "products[2]: expected a string, got None"),
+    (("locations", 0), 1, "locations[0]: expected a string, got 1"),
+    (("network", "sub_edges", 0, 1), None, "network.sub_edges[0]: expected a string, got None"),
+], ids=["name", "description_null", "description_number", "product_id", "location_id",
+        "edge_end"])
+def test_text_and_ids_must_be_strings(raw_base, path, value, message):
+    _assign(raw_base, path, value)
+    with pytest.raises(SchemaError) as exc:
+        validate_instance(raw_base)
+    assert str(exc.value) == message
+
+
+def test_absent_description_reads_empty(raw_base):
+    del raw_base["description"]
+    assert validate_instance(raw_base).description == ""
 
 
 def test_negative_budget_rejected(raw_base):
