@@ -3,11 +3,11 @@
 ``ModelSpec`` is a plain linear-program carrier (variables, linear
 constraints, objective).  The model is checked where it is laid out as
 arrays, in ``_assemble``: one whole-array pass per field, and a model with
-a fault (a duplicate name, an unknown variable, a non-finite number, a bad
-sense or domain, bounds that admit no value) is refused with a
-``BackendError`` naming the first one.  Every HiGHS run goes through
-``_Session``, which passes the arrays once to HiGHS (the binding scipy
-ships).  The backend also provides the two diagnosis capabilities the
+a fault (a duplicate name, an unknown variable, a non-finite number or one
+too large for HiGHS, a bad sense or domain, bounds that admit no value) is
+refused with a ``BackendError`` naming the first one.  Every HiGHS run goes
+through ``_Session``, which passes the arrays once to HiGHS (the binding
+scipy ships).  The backend also provides the two diagnosis capabilities the
 verification layers rely on:
 
 * :meth:`HighsBackend.compute_iis` - an irreducible inconsistent subsystem
@@ -68,6 +68,11 @@ MIP_GAP = 0.01
 _RAY_BOX = 1e9
 # Dual-ray entries below this share of the largest count as zero.
 _RAY_TOL = 1e-9
+
+# HiGHS reads a bound, right-hand side or cost this large in size as
+# infinite, and refuses a matrix coefficient as large as the second.
+_HIGHS_INF = 1e20
+_MAX_COEFFICIENT = 1e15
 
 # The codes ``_assemble`` reads domains and senses as.
 _DOMAINS = {CONTINUOUS: 0, INTEGER: 1, BINARY: 2}
@@ -151,12 +156,19 @@ def _codes(table: dict[str, int], keys, count: int) -> np.ndarray:
     return np.fromiter(map(table.get, keys, repeat(-1)), dtype=np.int8, count=count)
 
 
+def _infinite(x: np.ndarray) -> np.ndarray:
+    """``x`` with each value HiGHS reads as infinite made so, in place."""
+    big = np.abs(x) >= _HIGHS_INF
+    x[big] = np.copysign(np.inf, x[big])
+    return x
+
+
 def _row_fault(con: Constraint, index: dict[str, int]) -> str:
     """The message naming the first fault of a row that has one."""
     for v, coef in con.coefficients.items():
         if v not in index:
             return f"constraint {con.name} references unknown variable {v}"
-        if not math.isfinite(coef):
+        if not abs(coef) < _MAX_COEFFICIENT:
             return f"constraint {con.name} has coefficient {coef} on {v}"
     if con.sense not in _SENSES:
         return f"constraint {con.name} has invalid sense {con.sense!r}"
@@ -168,10 +180,16 @@ def _assemble(model: ModelSpec) -> _Arrays:
 
     A refused model raises ``BackendError`` naming its first fault, looked
     for in this order: duplicate variable or constraint names, NaN bounds,
-    each row's terms (an unknown variable, a non-finite coefficient), sense
-    and right-hand side, the objective's terms and constant, unknown
+    each row's terms (an unknown variable, a coefficient that is not finite
+    or is 1e15 or more in size), sense and right-hand side, the objective's
+    terms (not finite, or 1e20 or more in size) and constant, unknown
     domains, and bounds that admit no value of their domain.  Infinite and
     crossed bounds that admit one are legal.
+
+    A finite bound or right-hand side of 1e20 or more in size is read as
+    the infinity HiGHS takes it for: no limit on its own side (gurobipy's
+    ``GRB.INFINITY`` is 1e100), and refused on the other, where it admits
+    no value.
     """
     variables, rows = model.variables, model.constraints
     n, m = len(variables), len(rows)
@@ -181,8 +199,8 @@ def _assemble(model: ModelSpec) -> _Arrays:
         raise BackendError("duplicate variable names in model")
     if len(set(map(attrgetter("name"), rows))) != m:
         raise BackendError("duplicate constraint names in model")
-    lower = np.fromiter(map(attrgetter("lower"), variables), dtype=float, count=n)
-    upper = np.fromiter(map(attrgetter("upper"), variables), dtype=float, count=n)
+    lower = _infinite(np.fromiter(map(attrgetter("lower"), variables), dtype=float, count=n))
+    upper = _infinite(np.fromiter(map(attrgetter("upper"), variables), dtype=float, count=n))
     nan = np.isnan(lower) | np.isnan(upper)
     if nan.any():
         raise BackendError(f"variable {names[nan.argmax()]} has a NaN bound")
@@ -197,8 +215,10 @@ def _assemble(model: ModelSpec) -> _Arrays:
                        dtype=float, count=nnz)
     sense = _codes(_SENSES, map(attrgetter("sense"), rows), m)
     rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
-    faulty = (sense < 0) | ~np.isfinite(rhs)
-    bad_terms = np.flatnonzero((cols < 0) | ~np.isfinite(vals))
+    lb = _infinite(np.where(sense == _SENSES["<="], -np.inf, rhs))
+    ub = _infinite(np.where(sense == _SENSES[">="], np.inf, rhs))
+    faulty = (sense < 0) | ~np.isfinite(rhs) | (lb == np.inf) | (ub == -np.inf)
+    bad_terms = np.flatnonzero((cols < 0) | ~(np.abs(vals) < _MAX_COEFFICIENT))
     faulty[np.searchsorted(indptr, bad_terms, side="right") - 1] = True  # their rows
     if faulty.any():
         raise BackendError(_row_fault(rows[faulty.argmax()], index))
@@ -207,7 +227,7 @@ def _assemble(model: ModelSpec) -> _Arrays:
     costs = objective.coefficients
     ocols = np.fromiter(map(index.get, costs, repeat(-1)), dtype=np.int64, count=len(costs))
     ovals = np.fromiter(costs.values(), dtype=float, count=len(costs))
-    bad = np.flatnonzero((ocols < 0) | ~np.isfinite(ovals))
+    bad = np.flatnonzero((ocols < 0) | ~(np.abs(ovals) < _HIGHS_INF))
     if len(bad):
         v, coef = list(costs.items())[bad[0]]
         raise BackendError(f"objective references unknown variable {v}" if ocols[bad[0]] < 0
@@ -237,8 +257,6 @@ def _assemble(model: ModelSpec) -> _Arrays:
     c[ocols] = sign * ovals
     a = sparse.csr_matrix((vals, cols, indptr), shape=(m, n))
     a.sort_indices()
-    lb = np.where(sense == _SENSES["<="], -np.inf, rhs)
-    ub = np.where(sense == _SENSES[">="], np.inf, rhs)
     return _Arrays(names, sign, c, whole.astype(float), lower, upper, a, lb, ub)
 
 

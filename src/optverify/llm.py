@@ -165,7 +165,10 @@ class LlmClient:
         for attempt in range(attempts):
             try:
                 reply = self.transport.send(payload)
-                if not reply or not reply.strip():
+                if not isinstance(reply, str):
+                    raise LlmError("transport", "malformed provider reply: "
+                                   f"{type(reply).__name__} content, not text")
+                if not reply.strip():
                     raise LlmError("empty_reply", "provider returned empty text")
                 return reply
             except LlmError as exc:

@@ -7,6 +7,13 @@ present variables are inventory I, sales y, orders Q, waste W and lost sales
 L, while substitution S, transshipment X, order trigger z and pack count n
 are created only when the corresponding mechanism is active in the instance.
 
+Sales availability (y <= I per bucket) is stated only for the last period's
+buckets k >= 2; rows the builder always emits, whatever the data or
+mutation, imply every other one.  ``aging`` gives I[t,k] - y[t,k] =
+I[t+1,k-1] >= 0 for k >= 2 before the last period, and ``waste_def`` gives
+I[t,1] - y[t,1] = W[t] >= 0 in every period.  The feasible set is the full
+formulation's, with about 40% fewer rows.
+
 The builder doubles as the mutation-testing substrate: callers may drop a
 constraint family or objective term (``drop={"storage_capacity"}``,
 ``drop={"holding_cost"}``) to produce deliberately defective models whose
@@ -188,7 +195,6 @@ def build_reference_model(
     for p in products:
         n_out, n_in = substitution_neighbors(inst, p)
         rho = inst.return_rate[p]
-        buckets = range(1, sl[p] + 1)
         for l in locations:
             i, y, q, w, lost = I[p, l], Y[p, l], Q[p, l], W[p, l], L[p, l]
             incoming = [X[p, lf, lto] for (lf, lto) in trans_edges if lto == l]
@@ -224,9 +230,13 @@ def build_reference_model(
                 cons.append(Constraint(
                     f"waste_def[{p},{l},{t}]", {w[t]: 1.0, i[t][1]: -1.0, y[t][1]: 1.0}, "=", 0.0))
 
-                for k in buckets:
-                    cons.append(Constraint(
-                        f"sales_avail[{p},{l},{t},{k}]", {y[t][k]: 1.0, i[t][k]: -1.0}, "<=", 0.0))
+                # Sales availability, y <= I: aging and waste_def imply it
+                # everywhere else (see the module docstring).
+                if t == T:
+                    for k in range(2, sl[p] + 1):
+                        cons.append(Constraint(
+                            f"sales_avail[{p},{l},{t},{k}]", {y[t][k]: 1.0, i[t][k]: -1.0},
+                            "<=", 0.0))
 
                 # Demand conservation with substitution routing: exported
                 # demand is served by the partner's sales, imported demand

@@ -329,7 +329,7 @@ def test_iis_certificate_of_an_integer_model_comes_from_its_lp_relaxation(probes
 def test_iis_matches_plain_deletion_filter_on_a_reference_model():
     # The benchmark's smallest IIS shape: the base scenario cut to 4 periods,
     # one product and two DCs, demand scaled past production, and lost sales
-    # forbidden.  189 rows, so warm starts run on a real basis.
+    # forbidden.  127 rows, so warm starts run on a real basis.
     raw = generator.base_raw()
     dcs, products, periods = ["DC1", "DC2"], ["SKU_Basic"], 4
     keep = lambda m: {k: m[k] for k in products}  # noqa: E731
@@ -349,7 +349,7 @@ def test_iis_matches_plain_deletion_filter_on_a_reference_model():
     model = reference.build_reference_model(scenario.validate_instance(raw))
     lost = {v.name: 1.0 for v in model.variables if v.name.startswith("L[")}
     model.constraints.append(Constraint("no_lost_sales", lost, "<=", 0.0))
-    assert len(model.constraints) == 189
+    assert len(model.constraints) == 127
     iis = DEFAULT_BACKEND.compute_iis(model)
     assert "no_lost_sales" in iis
     assert iis == _deletion_filter(model)
@@ -431,3 +431,55 @@ def test_bounds_that_admit_no_value_are_refused(variable):
     for call in (DEFAULT_BACKEND.solve, DEFAULT_BACKEND.compute_iis):
         with pytest.raises(BackendError, match="variable x has bounds .* admit no"):
             call(m)
+
+
+@pytest.mark.parametrize("variables,constraint,sense", [
+    ([Variable("x", upper=1e20)], None, "max"),
+    ([Variable("x", upper=1e100)], None, "max"),
+    ([Variable("x", lower=-1e100)], None, "min"),
+    ([Variable("x")], Constraint("cap", {"x": 1.0}, "<=", 1e20), "max"),
+    ([Variable("x", lower=-math.inf)], Constraint("floor", {"x": 1.0}, ">=", -1e100), "min"),
+], ids=["upper_1e20", "upper_1e100", "lower_-1e100", "row_le_1e20", "row_ge_-1e100"])
+def test_values_highs_reads_as_infinite_mean_no_limit(variables, constraint, sense):
+    # HiGHS reads a bound or right-hand side of 1e20 or more in size as
+    # infinite; on its own side that is no limit, so the model is unbounded
+    # and the ray names the variable whose bound is gone.
+    m = _model(variables, [constraint] if constraint else [], Objective(sense, {"x": 1.0}))
+    res = DEFAULT_BACKEND.solve(m)
+    assert res.status == "unbounded"
+    assert res.ray_vars == {"x"}
+
+
+@pytest.mark.parametrize("variable,constraint,objective,named", [
+    (Variable("x", lower=1e20), None, 1.0, r"variable x has bounds \[1e\+20, inf\] that admit no"),
+    (Variable("x", lower=-math.inf, upper=-1e100), None, 1.0, "variable x has bounds .* admit no"),
+    (Variable("x"), Constraint("big", {"x": 1.0}, ">=", 1e20), 1.0,
+     "constraint big has right-hand side 1e"),
+    (Variable("x", lower=-math.inf), Constraint("big", {"x": 1.0}, "<=", -1e20), 1.0,
+     "constraint big has right-hand side -1e"),
+    (Variable("x"), Constraint("big", {"x": 1.0}, "=", 1e30), 1.0,
+     "constraint big has right-hand side 1e"),
+    (Variable("x"), Constraint("big", {"x": 1e15}, ">=", 1.0), 1.0,
+     r"constraint big has coefficient 1000000000000000\.0 on x"),
+    (Variable("x"), Constraint("big", {"x": -1e16}, "<=", 1.0), 1.0,
+     "constraint big has coefficient -1e.* on x"),
+    (Variable("x", upper=1.0), None, 1e20, "objective has coefficient 1e.* on x"),
+    (Variable("x", upper=1.0), None, -1e30, "objective has coefficient -1e.* on x"),
+], ids=["lower_1e20", "upper_-1e100", "row_ge_1e20", "row_le_-1e20", "row_eq_1e30",
+        "coefficient_1e15", "coefficient_-1e16", "cost_1e20", "cost_-1e30"])
+def test_values_highs_cannot_take_are_refused(variable, constraint, objective, named):
+    # A value HiGHS reads as infinite on the side where it admits no value,
+    # a matrix coefficient HiGHS refuses, and a cost HiGHS reads as infinite
+    # are each refused with the row or variable named.
+    m = _model([variable], [constraint] if constraint else [], Objective("min", {"x": objective}))
+    for call in (DEFAULT_BACKEND.solve, DEFAULT_BACKEND.compute_iis):
+        with pytest.raises(BackendError, match=named):
+            call(m)
+
+
+def test_values_just_below_highs_limits_are_kept():
+    m = _model([Variable("x", upper=9.9e19)],
+               [Constraint("tiny", {"x": 9.9e14}, ">=", 1.0)], Objective("max", {"x": 1.0}))
+    res = DEFAULT_BACKEND.solve(m)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(9.9e19)

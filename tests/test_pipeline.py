@@ -7,7 +7,8 @@ import pytest
 from optverify.config import PipelineConfig
 from optverify.diagnostics import FAILED, NEEDS_REPAIR, VERIFIED, WARNING
 from optverify.generator import build_instance
-from optverify.llm import CallableTransport, LlmClient, REPLAY_CONFIG
+from optverify import llm as llm_module
+from optverify.llm import CallableTransport, LlmClient, LlmConfig, REPLAY_CONFIG
 from optverify.pipeline import run_instance
 from optverify.prompts import DATA_EMBEDDED, SCHEMA_BASED, render_prompt
 from optverify.reference import candidate_source
@@ -121,6 +122,32 @@ def test_generation_without_code_fence_fails_cleanly(f1_v0, tmp_path):
     assert [(d["layer"], d["severity"], d["issue_type"]) for d in report["diagnostics"]] == [
         ("L1", "fatal", "generation_failed")]
     assert json.loads((tmp_path / "run" / "result.json").read_text())["status"] == "failed"
+
+
+class _ListContentResponse:
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": [{"type": "text", "text": "hi"}]}}]}
+
+
+@pytest.mark.parametrize("prompt_format", [SCHEMA_BASED, DATA_EMBEDDED])
+def test_non_text_provider_reply_fails_generation(f1_v0, tmp_path, monkeypatch, prompt_format):
+    # A provider may send message content as a list of parts; the client
+    # refuses it as a malformed reply instead of calling str methods on it.
+    monkeypatch.setattr(llm_module.requests, "post",
+                        lambda url, json, headers, timeout: _ListContentResponse())
+    client = LlmClient(LlmConfig(endpoint="http://provider.invalid/v1", retry_attempts=1))
+    problem = render_prompt(f1_v0, prompt_format)
+    result = run_instance(f1_v0, problem, prompt_format, client,
+                          config=_FAST, run_dir=tmp_path / "run")
+    assert result.status == FAILED
+    assert not result.executed
+    [diagnostic] = result.report.diagnostics
+    assert (diagnostic.layer, diagnostic.severity, diagnostic.issue_type) == (
+        "L1", "fatal", "generation_failed")
+    assert diagnostic.evidence == (
+        "transport: malformed provider reply: list content, not text")
 
 
 def test_config_timeout_bounds_candidate_runs(f1_v0, tmp_path):

@@ -4,7 +4,13 @@ import hashlib
 
 import pytest
 
-from optverify.backend import SolveParams
+from optverify.backend import (
+    CONTINUOUS,
+    DEFAULT_BACKEND,
+    Constraint,
+    ModelSpec,
+    SolveParams,
+)
 from optverify.generator import ARCHETYPES, build_instance
 from optverify.reference import (
     MUTATIONS,
@@ -193,6 +199,72 @@ def test_time_limit_params_respected(f1_base_v0):
     assert result.status == "optimal"
 
 
+def _restored_sales_avail(model):
+    """The ``sales_avail`` rows the builder leaves out, built back from the
+    variable names: y[p,l,t,k] <= I[p,l,t,k] for each sales variable whose
+    row is not in the model."""
+    stated = {c.name for c in model.constraints}
+    restored = []
+    for v in model.variables:
+        if v.name.startswith("y["):
+            name = "sales_avail" + v.name[1:]
+            if name not in stated:
+                restored.append(Constraint(name, {v.name: 1.0, "I" + v.name[1:]: -1.0}, "<=", 0.0))
+    return restored
+
+
+def _assert_implied(model, restored):
+    """Each restored row y[t,k] <= I[t,k] has the row that implies it in
+    ``model``, saying the stock left after sales equals a variable with
+    lower bound 0: aging[t,k-1] (I[t+1,k-1] = I[t,k] - y[t,k]) for k >= 2,
+    waste_def[t] (W[t] = I[t,1] - y[t,1]) for k = 1."""
+    by_name = {c.name: c for c in model.constraints}
+    lower = {v.name: v.lower for v in model.variables}
+    for row in restored:
+        p, l, t, k = row.name[len("sales_avail["):-1].split(",")
+        t, k = int(t), int(k)
+        if k >= 2:
+            name, rest = f"aging[{p},{l},{t},{k - 1}]", f"I[{p},{l},{t + 1},{k - 1}]"
+        else:
+            name, rest = f"waste_def[{p},{l},{t}]", f"W[{p},{l},{t}]"
+        assert name in by_name, f"{row.name} is left out, but {name} is not in the model"
+        implying = by_name[name]
+        assert (implying.sense, implying.rhs) == ("=", 0.0), name
+        y, i = row.coefficients
+        assert implying.coefficients == {rest: 1.0, i: -1.0, y: 1.0}, name
+        assert lower[rest] >= 0.0, rest
+
+
+def _relaxed(model):
+    return ModelSpec([v._replace(domain=CONTINUOUS) for v in model.variables],
+                     model.constraints, model.objective)
+
+
+@pytest.mark.parametrize("archetype_id", sorted(ARCHETYPES))
+def test_omitted_sales_availability_rows_are_implied(archetype_id):
+    # The builder states y <= I only where no other row implies it.  Adding
+    # every omitted row back must leave the optimum where it is, on the LP
+    # relaxation of the MIP archetypes too; the slim optimum must already
+    # satisfy each of them; and each must have its implying row in the
+    # model, so that a mutation dropping that row fails here.
+    inst = build_instance(archetype_id, 0)
+    for drop in [(), *((key,) for key in sorted(MUTATIONS))]:
+        slim = _relaxed(build_reference_model(inst, drop=drop))
+        restored = _restored_sales_avail(slim)
+        assert len(restored) == sum(
+            len(inst.locations) * (inst.periods * inst.shelf_life[p] - inst.shelf_life[p] + 1)
+            for p in inst.products)
+        _assert_implied(slim, restored)
+        full = ModelSpec(slim.variables, slim.constraints + restored, slim.objective)
+        got, want = DEFAULT_BACKEND.solve(slim), DEFAULT_BACKEND.solve(full)
+        assert got.status == want.status, drop
+        if want.objective is not None:
+            assert got.objective == pytest.approx(want.objective, rel=1e-9), drop
+            for row in restored:
+                y, i = row.coefficients
+                assert got.values[y] <= got.values[i] + 1e-6, (drop, row.name)
+
+
 def _layout_digest(models) -> str:
     """Hash of what HiGHS is handed, in the order it is handed over:
     variables, rows with their coefficients in insertion order, and the
@@ -214,44 +286,44 @@ def _layout_digest(models) -> str:
 # sorted order.  A builder change that reorders anything changes HiGHS's
 # input, and so the replayed run bytes; it has to change these on purpose.
 LAYOUT_DIGESTS = {
-    "f1_52_weeks": "2537f0f6e8f85256",
-    "f1_base": "5d3490255b8a654a",
-    "f1_high_waste": "01e4e3df16d512ab",
-    "f1_jit_logic": "d9527b37a4bdf335",
-    "f2_cannibalization": "3103bc54a36b3788",
-    "f2_circular_sub": "a3f7fe89960b4777",
-    "f2_no_substitution": "b89f0e9b60ee3d08",
-    "f2_price_band_tight": "8759f7b5ed135d4c",
-    "f2_promo_budget": "8fbffc2869d39709",
-    "f2_ultra_fresh": "a5fa2761d5a29437",
-    "f3_storage_bottleneck": "1718ff3fb4a09acb",
-    "f3_supply_bottleneck": "b8a8c697aa77d4ca",
-    "f3_unbalanced_network": "01ff5be86428c6c9",
-    "f3_volumetric_constraint": "8535f953d80bd894",
-    "f4_demand_surge": "69a28843bbba10f1",
-    "f4_early_stockout": "76cbba13e8a1c316",
-    "f4_peak_failure": "70139243f6163dc7",
-    "f4_quality_hold": "3f9f03567115e7ae",
-    "f4_robust_variance": "618a265c2f5e1601",
-    "f4_supply_risk": "a37ba43b40d266a9",
-    "f5_impossible_demand": "5bcd74d097c83483",
-    "f5_storage_overflow": "f165beb772f0a0cb",
-    "f5_strict_service_trap": "3dd0931ad1e06714",
-    "f5_ultimate_stress": "2dd5a02c3dd7e8e4",
-    "f6_fixed_order_cost": "984d196bda1704ca",
-    "f6_lead_time": "612ad8924ca3c51f",
-    "f6_moq_binary": "9edacd3f62cc75ee",
-    "f6_pack_size_integer": "71c3486c9ce97ba2",
-    "f7_budget_limit": "90842f799df74887",
-    "f7_hub_and_spoke": "f9e630c33fdaaa1e",
-    "f7_multi_sourcing": "e7c34ae61f4724ab",
-    "f7_multiechelon_chain": "b6bdd6cc30e6ec75",
-    "f7_ring_routing": "ec011be2f1f5e705",
-    "f7_transshipment": "aff632ce5ab24a65",
-    "f8_labor_constraint": "b1dc7abbf298d0ec",
-    "f8_reverse_logistics": "ece90f9647179c6a",
-    "f8_ship_from_store": "030be981b628a917",
-    "f8_sustainability": "806c067f96a8a4ae",
+    "f1_52_weeks": "b722d5c36f8eda93",
+    "f1_base": "4025a0e1cb1425bc",
+    "f1_high_waste": "0de224fee8b82071",
+    "f1_jit_logic": "0f0581a4846ab658",
+    "f2_cannibalization": "5f98658cd33b18f5",
+    "f2_circular_sub": "2c47fddb0b22a3e7",
+    "f2_no_substitution": "eb8021467f8dd3ca",
+    "f2_price_band_tight": "8f3513519af441e3",
+    "f2_promo_budget": "469fe5f7564a5a88",
+    "f2_ultra_fresh": "5f3e6cb26fa1b3da",
+    "f3_storage_bottleneck": "5ad682448ef329ae",
+    "f3_supply_bottleneck": "05023de798b9a065",
+    "f3_unbalanced_network": "dffbcb0d5a998418",
+    "f3_volumetric_constraint": "4e348301f2f8be41",
+    "f4_demand_surge": "ff646482aae16dce",
+    "f4_early_stockout": "321114b762507a51",
+    "f4_peak_failure": "a69d6a66c025b1bc",
+    "f4_quality_hold": "bc3a8384b37bd7bd",
+    "f4_robust_variance": "9997f6900caebcc0",
+    "f4_supply_risk": "aa4ac08405e5fbe1",
+    "f5_impossible_demand": "9c976e259147449a",
+    "f5_storage_overflow": "9f9095716c77f4fe",
+    "f5_strict_service_trap": "28ecf6526fd21e1c",
+    "f5_ultimate_stress": "047f1d5cb3e362ef",
+    "f6_fixed_order_cost": "0c140b1c3cd104db",
+    "f6_lead_time": "137a25a111cd5fca",
+    "f6_moq_binary": "349e839f577b6c4b",
+    "f6_pack_size_integer": "b090e5921b10e3b1",
+    "f7_budget_limit": "8ba96fc0770a0195",
+    "f7_hub_and_spoke": "4682d7e0d20906b1",
+    "f7_multi_sourcing": "a3797f1d42614063",
+    "f7_multiechelon_chain": "47c174cc3f13f5f2",
+    "f7_ring_routing": "2f3dba0c3bbecddb",
+    "f7_transshipment": "d5d4f59880ca4702",
+    "f8_labor_constraint": "3ee8b0b432510aad",
+    "f8_reverse_logistics": "a520952e03d28ee5",
+    "f8_ship_from_store": "4aa04d4065e5dcd4",
+    "f8_sustainability": "fe5a7150dd6e228c",
 }
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,14 +106,20 @@ def test_solve_matches_scipy_milp_on_random_models():
 
 
 def test_solve_refuses_what_highs_refuses():
-    # HiGHS will not take a coefficient above 1e15.  scipy's wrapper reports
-    # that as HiGHS's model error and ``milp`` calls it infeasible; the
-    # session raises instead, as the IIS probes always did.
-    model = ModelSpec([Variable("x")], [Constraint("big", {"x": 1e16}, ">=", 1.0)],
-                      Objective("min", {"x": 1.0}))
-    arr = _assemble(model)
-    assert "Model error" in _milp(arr, arr.lower, arr.upper).message
-    with pytest.raises(BackendError, match="HiGHS refused the model"):
-        DEFAULT_BACKEND.solve(model)
-    with pytest.raises(BackendError, match="HiGHS refused the model"):
-        DEFAULT_BACKEND.compute_iis(model)
+    # HiGHS will not take a coefficient of 1e15 or more.  scipy's wrapper
+    # reports that as HiGHS's model error and ``milp`` calls it infeasible;
+    # the backend refuses such a model before HiGHS sees it, naming the row.
+    def model(coefficient):
+        return ModelSpec([Variable("x")], [Constraint("big", {"x": coefficient}, ">=", 1.0)],
+                         Objective("min", {"x": 1.0}))
+
+    arr = _assemble(model(1.0))
+    for coefficient in (1e15, 1e16):
+        scaled = replace(arr, a=arr.a * coefficient)
+        assert "Model error" in _milp(scaled, arr.lower, arr.upper).message
+        named = re.escape(f"constraint big has coefficient {coefficient} on x")
+        for call in (DEFAULT_BACKEND.solve, DEFAULT_BACKEND.compute_iis):
+            with pytest.raises(BackendError, match=named):
+                call(model(coefficient))
+    assert _milp(replace(arr, a=arr.a * 9.9e14), arr.lower, arr.upper).status == 0
+    assert DEFAULT_BACKEND.solve(model(9.9e14)).status == "optimal"
