@@ -3,11 +3,12 @@
 ``ModelSpec`` is a plain linear-program carrier (variables, linear
 constraints, objective).  The model is checked where it is laid out as
 arrays, in ``_assemble``: one whole-array pass per field, and a model with
-a fault (a duplicate name, an unknown variable, a non-finite number or one
-too large for HiGHS, a bad sense or domain, bounds that admit no value) is
-refused with a ``BackendError`` naming the first one.  Every HiGHS run goes
-through ``_Session``, which passes the arrays once to HiGHS (the binding
-scipy ships).  The backend also provides the two diagnosis capabilities the
+a fault (a duplicate name, an unknown variable, a non-finite number, one
+too large for HiGHS or a coefficient so small that HiGHS drops it, a bad
+sense or domain, bounds that admit no value) is refused with a
+``BackendError`` naming the first one.  Every HiGHS run goes through
+``_Session``, which passes the arrays once to HiGHS (the binding scipy
+ships).  The backend also provides the two diagnosis capabilities the
 verification layers rely on:
 
 * :meth:`HighsBackend.compute_iis` - an irreducible inconsistent subsystem
@@ -70,9 +71,17 @@ _RAY_BOX = 1e9
 _RAY_TOL = 1e-9
 
 # HiGHS reads a bound, right-hand side or cost this large in size as
-# infinite, and refuses a matrix coefficient as large as the second.
+# infinite, refuses a matrix coefficient as large as the second, and drops
+# one no larger than the third without a word.
 _HIGHS_INF = 1e20
 _MAX_COEFFICIENT = 1e15
+_MIN_COEFFICIENT = 1e-9
+
+
+def _bad_coefficient(size):
+    """Whether a matrix coefficient of this size is one HiGHS cannot take as
+    stated; exact zeros are legal.  Works on a float and on an array."""
+    return np.logical_not(size < _MAX_COEFFICIENT) | ((size > 0) & (size <= _MIN_COEFFICIENT))
 
 # The codes ``_assemble`` reads domains and senses as.
 _DOMAINS = {CONTINUOUS: 0, INTEGER: 1, BINARY: 2}
@@ -168,7 +177,7 @@ def _row_fault(con: Constraint, index: dict[str, int]) -> str:
     for v, coef in con.coefficients.items():
         if v not in index:
             return f"constraint {con.name} references unknown variable {v}"
-        if not abs(coef) < _MAX_COEFFICIENT:
+        if _bad_coefficient(abs(coef)):
             return f"constraint {con.name} has coefficient {coef} on {v}"
     if con.sense not in _SENSES:
         return f"constraint {con.name} has invalid sense {con.sense!r}"
@@ -180,11 +189,11 @@ def _assemble(model: ModelSpec) -> _Arrays:
 
     A refused model raises ``BackendError`` naming its first fault, looked
     for in this order: duplicate variable or constraint names, NaN bounds,
-    each row's terms (an unknown variable, a coefficient that is not finite
-    or is 1e15 or more in size), sense and right-hand side, the objective's
-    terms (not finite, or 1e20 or more in size) and constant, unknown
-    domains, and bounds that admit no value of their domain.  Infinite and
-    crossed bounds that admit one are legal.
+    each row's terms (an unknown variable, a coefficient that is not finite,
+    is 1e15 or more in size or is nonzero and 1e-9 or less), sense and
+    right-hand side, the objective's terms (not finite, or 1e20 or more in
+    size) and constant, unknown domains, and bounds that admit no value of
+    their domain.  Infinite and crossed bounds that admit one are legal.
 
     A finite bound or right-hand side of 1e20 or more in size is read as
     the infinity HiGHS takes it for: no limit on its own side (gurobipy's
@@ -218,7 +227,7 @@ def _assemble(model: ModelSpec) -> _Arrays:
     lb = _infinite(np.where(sense == _SENSES["<="], -np.inf, rhs))
     ub = _infinite(np.where(sense == _SENSES[">="], np.inf, rhs))
     faulty = (sense < 0) | ~np.isfinite(rhs) | (lb == np.inf) | (ub == -np.inf)
-    bad_terms = np.flatnonzero((cols < 0) | ~(np.abs(vals) < _MAX_COEFFICIENT))
+    bad_terms = np.flatnonzero((cols < 0) | _bad_coefficient(np.abs(vals)))
     faulty[np.searchsorted(indptr, bad_terms, side="right") - 1] = True  # their rows
     if faulty.any():
         raise BackendError(_row_fault(rows[faulty.argmax()], index))

@@ -2,7 +2,8 @@
 evaluation, and reporting.
 
 Exit codes: 0 success, 1 partial failures (some instances failed), 2
-configuration error.
+configuration error: bad options or settings, input that cannot be read or
+fails validation, or a model the solver cannot take as stated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT_CONFIG, PipelineConfig, read_settings
-from .errors import ConfigError, LlmError, SchemaError
+from .errors import BackendError, ConfigError, LlmError, SchemaError
 from .evaluation import (
     aggregate,
     build_record,
@@ -44,8 +45,16 @@ EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
 
+def _read_json(path: Path):
+    """The JSON document in ``path``; an unreadable one is a configuration error."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def _load_instance(path: Path):
-    return validate_instance(json.loads(path.read_text(encoding="utf-8")))
+    return validate_instance(_read_json(path))
 
 
 def _instance_files(instances_dir: Path) -> list[Path]:
@@ -106,12 +115,11 @@ def _provider_config(path: str | None) -> LlmConfig:
 
 
 def _build_client(args: argparse.Namespace, config: LlmConfig) -> LlmClient:
-    if args.llm_replay and not args.seed_fixtures:
+    if args.seed_fixtures:
+        return LlmClient(config, RecordingTransport(args.llm_replay, HttpTransport(config)))
+    if args.llm_replay:
         return LlmClient(config, ReplayTransport(args.llm_replay))
-    transport = HttpTransport(config)
-    if args.llm_replay and args.seed_fixtures:
-        transport = RecordingTransport(args.llm_replay, transport)
-    return LlmClient(config, transport)
+    return LlmClient(config, HttpTransport(config))
 
 
 def _run_worker(path: Path, args: argparse.Namespace, config: PipelineConfig,
@@ -140,9 +148,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.provider is None and not args.llm_replay:
-        print("configuration error: --provider or --llm-replay required",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--provider or --llm-replay required")
+    if args.seed_fixtures and not (args.provider and args.llm_replay):
+        # Live replies need a provider, and recording needs a store.
+        raise ConfigError("--seed-fixtures requires --provider and --llm-replay")
 
     instances_dir = Path(args.instances)
     files = _instance_files(instances_dir)
@@ -171,11 +180,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
-    gt_path = Path(args.ground_truth)
-    if not gt_path.exists():
-        print(f"ground truth file not found: {gt_path}", file=sys.stderr)
-        return EXIT_CONFIG
-    ground = json.loads(gt_path.read_text(encoding="utf-8"))
+    ground = _read_json(Path(args.ground_truth))
+    if not isinstance(ground, dict):
+        raise ConfigError(f"{args.ground_truth}: expected a mapping of instance names")
     result_files = sorted(results_dir.glob("*/result.json"))
     if not result_files:
         print(f"no result.json files under {results_dir}", file=sys.stderr)
@@ -184,8 +191,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     records = []
     missing = 0
     for rf in result_files:
-        res = json.loads(rf.read_text(encoding="utf-8"))
-        name = res["instance"]
+        res = _read_json(rf)
+        name = res.get("instance") if isinstance(res, dict) else None
+        if not isinstance(name, str):
+            raise ConfigError(f"{rf}: no instance name")
         gt = ground.get(name)
         if gt is None:
             missing += 1
@@ -268,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name, None) is not None and getattr(args, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         return args.fn(args)
-    except (ConfigError, SchemaError) as exc:
+    except (ConfigError, SchemaError, BackendError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .backend import MIP_GAP
-from .errors import EmptySuite
+from .errors import ConfigError, EmptySuite
 
 STRICT = "strict"
 PRACTICAL = "practical"
@@ -224,13 +224,21 @@ def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[EvalRecord]:
+    """The records of an ``eval.jsonl``; an unreadable file or line raises
+    ``ConfigError`` naming it."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
             # The stored rel_err and verdicts are not read: they are judged again.
             raw: Mapping[str, Any] = json.loads(line)
             records.append(EvalRecord(**{f.name: raw[f.name] for f in fields(EvalRecord)}))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}, line {n}: not an evaluation record: {exc!r}") from None
     return records

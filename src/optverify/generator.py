@@ -6,6 +6,10 @@ of the shared base scenario that touches only its declared fields; variants
 v1..v4 apply seeded +/-15% perturbation to demand curves and storage
 capacities, leaving the structural skeleton untouched.
 
+Each transform registers itself in :data:`ARCHETYPES` (``@_archetype``:
+id, description, touched fields), so the suite's order is the order of
+definition; the family is read from the id (``f6_moq_binary`` is F6).
+
 Determinism contract: :func:`build_instance` is the one builder and the
 only place the draws happen, on the archetype's raw record before its single
 validation.  The seed for (archetype, variant) is the little-endian uint32 of
@@ -28,7 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BadVariantIndex, UnknownArchetype
-from .prompts import DATA_EMBEDDED, SCHEMA_BASED, render_prompt
+from .prompts import DATA_EMBEDDED, SCHEMA_BASED, render_prompt, split_instance_name
 from .scenario import ScenarioInstance, dumps_instance, validate_instance
 
 PERTURBATION_ALPHA = 0.15
@@ -104,12 +108,26 @@ def base_raw() -> dict[str, Any]:
 @dataclass(frozen=True)
 class Archetype:
     id: str
-    family: str
     description: str
     # Dotted field paths the modifier is allowed to change (besides
     # name/description); checked by the isolation test.
     touched: frozenset[str]
     modifier: Callable[[dict[str, Any]], None]
+
+    @property
+    def family(self) -> str:
+        return split_instance_name(archetype_name(self.id))[1]
+
+
+# Suite order is registration order, which is definition order below.
+ARCHETYPES: dict[str, Archetype] = {}
+
+
+def _archetype(aid: str, description: str, touched: set[str]):
+    def register(modifier: Callable[[dict[str, Any]], None]):
+        ARCHETYPES[aid] = Archetype(aid, description, frozenset(touched), modifier)
+        return modifier
+    return register
 
 
 def _scale_map(m: dict[str, float], factor: float) -> None:
@@ -135,28 +153,36 @@ def _tile(arr: list, length: int) -> list:
     return (arr * reps)[:length]
 
 
+@_archetype("f1_base", "Baseline: 20 periods, 3 SKUs, 5 DCs, seasonal demand.", set())
 def _mod_identity(raw: dict[str, Any]) -> None:
     pass
 
 
+@_archetype("f1_high_waste", "Waste cost x20 for all products.", {"costs.waste"})
 def _mod_high_waste(raw: dict[str, Any]) -> None:
     _scale_map(raw["costs"]["waste"], 20.0)
 
 
+@_archetype("f1_jit_logic", "Holding cost x20 for all products.", {"costs.inventory"})
 def _mod_jit_logic(raw: dict[str, Any]) -> None:
     _scale_map(raw["costs"]["inventory"], 20.0)
 
 
+@_archetype("f1_52_weeks", "Horizon extended to 52 weeks; arrays tiled from base.",
+            {"periods", "demand_curve", "production_cap", "labor_cap"})
 def _mod_52_weeks(raw: dict[str, Any]) -> None:
     raw["periods"] = 52
     for key in ("demand_curve", "production_cap", "labor_cap"):
         raw[key] = {k: _tile(v, 52) for k, v in raw[key].items()}
 
 
+@_archetype("f2_no_substitution", "Substitution edges removed.", {"network.sub_edges"})
 def _mod_no_substitution(raw: dict[str, Any]) -> None:
     raw["network"]["sub_edges"] = []
 
 
+@_archetype("f2_circular_sub", "Circular substitution ring across the three SKUs.",
+            {"network.sub_edges"})
 def _mod_circular_sub(raw: dict[str, Any]) -> None:
     raw["network"]["sub_edges"] = [
         [SKU_BASIC, SKU_PREMIUM],
@@ -165,16 +191,22 @@ def _mod_circular_sub(raw: dict[str, Any]) -> None:
     ]
 
 
+@_archetype("f2_cannibalization",
+            "Basic demand x2, Basic lost-sales penalty cut to 5, storage x0.5.",
+            {"demand_curve", "costs.lost_sales", "cold_capacity"})
 def _mod_cannibalization(raw: dict[str, Any]) -> None:
     raw["demand_curve"][SKU_BASIC] = [d * 2 for d in raw["demand_curve"][SKU_BASIC]]
     raw["costs"]["lost_sales"][SKU_BASIC] = 5
     _scale_map(raw["cold_capacity"], 0.5)
 
 
+@_archetype("f2_ultra_fresh", "Shelf life reduced to {2, 2, 1} periods.", {"shelf_life"})
 def _mod_ultra_fresh(raw: dict[str, Any]) -> None:
     raw["shelf_life"] = {SKU_BASIC: 2, SKU_PREMIUM: 2, SKU_SHORTLIFE: 1}
 
 
+@_archetype("f2_price_band_tight", "Premium purchasing x0.8, Basic x1.1, Premium lost-sales x2.",
+            {"costs.purchasing", "costs.lost_sales"})
 def _mod_price_band_tight(raw: dict[str, Any]) -> None:
     costs = raw["costs"]
     costs["purchasing"][SKU_PREMIUM] = costs["purchasing"][SKU_PREMIUM] * 0.8
@@ -182,6 +214,9 @@ def _mod_price_band_tight(raw: dict[str, Any]) -> None:
     costs["lost_sales"][SKU_PREMIUM] = costs["lost_sales"][SKU_PREMIUM] * 2
 
 
+@_archetype("f2_promo_budget",
+            "Last 4 periods: Basic/ShortLife demand x2; budget 15000 per period.",
+            {"demand_curve", "constraints.budget_per_period"})
 def _mod_promo_budget(raw: dict[str, Any]) -> None:
     periods = raw["periods"]
     for sku in (SKU_BASIC, SKU_SHORTLIFE):
@@ -191,20 +226,26 @@ def _mod_promo_budget(raw: dict[str, Any]) -> None:
     raw["constraints"]["budget_per_period"] = 15000
 
 
+@_archetype("f3_storage_bottleneck", "Cold capacity x0.3 at all locations.", {"cold_capacity"})
 def _mod_storage_bottleneck(raw: dict[str, Any]) -> None:
     _scale_map(raw["cold_capacity"], 0.3)
 
 
+@_archetype("f3_volumetric_constraint", "Premium cold usage raised to 15.0.", {"cold_usage"})
 def _mod_volumetric(raw: dict[str, Any]) -> None:
     raw["cold_usage"][SKU_PREMIUM] = 15.0
 
 
+@_archetype("f3_supply_bottleneck", "Production capacity x0.3; storage effectively unbounded.",
+            {"production_cap", "cold_capacity"})
 def _mod_supply_bottleneck(raw: dict[str, Any]) -> None:
     _scale_arrays(raw["production_cap"], 0.3)
     for l in raw["cold_capacity"]:
         raw["cold_capacity"][l] = 999999
 
 
+@_archetype("f3_unbalanced_network", "DC1 holds 96% of total storage; others 1% each.",
+            {"cold_capacity"})
 def _mod_unbalanced_network(raw: dict[str, Any]) -> None:
     total = sum(raw["cold_capacity"].values())
     locations = raw["locations"]
@@ -213,25 +254,33 @@ def _mod_unbalanced_network(raw: dict[str, Any]) -> None:
     }
 
 
+@_archetype("f4_early_stockout", "Production zero in periods 1-5.", {"production_cap"})
 def _mod_early_stockout(raw: dict[str, Any]) -> None:
     _set_arrays(raw["production_cap"], 0, range(0, 5))
 
 
+@_archetype("f4_peak_failure", "Production zero in periods 9-12 (peak window).",
+            {"production_cap"})
 def _mod_peak_failure(raw: dict[str, Any]) -> None:
     _set_arrays(raw["production_cap"], 0, range(8, 12))
 
 
+@_archetype("f4_demand_surge", "Period-15 demand x4 for all SKUs.", {"demand_curve"})
 def _mod_demand_surge(raw: dict[str, Any]) -> None:
     for arr in raw["demand_curve"].values():
         arr[14] = arr[14] * 4
 
 
+@_archetype("f4_quality_hold", "Basic production zero from period 11 onward.",
+            {"production_cap"})
 def _mod_quality_hold(raw: dict[str, Any]) -> None:
     arr = raw["production_cap"][SKU_BASIC]
     for i in range(10, len(arr)):
         arr[i] = 0
 
 
+@_archetype("f4_robust_variance", "Alternating demand x1.5/x0.7; lost-sales x2.5.",
+            {"demand_curve", "costs.lost_sales"})
 def _mod_robust_variance(raw: dict[str, Any]) -> None:
     for arr in raw["demand_curve"].values():
         for i in range(len(arr)):
@@ -239,53 +288,70 @@ def _mod_robust_variance(raw: dict[str, Any]) -> None:
     _scale_map(raw["costs"]["lost_sales"], 2.5)
 
 
+@_archetype("f4_supply_risk", "Production x0.4 in periods 9-12; waste cost x3.",
+            {"production_cap", "costs.waste"})
 def _mod_supply_risk(raw: dict[str, Any]) -> None:
     _scale_arrays(raw["production_cap"], 0.4, range(8, 12))
     _scale_map(raw["costs"]["waste"], 3.0)
 
 
+@_archetype("f5_impossible_demand", "All demand x5, far beyond production capacity.",
+            {"demand_curve"})
 def _mod_impossible_demand(raw: dict[str, Any]) -> None:
     for arr in raw["demand_curve"].values():
         for i in range(len(arr)):
             arr[i] = arr[i] * 5
 
 
+@_archetype("f5_strict_service_trap", "Storage x0.1 (near-zero capacity).", {"cold_capacity"})
 def _mod_service_trap(raw: dict[str, Any]) -> None:
     _scale_map(raw["cold_capacity"], 0.1)
 
 
+@_archetype("f5_storage_overflow", "Cold capacity 0.5 at all locations.", {"cold_capacity"})
 def _mod_storage_overflow(raw: dict[str, Any]) -> None:
     for l in raw["cold_capacity"]:
         raw["cold_capacity"][l] = 0.5
 
 
+@_archetype("f5_ultimate_stress",
+            "Storage x0.3 plus peak production failure plus no substitution.",
+            {"cold_capacity", "production_cap", "network.sub_edges"})
 def _mod_ultimate_stress(raw: dict[str, Any]) -> None:
     _scale_map(raw["cold_capacity"], 0.3)
     _set_arrays(raw["production_cap"], 0, range(8, 12))
     raw["network"]["sub_edges"] = []
 
 
+@_archetype("f6_lead_time", "Lead times {3, 4, 2} periods per SKU.", {"lead_time"})
 def _mod_lead_time(raw: dict[str, Any]) -> None:
     raw["lead_time"] = {SKU_BASIC: 3, SKU_PREMIUM: 4, SKU_SHORTLIFE: 2}
 
 
+@_archetype("f6_moq_binary", "Minimum order quantity 300 units (global).", {"constraints.moq"})
 def _mod_moq_binary(raw: dict[str, Any]) -> None:
     raw["constraints"]["moq"] = 300
 
 
+@_archetype("f6_fixed_order_cost", "Fixed ordering cost 5000 per order.", {"costs.fixed_order"})
 def _mod_fixed_order_cost(raw: dict[str, Any]) -> None:
     raw["costs"]["fixed_order"] = 5000.0
 
 
+@_archetype("f6_pack_size_integer", "Pack size 100 units.", {"constraints.pack_size"})
 def _mod_pack_size(raw: dict[str, Any]) -> None:
     raw["constraints"]["pack_size"] = 100
 
 
+@_archetype("f7_transshipment", "Full bidirectional transshipment among all 5 DCs.",
+            {"network.trans_edges"})
 def _mod_transshipment(raw: dict[str, Any]) -> None:
     locs = raw["locations"]
     raw["network"]["trans_edges"] = [[a, b] for a in locs for b in locs if a != b]
 
 
+@_archetype("f7_hub_and_spoke", "Hub DC1 (50000 cap) feeding 4 spokes (500 cap each).",
+            {"cold_capacity", "network.trans_edges"})
 def _mod_hub_and_spoke(raw: dict[str, Any]) -> None:
     locs = raw["locations"]
     hub, spokes = locs[0], locs[1:]
@@ -293,16 +359,24 @@ def _mod_hub_and_spoke(raw: dict[str, Any]) -> None:
     raw["network"]["trans_edges"] = [[hub, s] for s in spokes]
 
 
+@_archetype("f7_budget_limit", "Per-period purchasing budget 10000.",
+            {"constraints.budget_per_period"})
 def _mod_budget_limit(raw: dict[str, Any]) -> None:
     raw["constraints"]["budget_per_period"] = 10000
 
 
+@_archetype("f7_multi_sourcing",
+            "Heterogeneous lead times {5, 0, 1}; holding costs Basic 0.5, Premium 10.0.",
+            {"lead_time", "costs.inventory"})
 def _mod_multi_sourcing(raw: dict[str, Any]) -> None:
     raw["lead_time"] = {SKU_BASIC: 5, SKU_PREMIUM: 0, SKU_SHORTLIFE: 1}
     raw["costs"]["inventory"][SKU_BASIC] = 0.5
     raw["costs"]["inventory"][SKU_PREMIUM] = 10.0
 
 
+@_archetype("f7_multiechelon_chain",
+            "Three-tier chain: plant, 2 DCs, 3 stores; upstream tiers face no demand.",
+            {"locations", "demand_share", "cold_capacity", "labor_cap", "network.trans_edges"})
 def _mod_multiechelon_chain(raw: dict[str, Any]) -> None:
     # Three-tier rewrite: plant -> 2 DCs -> 3 stores; only stores face demand.
     periods = raw["periods"]
@@ -324,6 +398,8 @@ def _mod_multiechelon_chain(raw: dict[str, Any]) -> None:
     ]
 
 
+@_archetype("f7_ring_routing", "Circular transshipment ring among 5 DCs; storage x0.8.",
+            {"cold_capacity", "network.trans_edges"})
 def _mod_ring_routing(raw: dict[str, Any]) -> None:
     locs = raw["locations"]
     raw["network"]["trans_edges"] = [
@@ -332,16 +408,22 @@ def _mod_ring_routing(raw: dict[str, Any]) -> None:
     _scale_map(raw["cold_capacity"], 0.8)
 
 
+@_archetype("f8_reverse_logistics", "Return rates {0.20, 0.10, 0.05} per SKU.", {"return_rate"})
 def _mod_reverse_logistics(raw: dict[str, Any]) -> None:
     raw["return_rate"] = {SKU_BASIC: 0.20, SKU_PREMIUM: 0.10, SKU_SHORTLIFE: 0.05}
 
 
+@_archetype("f8_labor_constraint", "Labor cap 200 per period; usage {0.1, 0.2, 0.1}.",
+            {"labor_cap", "labor_usage"})
 def _mod_labor_constraint(raw: dict[str, Any]) -> None:
     periods = raw["periods"]
     raw["labor_cap"] = {l: [200.0] * periods for l in raw["locations"]}
     raw["labor_usage"] = {SKU_BASIC: 0.1, SKU_PREMIUM: 0.2, SKU_SHORTLIFE: 0.1}
 
 
+@_archetype("f8_ship_from_store",
+            "Storage x5; labor cap 500 with high per-unit usage {0.5, 0.8, 0.6}.",
+            {"cold_capacity", "labor_cap", "labor_usage"})
 def _mod_ship_from_store(raw: dict[str, Any]) -> None:
     _scale_map(raw["cold_capacity"], 5.0)
     periods = raw["periods"]
@@ -349,112 +431,10 @@ def _mod_ship_from_store(raw: dict[str, Any]) -> None:
     raw["labor_usage"] = {SKU_BASIC: 0.5, SKU_PREMIUM: 0.8, SKU_SHORTLIFE: 0.6}
 
 
+@_archetype("f8_sustainability", "Global waste cap at 2% of total demand.",
+            {"constraints.waste_limit_pct"})
 def _mod_sustainability(raw: dict[str, Any]) -> None:
     raw["constraints"]["waste_limit_pct"] = 0.02
-
-
-def _arch(aid: str, family: str, description: str, touched: set[str],
-          modifier: Callable[[dict[str, Any]], None]) -> Archetype:
-    return Archetype(aid, family, description, frozenset(touched), modifier)
-
-
-ARCHETYPES: dict[str, Archetype] = {
-    a.id: a
-    for a in [
-        # F1 - core operations
-        _arch("f1_base", "F1", "Baseline: 20 periods, 3 SKUs, 5 DCs, seasonal demand.",
-              set(), _mod_identity),
-        _arch("f1_high_waste", "F1", "Waste cost x20 for all products.",
-              {"costs.waste"}, _mod_high_waste),
-        _arch("f1_jit_logic", "F1", "Holding cost x20 for all products.",
-              {"costs.inventory"}, _mod_jit_logic),
-        _arch("f1_52_weeks", "F1", "Horizon extended to 52 weeks; arrays tiled from base.",
-              {"periods", "demand_curve", "production_cap", "labor_cap"}, _mod_52_weeks),
-        # F2 - assortment & substitution
-        _arch("f2_no_substitution", "F2", "Substitution edges removed.",
-              {"network.sub_edges"}, _mod_no_substitution),
-        _arch("f2_circular_sub", "F2", "Circular substitution ring across the three SKUs.",
-              {"network.sub_edges"}, _mod_circular_sub),
-        _arch("f2_cannibalization", "F2",
-              "Basic demand x2, Basic lost-sales penalty cut to 5, storage x0.5.",
-              {"demand_curve", "costs.lost_sales", "cold_capacity"}, _mod_cannibalization),
-        _arch("f2_ultra_fresh", "F2", "Shelf life reduced to {2, 2, 1} periods.",
-              {"shelf_life"}, _mod_ultra_fresh),
-        _arch("f2_price_band_tight", "F2",
-              "Premium purchasing x0.8, Basic x1.1, Premium lost-sales x2.",
-              {"costs.purchasing", "costs.lost_sales"}, _mod_price_band_tight),
-        _arch("f2_promo_budget", "F2",
-              "Last 4 periods: Basic/ShortLife demand x2; budget 15000 per period.",
-              {"demand_curve", "constraints.budget_per_period"}, _mod_promo_budget),
-        # F3 - resource constraints
-        _arch("f3_storage_bottleneck", "F3", "Cold capacity x0.3 at all locations.",
-              {"cold_capacity"}, _mod_storage_bottleneck),
-        _arch("f3_volumetric_constraint", "F3", "Premium cold usage raised to 15.0.",
-              {"cold_usage"}, _mod_volumetric),
-        _arch("f3_supply_bottleneck", "F3", "Production capacity x0.3; storage effectively unbounded.",
-              {"production_cap", "cold_capacity"}, _mod_supply_bottleneck),
-        _arch("f3_unbalanced_network", "F3", "DC1 holds 96% of total storage; others 1% each.",
-              {"cold_capacity"}, _mod_unbalanced_network),
-        # F4 - demand dynamics
-        _arch("f4_early_stockout", "F4", "Production zero in periods 1-5.",
-              {"production_cap"}, _mod_early_stockout),
-        _arch("f4_peak_failure", "F4", "Production zero in periods 9-12 (peak window).",
-              {"production_cap"}, _mod_peak_failure),
-        _arch("f4_demand_surge", "F4", "Period-15 demand x4 for all SKUs.",
-              {"demand_curve"}, _mod_demand_surge),
-        _arch("f4_quality_hold", "F4", "Basic production zero from period 11 onward.",
-              {"production_cap"}, _mod_quality_hold),
-        _arch("f4_robust_variance", "F4", "Alternating demand x1.5/x0.7; lost-sales x2.5.",
-              {"demand_curve", "costs.lost_sales"}, _mod_robust_variance),
-        _arch("f4_supply_risk", "F4", "Production x0.4 in periods 9-12; waste cost x3.",
-              {"production_cap", "costs.waste"}, _mod_supply_risk),
-        # F5 - feasibility stress
-        _arch("f5_impossible_demand", "F5", "All demand x5, far beyond production capacity.",
-              {"demand_curve"}, _mod_impossible_demand),
-        _arch("f5_strict_service_trap", "F5", "Storage x0.1 (near-zero capacity).",
-              {"cold_capacity"}, _mod_service_trap),
-        _arch("f5_storage_overflow", "F5", "Cold capacity 0.5 at all locations.",
-              {"cold_capacity"}, _mod_storage_overflow),
-        _arch("f5_ultimate_stress", "F5",
-              "Storage x0.3 plus peak production failure plus no substitution.",
-              {"cold_capacity", "production_cap", "network.sub_edges"}, _mod_ultimate_stress),
-        # F6 - discrete logistics
-        _arch("f6_lead_time", "F6", "Lead times {3, 4, 2} periods per SKU.",
-              {"lead_time"}, _mod_lead_time),
-        _arch("f6_moq_binary", "F6", "Minimum order quantity 300 units (global).",
-              {"constraints.moq"}, _mod_moq_binary),
-        _arch("f6_fixed_order_cost", "F6", "Fixed ordering cost 5000 per order.",
-              {"costs.fixed_order"}, _mod_fixed_order_cost),
-        _arch("f6_pack_size_integer", "F6", "Pack size 100 units.",
-              {"constraints.pack_size"}, _mod_pack_size),
-        # F7 - network & multi-echelon
-        _arch("f7_transshipment", "F7", "Full bidirectional transshipment among all 5 DCs.",
-              {"network.trans_edges"}, _mod_transshipment),
-        _arch("f7_hub_and_spoke", "F7", "Hub DC1 (50000 cap) feeding 4 spokes (500 cap each).",
-              {"cold_capacity", "network.trans_edges"}, _mod_hub_and_spoke),
-        _arch("f7_budget_limit", "F7", "Per-period purchasing budget 10000.",
-              {"constraints.budget_per_period"}, _mod_budget_limit),
-        _arch("f7_multi_sourcing", "F7",
-              "Heterogeneous lead times {5, 0, 1}; holding costs Basic 0.5, Premium 10.0.",
-              {"lead_time", "costs.inventory"}, _mod_multi_sourcing),
-        _arch("f7_multiechelon_chain", "F7",
-              "Three-tier chain: plant, 2 DCs, 3 stores; upstream tiers face no demand.",
-              {"locations", "demand_share", "cold_capacity", "labor_cap",
-               "network.trans_edges"}, _mod_multiechelon_chain),
-        _arch("f7_ring_routing", "F7", "Circular transshipment ring among 5 DCs; storage x0.8.",
-              {"cold_capacity", "network.trans_edges"}, _mod_ring_routing),
-        # F8 - omni-channel
-        _arch("f8_reverse_logistics", "F8", "Return rates {0.20, 0.10, 0.05} per SKU.",
-              {"return_rate"}, _mod_reverse_logistics),
-        _arch("f8_labor_constraint", "F8", "Labor cap 200 per period; usage {0.1, 0.2, 0.1}.",
-              {"labor_cap", "labor_usage"}, _mod_labor_constraint),
-        _arch("f8_ship_from_store", "F8",
-              "Storage x5; labor cap 500 with high per-unit usage {0.5, 0.8, 0.6}.",
-              {"cold_capacity", "labor_cap", "labor_usage"}, _mod_ship_from_store),
-        _arch("f8_sustainability", "F8", "Global waste cap at 2% of total demand.",
-              {"constraints.waste_limit_pct"}, _mod_sustainability),
-    ]
-}
 
 
 def archetype_name(archetype_id: str) -> str:

@@ -8,7 +8,10 @@ immutable afterwards, so they can be shared freely across pipeline workers.
 The frozen dataclasses below are the instance schema, and the only copy of
 it.  :func:`validate_instance` refuses a key that they do not declare and a
 map entry for an undeclared product or location, and the on-disk file
-(:func:`dumps_instance`) is their fields in declaration order.
+(:func:`dumps_instance`) is their fields in declaration order.  A keyed map
+field (one entry per product or location) states its rule where it is
+declared, with ``_keyed``, and validation reads every such field's rule
+from there, in declaration order.
 
 Two conventions matter everywhere downstream:
 
@@ -31,12 +34,18 @@ from .errors import SchemaError
 SHARE_SUM_TOLERANCE = 1e-9
 
 
+def _keyed(ids: str, **rule: Any) -> Any:
+    """A map with one entry per id of ``ids``, checked by ``rule`` (the
+    options of :func:`_per_key_map`)."""
+    return field(metadata={"ids": ids, "rule": rule})
+
+
 @dataclass(frozen=True)
 class Costs:
-    purchasing: dict[str, float]
-    inventory: dict[str, float]
-    waste: dict[str, float]
-    lost_sales: dict[str, float]
+    purchasing: dict[str, float] = _keyed("products", minimum=0.0)
+    inventory: dict[str, float] = _keyed("products", minimum=0.0)
+    waste: dict[str, float] = _keyed("products", minimum=0.0)
+    lost_sales: dict[str, float] = _keyed("products", minimum=0.0)
     fixed_order: float
     transshipment: float
 
@@ -62,16 +71,16 @@ class ScenarioInstance:
     periods: int
     products: tuple[str, ...]
     locations: tuple[str, ...]
-    shelf_life: dict[str, int]
-    lead_time: dict[str, int]
-    demand_curve: dict[str, tuple[float, ...]]
-    demand_share: dict[str, float]
-    production_cap: dict[str, tuple[float, ...]]
-    cold_capacity: dict[str, float]
-    cold_usage: dict[str, float]
-    labor_cap: dict[str, tuple[float, ...]]
-    labor_usage: dict[str, float]
-    return_rate: dict[str, float]
+    shelf_life: dict[str, int] = _keyed("products", minimum=1, integral=True)
+    lead_time: dict[str, int] = _keyed("products", minimum=0, integral=True)
+    demand_curve: dict[str, tuple[float, ...]] = _keyed("products", per_period=True, minimum=0)
+    demand_share: dict[str, float] = _keyed("locations", minimum=0.0, maximum=1.0, total=1.0)
+    production_cap: dict[str, tuple[float, ...]] = _keyed("products", per_period=True, minimum=0)
+    cold_capacity: dict[str, float] = _keyed("locations", minimum=0.0)
+    cold_usage: dict[str, float] = _keyed("products", minimum=0.0)
+    labor_cap: dict[str, tuple[float, ...]] = _keyed("locations", per_period=True, minimum=0)
+    labor_usage: dict[str, float] = _keyed("products", minimum=0.0)
+    return_rate: dict[str, float] = _keyed("products", minimum=0.0, below=1.0)
     costs: Costs
     constraints: SideConstraints = field(default_factory=SideConstraints)
     network: Network = field(default_factory=Network)
@@ -84,11 +93,15 @@ def _require(raw: Mapping[str, Any], path: str) -> Any:
     return raw[key]
 
 
-def _declared_keys(raw: Mapping[str, Any], path: str, schema: type) -> None:
+def _block(raw: Any, path: str, schema: type) -> Mapping[str, Any]:
+    """``raw``, refused unless it is a mapping of ``schema``'s fields."""
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"{path}: expected a mapping")
     declared = {f.name for f in fields(schema)}
     unknown = sorted(str(k) for k in raw if k not in declared)
     if unknown:
         raise SchemaError(f"{path}: unknown keys {unknown}")
+    return raw
 
 
 def _as_str(value: Any, field_name: str) -> str:
@@ -122,18 +135,22 @@ def _per_key_map(
     raw: Mapping[str, Any],
     path: str,
     keys: tuple[str, ...],
+    periods: int,
     *,
-    arity: int | None = None,
+    per_period: bool = False,
     minimum: float | None = None,
     maximum: float | None = None,
     integral: bool = False,
+    total: float | None = None,
+    below: float | None = None,
 ) -> dict[str, Any]:
     """Validate the {product-or-location: value} map keyed by ``path``'s
     last part, with exactly one entry per id in ``keys``.
 
-    ``arity`` turns the values into fixed-length numeric arrays; otherwise the
-    values are scalars.  Bounds are inclusive (``maximum`` exclusive only via
-    caller checks).
+    ``per_period`` turns the values into numeric arrays of ``periods``
+    entries; otherwise the values are scalars.  ``minimum`` and ``maximum``
+    are inclusive.  Once every entry passes, ``total`` is what the values
+    must sum to and ``below`` an exclusive bound on each value.
     """
     value = _require(raw, path)
     if not isinstance(value, Mapping):
@@ -146,12 +163,12 @@ def _per_key_map(
         if k not in value:
             raise SchemaError(f"{path}: missing entry for {k!r}")
         entry = value[k]
-        if arity is not None:
+        if per_period:
             if not isinstance(entry, (list, tuple)):
                 raise SchemaError(f"{path}[{k}]: expected an array")
-            if len(entry) != arity:
+            if len(entry) != periods:
                 raise SchemaError(
-                    f"{path}[{k}]: expected {arity} entries, got {len(entry)}"
+                    f"{path}[{k}]: expected {periods} entries, got {len(entry)}"
                 )
             nums = tuple(_as_number(v, f"{path}[{k}]") for v in entry)
             for v in nums:
@@ -167,7 +184,24 @@ def _per_key_map(
             if maximum is not None and num > maximum:
                 raise SchemaError(f"{path}[{k}]: value {num} above {maximum}")
             out[k] = int(num) if integral else num
+    if total is not None and abs(sum(out.values()) - total) > SHARE_SUM_TOLERANCE:
+        raise SchemaError(f"{path}: shares sum to {sum(out.values())!r}, expected {total}")
+    for k, v in out.items():
+        if below is not None and v >= below:
+            raise SchemaError(f"{path}[{k}]: value {v} must be below {below}")
     return out
+
+
+def _keyed_maps(
+    raw: Mapping[str, Any], prefix: str, schema: type, dims: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Every keyed map field of ``schema``, in declaration order, validated
+    by the rule on its field against the ids and periods in ``dims``."""
+    return {
+        f.name: _per_key_map(raw, prefix + f.name, dims[f.metadata["ids"]],
+                             dims["periods"], **f.metadata["rule"])
+        for f in fields(schema) if "ids" in f.metadata
+    }
 
 
 def _edges(block: Any, key: str, valid_ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
@@ -202,93 +236,46 @@ def validate_instance(raw: Mapping[str, Any]) -> ScenarioInstance:
     """
     if not isinstance(raw, Mapping):
         raise SchemaError("instance: expected a mapping at top level")
-    _declared_keys(raw, "instance", ScenarioInstance)
+    _block(raw, "instance", ScenarioInstance)
 
-    name = _as_str(_require(raw, "name"), "name")
-    description = _as_str(raw.get("description", ""), "description")
-
+    values: dict[str, Any] = {
+        "name": _as_str(_require(raw, "name"), "name"),
+        "description": _as_str(raw.get("description", ""), "description"),
+    }
     periods = _require(raw, "periods")
     if not isinstance(periods, int) or isinstance(periods, bool) or periods < 1:
         raise SchemaError(f"periods: expected a positive integer, got {periods!r}")
+    values["periods"] = periods
+    values["products"] = _id_list(raw, "products")
+    values["locations"] = _id_list(raw, "locations")
+    values.update(_keyed_maps(raw, "", ScenarioInstance, values))
 
-    products = _id_list(raw, "products")
-    locations = _id_list(raw, "locations")
-
-    shelf_life = _per_key_map(raw, "shelf_life", products, minimum=1, integral=True)
-    lead_time = _per_key_map(raw, "lead_time", products, minimum=0, integral=True)
-    demand_curve = _per_key_map(raw, "demand_curve", products, arity=periods, minimum=0)
-    demand_share = _per_key_map(raw, "demand_share", locations, minimum=0.0, maximum=1.0)
-    share_sum = sum(demand_share.values())
-    if abs(share_sum - 1.0) > SHARE_SUM_TOLERANCE:
-        raise SchemaError(f"demand_share: shares sum to {share_sum!r}, expected 1.0")
-
-    production_cap = _per_key_map(raw, "production_cap", products, arity=periods, minimum=0)
-    cold_capacity = _per_key_map(raw, "cold_capacity", locations, minimum=0.0)
-    cold_usage = _per_key_map(raw, "cold_usage", products, minimum=0.0)
-    labor_cap = _per_key_map(raw, "labor_cap", locations, arity=periods, minimum=0)
-    labor_usage = _per_key_map(raw, "labor_usage", products, minimum=0.0)
-    return_rate = _per_key_map(raw, "return_rate", products, minimum=0.0)
-    for p, rho in return_rate.items():
-        if rho >= 1.0:
-            raise SchemaError(f"return_rate[{p}]: value {rho} must be below 1.0")
-
-    costs_raw = _require(raw, "costs")
-    if not isinstance(costs_raw, Mapping):
-        raise SchemaError("costs: expected a mapping")
-    _declared_keys(costs_raw, "costs", Costs)
-    costs = Costs(
-        purchasing=_per_key_map(costs_raw, "costs.purchasing", products, minimum=0.0),
-        inventory=_per_key_map(costs_raw, "costs.inventory", products, minimum=0.0),
-        waste=_per_key_map(costs_raw, "costs.waste", products, minimum=0.0),
-        lost_sales=_per_key_map(costs_raw, "costs.lost_sales", products, minimum=0.0),
+    costs_raw = _block(_require(raw, "costs"), "costs", Costs)
+    values["costs"] = Costs(
+        **_keyed_maps(costs_raw, "costs.", Costs, values),
         fixed_order=_nonneg_scalar(costs_raw, "costs.fixed_order"),
         transshipment=_nonneg_scalar(costs_raw, "costs.transshipment"),
     )
 
-    cons_raw = raw.get("constraints") or {}
-    if not isinstance(cons_raw, Mapping):
-        raise SchemaError("constraints: expected a mapping")
-    _declared_keys(cons_raw, "constraints", SideConstraints)
+    cons_raw = _block(raw.get("constraints") or {}, "constraints", SideConstraints)
     pack = cons_raw.get("pack_size", 1)
     pack_num = _as_number(pack, "constraints.pack_size")
     if pack_num != int(pack_num) or pack_num < 1:
         raise SchemaError(f"constraints.pack_size: expected an integer >= 1, got {pack!r}")
-    constraints = SideConstraints(
+    values["constraints"] = SideConstraints(
         moq=_nonneg_scalar(cons_raw, "constraints.moq", 0),
         pack_size=int(pack_num),
         budget_per_period=_nonneg_scalar(cons_raw, "constraints.budget_per_period", None),
         waste_limit_pct=_nonneg_scalar(cons_raw, "constraints.waste_limit_pct", None),
     )
 
-    net_raw = raw.get("network") or {}
-    if not isinstance(net_raw, Mapping):
-        raise SchemaError("network: expected a mapping")
-    _declared_keys(net_raw, "network", Network)
-    network = Network(
-        sub_edges=_edges(net_raw.get("sub_edges"), "network.sub_edges", products),
-        trans_edges=_edges(net_raw.get("trans_edges"), "network.trans_edges", locations),
+    net_raw = _block(raw.get("network") or {}, "network", Network)
+    values["network"] = Network(
+        sub_edges=_edges(net_raw.get("sub_edges"), "network.sub_edges", values["products"]),
+        trans_edges=_edges(net_raw.get("trans_edges"), "network.trans_edges",
+                           values["locations"]),
     )
-
-    return ScenarioInstance(
-        name=name,
-        description=description,
-        periods=periods,
-        products=products,
-        locations=locations,
-        shelf_life=shelf_life,
-        lead_time=lead_time,
-        demand_curve=demand_curve,
-        demand_share=demand_share,
-        production_cap=production_cap,
-        cold_capacity=cold_capacity,
-        cold_usage=cold_usage,
-        labor_cap=labor_cap,
-        labor_usage=labor_usage,
-        return_rate=return_rate,
-        costs=costs,
-        constraints=constraints,
-        network=network,
-    )
+    return ScenarioInstance(**values)
 
 
 def _nonneg_scalar(raw: Mapping[str, Any], label: str, default: Any = ...) -> float | None:

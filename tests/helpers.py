@@ -10,16 +10,30 @@ fake defective candidates).
 
 :func:`extract_solution` reads a solved reference model into a
 :class:`RetailSolution`, and :func:`check_flow_conservation` checks that
-every unit of stock is accounted for.
+every unit of stock is accounted for.  The rest are small helpers several
+test modules share: an LLM client over a reply function, a directory
+digest and a seeded random infeasible LP.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import random
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from optverify.backend import SolveResult
+from optverify.backend import (
+    DEFAULT_BACKEND,
+    Constraint,
+    ModelSpec,
+    Objective,
+    SolveResult,
+    Variable,
+)
+from optverify.llm import CallableTransport, LlmClient, LlmConfig
 from optverify.reference import (
     _iv,
     _lv,
@@ -67,6 +81,38 @@ def scripted_reference_provider(drop=(), cpt_candidates=None, opt_candidates=Non
         return f"```python\n{code}\n```"
 
     return fn
+
+
+def llm_client(fn) -> LlmClient:
+    """A client whose every reply is ``fn(payload)``."""
+    return LlmClient(LlmConfig(), CallableTransport(fn))
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the names and bytes of the files directly under ``root``."""
+    h = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def random_infeasible_lp(rng: random.Random) -> ModelSpec:
+    """Small random LP over 2 vars, resampled until infeasible."""
+    while True:
+        n_vars = rng.randint(1, 2)
+        variables = [Variable(f"v{i}", lower=-math.inf) for i in range(n_vars)]
+        constraints = []
+        for j in range(rng.randint(2, 6)):
+            coeffs = {
+                f"v{i}": rng.choice([-2, -1, 1, 2])
+                for i in rng.sample(range(n_vars), rng.randint(1, n_vars))
+            }
+            constraints.append(Constraint(
+                f"c{j}", coeffs, rng.choice(["<=", ">="]), rng.randint(-6, 6)))
+        model = ModelSpec(variables, constraints, Objective())
+        if DEFAULT_BACKEND.solve(model).status == "infeasible":
+            return model
 
 
 @dataclass

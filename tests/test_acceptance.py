@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import random
@@ -21,13 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from optverify.backend import (
-    DEFAULT_BACKEND,
-    Constraint,
-    ModelSpec,
-    Objective,
-    Variable,
-)
+from optverify.backend import DEFAULT_BACKEND, ModelSpec, Objective
 from optverify.cli import EXIT_OK, main
 from optverify.config import PipelineConfig
 from optverify.diagnostics import INFO, PASS, WARNING, classify_change_ratio
@@ -51,7 +44,12 @@ from optverify.repair import repair_loop, safety_check
 from optverify.runtime import EXTERNAL_DICT, CandidateProgram, CandidateRuntime
 from optverify.scenario import to_json_dict, validate_instance
 
-from .helpers import check_flow_conservation, extract_solution, scripted_reference_provider
+from .helpers import (
+    check_flow_conservation,
+    extract_solution,
+    random_infeasible_lp,
+    scripted_reference_provider,
+)
 
 GROUND_TRUTH_BUDGET_S = 20 * 60
 PER_SOLVE_BUDGET_S = 70  # 60 s solver limit plus model-build overhead
@@ -207,25 +205,6 @@ def _subset_feasible(model: ModelSpec, subset: set[str]) -> bool:
     return DEFAULT_BACKEND.solve(probe).status != "infeasible"
 
 
-def _random_infeasible_lp(rng: random.Random) -> ModelSpec:
-    while True:
-        n_vars = rng.randint(1, 2)
-        variables = [Variable(f"v{i}", lower=-math.inf) for i in range(n_vars)]
-        constraints = [
-            Constraint(
-                f"c{j}",
-                {f"v{i}": rng.choice([-2, -1, 1, 2])
-                 for i in rng.sample(range(n_vars), rng.randint(1, n_vars))},
-                rng.choice(["<=", ">="]),
-                rng.randint(-6, 6),
-            )
-            for j in range(rng.randint(2, 6))
-        ]
-        model = ModelSpec(variables, constraints, Objective())
-        if DEFAULT_BACKEND.solve(model).status == "infeasible":
-            return model
-
-
 def test_acceptance_iis_oracle():
     rng = random.Random(321)
     start = time.monotonic()
@@ -233,7 +212,7 @@ def test_acceptance_iis_oracle():
     cardinality = 0
     n = 50
     for _ in range(n):
-        model = _random_infeasible_lp(rng)
+        model = random_infeasible_lp(rng)
         iis = DEFAULT_BACKEND.compute_iis(model)
         names = [c.name for c in model.constraints]
         still_infeasible = not _subset_feasible(model, iis)

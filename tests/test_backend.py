@@ -19,6 +19,8 @@ from optverify.backend import (
 )
 from optverify.errors import BackendError, NotInfeasible
 
+from .helpers import random_infeasible_lp
+
 
 def _model(variables, constraints, objective=None):
     return ModelSpec(
@@ -206,31 +208,13 @@ def _min_infeasible_subsets(model):
     return []
 
 
-def _random_infeasible_lp(rng: random.Random):
-    """Small random LP over 2 vars, resampled until infeasible."""
-    while True:
-        n_vars = rng.randint(1, 2)
-        variables = [Variable(f"v{i}", lower=-math.inf) for i in range(n_vars)]
-        constraints = []
-        for j in range(rng.randint(2, 6)):
-            coeffs = {
-                f"v{i}": rng.choice([-2, -1, 1, 2])
-                for i in rng.sample(range(n_vars), rng.randint(1, n_vars))
-            }
-            constraints.append(Constraint(
-                f"c{j}", coeffs, rng.choice(["<=", ">="]), rng.randint(-6, 6)))
-        model = _model(variables, constraints)
-        if DEFAULT_BACKEND.solve(model).status == "infeasible":
-            return model
-
-
 def test_iis_property_random_lps():
     """Deletion-filter output is infeasible and single-deletion feasible;
     cardinality matches the brute-force minimum on most cases."""
     rng = random.Random(20240917)
     total, cardinality_matches = 0, 0
     for _ in range(25):
-        model = _random_infeasible_lp(rng)
+        model = random_infeasible_lp(rng)
         iis = DEFAULT_BACKEND.compute_iis(model)
         total += 1
         assert not _feasible(model, iis)
@@ -272,7 +256,7 @@ def probes(monkeypatch):
 def test_iis_matches_plain_deletion_filter_on_random_lps():
     rng = random.Random(1991)
     for _ in range(200):
-        model = _random_infeasible_lp(rng)
+        model = random_infeasible_lp(rng)
         assert DEFAULT_BACKEND.compute_iis(model) == _deletion_filter(model)
 
 
@@ -483,3 +467,22 @@ def test_values_just_below_highs_limits_are_kept():
     res = DEFAULT_BACKEND.solve(m)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(9.9e19)
+
+
+def test_coefficients_highs_would_drop_are_refused():
+    # HiGHS drops a matrix coefficient of 1e-9 or less in size without a
+    # word: max x over x <= 1e12 and 1e-10 x <= 1 would end at x = 1e12.
+    for coef in (1e-10, -1e-9):
+        m = _model([Variable("x", upper=1e12)], [Constraint("tiny", {"x": coef}, "<=", 1.0)],
+                   Objective("max", {"x": 1.0}))
+        for call in (DEFAULT_BACKEND.solve, DEFAULT_BACKEND.compute_iis):
+            with pytest.raises(BackendError, match=f"constraint tiny has coefficient {coef} on x"):
+                call(m)
+    # Just above the threshold the row is solved as stated, and an exact
+    # zero is no coefficient at all.
+    m = _model([Variable("x", upper=1e12)],
+               [Constraint("tiny", {"x": 1.01e-9}, "<=", 1.0),
+                Constraint("zero", {"x": 0.0}, "<=", 1.0)], Objective("max", {"x": 1.0}))
+    res = DEFAULT_BACKEND.solve(m)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(1 / 1.01e-9)

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
 import re
 import shutil
@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from optverify import cli
+from optverify import cli, llm
 from optverify.cli import EXIT_CONFIG, EXIT_OK, main
 from optverify.generator import generate_suite
 from optverify.llm import (
@@ -23,7 +23,7 @@ from optverify.pipeline import run_instance
 from optverify.prompts import SCHEMA_BASED
 from optverify.scenario import validate_instance
 
-from .helpers import scripted_reference_provider
+from .helpers import scripted_reference_provider, tree_digest
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +33,10 @@ def bench_dir(tmp_path_factory):
     return out
 
 
-def _tree_digest(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(root.iterdir()):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def test_gen_bench_idempotent(tmp_path):
     assert main(["gen-bench", "--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(["gen-bench", "--out", str(tmp_path / "b")]) == EXIT_OK
-    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
 def _mini_instances(bench_dir: Path, tmp_path: Path, names: list[str]) -> Path:
@@ -362,3 +354,120 @@ def test_ground_truth_workers_flag(bench_dir, tmp_path):
     assert main(["ground-truth", "--instances", str(mini),
                  "--out", str(out_file), "--workers", "2"]) == EXIT_OK
     assert len(json.loads(out_file.read_text())) == 2
+
+
+def test_ground_truth_refuses_model_the_solver_cannot_take(bench_dir, tmp_path, capsys):
+    # A cold usage of 1e16 puts a coefficient HiGHS refuses into the
+    # storage rows: the refusal names it instead of ending in a traceback.
+    def edit(raw):
+        raw["cold_usage"]["SKU_Basic"] = 1e16
+    _assert_ground_truth_refuses(
+        bench_dir, tmp_path, capsys, edit,
+        "constraint storage_capacity[DC1,1] has coefficient 1e+16 on I[SKU_Basic,DC1,1,1]")
+
+
+def test_ground_truth_refuses_instance_file_that_is_not_json(tmp_path, capsys):
+    mini = tmp_path / "instances"
+    mini.mkdir()
+    (mini / "retail_f1_base_v0.json").write_text("{not json")
+    code = main(["ground-truth", "--instances", str(mini), "--out", str(tmp_path / "gt.json")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read {mini / 'retail_f1_base_v0.json'}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gt.json").exists()
+
+
+_RECORD = {"instance": "retail_f1_base_v0", "family": "F1", "executed": True,
+           "pred_status": "feasible", "y_pred": 100.0, "gt_status": "optimal", "y_ref": 100.0}
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read {path}"),
+    (json.dumps(_RECORD) + "\n{not json\n", "{path}, line 2: not an evaluation record"),
+    (json.dumps({k: v for k, v in _RECORD.items() if k != "family"}) + "\n",
+     "{path}, line 1: not an evaluation record: KeyError('family')"),
+], ids=["missing_file", "non_json_line", "record_without_family"])
+def test_report_refuses_unreadable_records(tmp_path, capsys, content, message):
+    eval_file = tmp_path / "eval.jsonl"
+    if content is not None:
+        eval_file.write_text(content)
+    assert main(["report", "--eval", str(eval_file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {message.format(path=eval_file)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ground_truth,result,message", [
+    ("{not json", {"instance": "retail_f1_base_v0"}, "cannot read {gt}"),
+    ("[]", {"instance": "retail_f1_base_v0"}, "{gt}: expected a mapping of instance names"),
+    ('{"retail_f1_base_v0": {"status": "optimal", "objective": 1.0}}', {"status": "verified"},
+     "{result}: no instance name"),
+], ids=["non_json_ground_truth", "ground_truth_not_a_mapping", "result_without_instance"])
+def test_evaluate_refuses_unreadable_input(tmp_path, capsys, ground_truth, result, message):
+    gt_file = tmp_path / "gt.json"
+    gt_file.write_text(ground_truth)
+    result_file = tmp_path / "runs" / "retail_f1_base_v0" / "result.json"
+    result_file.parent.mkdir(parents=True)
+    result_file.write_text(json.dumps(result))
+    out = tmp_path / "eval.jsonl"
+    code = main(["evaluate", "--results", str(tmp_path / "runs"),
+                 "--ground-truth", str(gt_file), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {message.format(gt=gt_file, result=result_file)}" in err
+    assert not out.exists()
+
+
+def _no_network(*args, **kwargs):
+    raise AssertionError("requests.post called")
+
+
+@pytest.mark.parametrize("drop", ["--provider", "--llm-replay"])
+def test_seed_fixtures_refused_where_it_cannot_record(bench_dir, tmp_path, capsys, monkeypatch,
+                                                      drop):
+    # Without a store nothing is recorded; without a provider every call
+    # posts to the empty replay endpoint.  Neither run posts anything.
+    monkeypatch.setattr(llm.requests, "post", _no_network)
+    mini = _mini_instances(bench_dir, tmp_path, ["retail_f1_base_v0"])
+    provider = tmp_path / "p.json"
+    provider.write_text(json.dumps({"endpoint": "http://provider.invalid/v1", "model_name": "m"}))
+    options = {"--provider": str(provider), "--llm-replay": str(tmp_path / "fx")}
+    del options[drop]
+    code = main(["run", "--instances", str(mini), "--out", str(tmp_path / "runs"),
+                 "--seed-fixtures", *itertools.chain(*options.items())])
+    assert code == EXIT_CONFIG
+    assert ("configuration error: --seed-fixtures requires --provider and --llm-replay"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_seed_fixtures_records_what_replay_reads(bench_dir, tmp_path, monkeypatch):
+    # A recording run against a stubbed provider, then a replay of its store
+    # with the network shut: the two runs write the same bytes.
+    name = "retail_f1_base_v0"
+    mini = _mini_instances(bench_dir, tmp_path, [name])
+    provider = tmp_path / "p.json"
+    provider.write_text(json.dumps({"endpoint": "http://provider.invalid/v1", "model_name": "m"}))
+    reply = scripted_reference_provider()
+
+    def post(url, json, headers, timeout):
+        content = reply({"user": json["messages"][1]["content"]})
+        return SimpleNamespace(status_code=200,
+                               json=lambda: {"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(llm.requests, "post", post)
+    fixtures = tmp_path / "fx"
+    assert main(["run", "--instances", str(mini), "--out", str(tmp_path / "recorded"),
+                 "--provider", str(provider), "--llm-replay", str(fixtures),
+                 "--seed-fixtures"]) == EXIT_OK
+    assert any(fixtures.iterdir())
+
+    monkeypatch.setattr(llm.requests, "post", _no_network)
+    assert main(["run", "--instances", str(mini), "--out", str(tmp_path / "replayed"),
+                 "--provider", str(provider), "--llm-replay", str(fixtures)]) == EXIT_OK
+    for fname in ("report.json", "result.json", "code.py"):
+        assert (tmp_path / "replayed" / name / fname).read_bytes() == \
+            (tmp_path / "recorded" / name / fname).read_bytes(), fname
+    assert json.loads((tmp_path / "replayed" / name / "result.json").read_text())["status"] \
+        == "verified"

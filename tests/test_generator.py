@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import time
-from pathlib import Path
 
 import pytest
 
@@ -20,11 +19,13 @@ from optverify.generator import (
 )
 from optverify.scenario import to_json_dict, validate_instance
 
+from .helpers import tree_digest
+
 # Computed once with a standalone SHA-256 oracle:
 #   uint32-LE of sha256(b"retail_f1_base|1")[:4]
 GOLDEN_SEED_F1_BASE_V1 = 1290969454
 
-# SHA-256 of the ``generate_suite`` tree (``_tree_digest``), recorded with
+# SHA-256 of the ``generate_suite`` tree (``tree_digest``), recorded with
 # numpy 2.4.6.  The v1..v4 draws come from numpy's PCG64 ``uniform``, so a
 # numpy that changes that stream changes this digest.
 SUITE_DIGEST = "59d9fe11053a8fd7ff77617f1c759c269a0c68fd0a6bd6ef42807179b60dd4d5"
@@ -192,14 +193,6 @@ def test_multiechelon_rewrite_consistency():
     assert "Plant" in froms
 
 
-def _tree_digest(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(root.iterdir()):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def test_generate_suite_deterministic_and_complete(tmp_path):
     start = time.monotonic()
     manifest = generate_suite(tmp_path / "a")
@@ -219,8 +212,8 @@ def test_generate_suite_deterministic_and_complete(tmp_path):
     assert len([f for f in files if f.name.endswith(".full.txt")]) == 190
 
     generate_suite(tmp_path / "b")
-    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
-    assert _tree_digest(tmp_path / "a") == SUITE_DIGEST
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+    assert tree_digest(tmp_path / "a") == SUITE_DIGEST
 
 
 def test_emitted_instance_file_schema(tmp_path):

@@ -15,12 +15,9 @@ from optverify.l1 import (
     l1_verify,
     l1_verify_with_regeneration,
 )
-from optverify.llm import CallableTransport, LlmClient, LlmConfig
 from optverify.runtime import CandidateProgram, CandidateRuntime
 
-
-def _client(fn):
-    return LlmClient(LlmConfig(), CallableTransport(fn))
+from .helpers import llm_client
 
 
 def test_syntax_fatal_without_execution(tmp_path, runtime):
@@ -188,7 +185,7 @@ def test_regeneration_loop_budget(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')")
     final, result = l1_verify_with_regeneration(
-        program, "problem", _client(always_broken), runtime, max_regenerations=3)
+        program, "problem", llm_client(always_broken), runtime, max_regenerations=3)
     assert not result.passed
     assert len(calls) == 3  # exactly the budget, then give up
     assert result.fatal is not None
@@ -200,7 +197,7 @@ def test_regeneration_loop_recovers(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')")
     final, result = l1_verify_with_regeneration(
-        program, "problem", _client(fixer), runtime, max_regenerations=3)
+        program, "problem", llm_client(fixer), runtime, max_regenerations=3)
     assert result.passed
     assert result.objective == 10.0
     assert "status: 2" in final.source
@@ -217,7 +214,7 @@ def test_regeneration_llm_error_ends_loop_with_last_failure(runtime):
 
     final, result = l1_verify_with_regeneration(
         CandidateProgram("raise RuntimeError('broken')"), "problem",
-        _client(broken_then_down), runtime, max_regenerations=3)
+        llm_client(broken_then_down), runtime, max_regenerations=3)
     assert len(calls) == 2
     assert final.source == "raise RuntimeError('regen 1')"
     assert result.fatal.issue_type == "runtime_error"
@@ -230,7 +227,7 @@ def test_regeneration_reply_without_code_uses_an_attempt(runtime):
     audit = []
     final, result = l1_verify_with_regeneration(
         CandidateProgram("raise RuntimeError('broken')"), "problem",
-        _client(lambda payload: next(replies)), runtime, max_regenerations=2, audit=audit)
+        llm_client(lambda payload: next(replies)), runtime, max_regenerations=2, audit=audit)
     assert [e["attempt"] for e in audit] == [1, 2]
     assert result.objective == 10.0
     assert "status: 2" in final.source
@@ -245,7 +242,7 @@ def test_regenerated_program_keeps_record(runtime):
 
     program = CandidateProgram("raise RuntimeError('broken')", record)
     final, result = l1_verify_with_regeneration(
-        program, "problem", _client(fixer), runtime, max_regenerations=1)
+        program, "problem", llm_client(fixer), runtime, max_regenerations=1)
     assert result.objective == 4.5
     assert final.data is record
 

@@ -20,12 +20,9 @@ from optverify.l2 import (
     perturb_source,
     run_l2,
 )
-from optverify.llm import CallableTransport, LlmClient, LlmConfig
 from optverify.runtime import CandidateProgram, CandidateRuntime
 
-
-def _client(fn):
-    return LlmClient(LlmConfig(), CallableTransport(fn))
+from .helpers import llm_client
 
 
 # --------------------------------------------------------------------------
@@ -44,7 +41,7 @@ _GOOD_ARRAY = """Here you go:
 
 
 def test_extract_constraints_parses_reply():
-    out = extract_constraints("p", ["capacity"], _client(lambda _: _GOOD_ARRAY))
+    out = extract_constraints("p", ["capacity"], llm_client(lambda _: _GOOD_ARRAY))
     assert out == [
         Candidate("minimum protein requirement", "demand", ("min_protein",)),
         Candidate("capacity limit on production", "capacity", ("capacity",)),
@@ -53,7 +50,7 @@ def test_extract_constraints_parses_reply():
 
 def test_extract_constraints_unparseable():
     with pytest.raises(ExtractionError):
-        extract_constraints("p", [], _client(lambda _: "no constraints"))
+        extract_constraints("p", [], llm_client(lambda _: "no constraints"))
 
 
 def test_extract_truncates_to_limit():
@@ -61,7 +58,7 @@ def test_extract_truncates_to_limit():
         f'{{"description": "c{i}", "type": "capacity", "parameters": ["k{i}"]}}'
         for i in range(14)
     )
-    out = extract_constraints("p", [], _client(lambda _: f"[{entries}]"))
+    out = extract_constraints("p", [], llm_client(lambda _: f"[{entries}]"))
     assert len(out) == 10
     assert out[0].description == "c0"
 
@@ -73,7 +70,7 @@ def test_extract_drops_malformed_entries():
       {"description": "keep me", "type": "weird", "parameters": ["x"]},
       "just a string"
     ]"""
-    out = extract_constraints("p", [], _client(lambda _: reply))
+    out = extract_constraints("p", [], llm_client(lambda _: reply))
     assert len(out) == 1
     assert out[0].description == "keep me"
     assert out[0].kind == "weird"
@@ -84,13 +81,13 @@ def test_extract_objective_terms():
       {"description": "unit purchasing cost", "role": "cost", "parameters": ["unit_cost"]},
       {"description": "sales revenue per unit", "role": "revenue", "parameters": ["selling_price"]}
     ]"""
-    out = extract_objective_terms("p", [], _client(lambda _: reply))
+    out = extract_objective_terms("p", [], llm_client(lambda _: reply))
     assert out[0].kind == "cost"
     assert out[1].kind == "revenue"
 
 
 def test_extract_empty_array_gives_empty_list():
-    assert extract_objective_terms("p", [], _client(lambda _: "[]")) == []
+    assert extract_objective_terms("p", [], llm_client(lambda _: "[]")) == []
 
 
 def test_extraction_prompts_carry_problem_and_keys():
@@ -100,7 +97,7 @@ def test_extraction_prompts_carry_problem_and_keys():
         prompts.append(payload["user"])
         return "[]"
 
-    extract_candidates("THE PROBLEM", ["a", "b"], _client(capture))
+    extract_candidates("THE PROBLEM", ["a", "b"], llm_client(capture))
     cpt_text, opt_text = prompts
     assert "THE PROBLEM" in cpt_text
     assert "['a', 'b']" in cpt_text
@@ -370,7 +367,7 @@ def test_cpt_respects_max_candidates(runtime):
         f'{{"description": "c{i}", "type": "capacity", "parameters": ["capacity"]}}'
         for i in range(12)
     )
-    llm = _client(lambda payload: f"[{entries}]" if "KEY CONSTRAINTS" in payload["user"] else "[]")
+    llm = llm_client(lambda payload: f"[{entries}]" if "KEY CONSTRAINTS" in payload["user"] else "[]")
     prog = CandidateProgram(_USES_DATA, _RECORD)
     extraction = extract_candidates("p", list(_RECORD), llm)
     diags = run_l2(prog, 50.0, extraction, runtime)
@@ -405,7 +402,7 @@ def test_opt_infeasible_outcome_skipped(runtime):
 
 def test_run_l2_extraction_failure_degrades_to_info(runtime):
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    llm = _client(lambda payload: "I cannot help with that")
+    llm = llm_client(lambda payload: "I cannot help with that")
     extraction = extract_candidates("problem", list(_RECORD), llm)
     diags = run_l2(prog, 50.0, extraction, runtime)
     assert {d.issue_type for d in diags} == {"extraction_failed"}
@@ -419,7 +416,7 @@ def test_run_l2_full_pass(runtime):
         return '[{"description": "demand value", "role": "cost", "parameters": ["demand"]}]'
 
     prog = CandidateProgram(_USES_DATA, _RECORD)
-    extraction = extract_candidates("problem", list(_RECORD), _client(scripted))
+    extraction = extract_candidates("problem", list(_RECORD), llm_client(scripted))
     diags = run_l2(prog, 50.0, extraction, runtime)
     layers = {d.layer for d in diags}
     assert layers == {"L2_CPT", "L2_OPT"}

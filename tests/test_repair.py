@@ -7,7 +7,6 @@ from optverify.config import PipelineConfig
 from optverify.diagnostics import INFO, NEEDS_REPAIR, VERIFIED, WARNING, Diagnostic
 from optverify.errors import ConfigError, LlmError
 from optverify.l1 import l1_verify
-from optverify.llm import CallableTransport, LlmClient, LlmConfig
 from optverify.repair import (
     RepairOutcome,
     build_repair_prompt,
@@ -17,9 +16,7 @@ from optverify.repair import (
 )
 from optverify.runtime import EXTERNAL_DICT, SELF_CONTAINED, CandidateProgram, CandidateRuntime
 
-
-def _client(fn):
-    return LlmClient(LlmConfig(), CallableTransport(fn))
+from .helpers import llm_client
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +168,7 @@ def _scripted_llm(repair_replies, sent=None):
             return replies.pop(0)
         return "```python\n" + _BASE_SOURCE + "```"
 
-    return _client(fn)
+    return llm_client(fn)
 
 
 def _loop(program, llm, budget=3):
@@ -185,7 +182,7 @@ def test_skip_guard_returns_immediately():
         return _EMPTY_REPLY
 
     program = CandidateProgram(_BASE_SOURCE, _RECORD)
-    out = _loop(program, _client(fn))
+    out = _loop(program, llm_client(fn))
     assert out.report.status == VERIFIED
     assert out.program is program
     assert out.objective == 100.0
@@ -262,7 +259,7 @@ def test_llm_error_ends_repair_with_first_pass_state(monkeypatch):
         raise LlmError("auth", "provider returned 401")
 
     program = CandidateProgram(_BASE_SOURCE, _RECORD)
-    out = _loop(program, _client(fn))
+    out = _loop(program, llm_client(fn))
     assert out.events == [{"iteration": 1, "decision": "llm_error",
                            "detail": "auth: provider returned 401"}]
     assert out.program is program
@@ -305,7 +302,7 @@ def test_guided_retry_does_not_consume_budget():
         return "```python\n" + unsafe + "```"
 
     program = CandidateProgram(_BASE_SOURCE, _RECORD)
-    out = _loop(program, _client(fn), budget=1)  # one budgeted iteration only
+    out = _loop(program, llm_client(fn), budget=1)  # one budgeted iteration only
     assert len(repair_calls) == 2  # original + safety retry
     assert "SAFETY VIOLATIONS DETECTED" in repair_calls[1]
     assert out.program.source.rstrip() == fixed.rstrip()
@@ -374,5 +371,5 @@ def test_budget_exhaustion_returns_verified_state():
 
 def test_outcome_type():
     program = CandidateProgram(_BASE_SOURCE, _RECORD)
-    out = _loop(program, _client(lambda _: _EMPTY_REPLY))
+    out = _loop(program, llm_client(lambda _: _EMPTY_REPLY))
     assert isinstance(out, RepairOutcome)
