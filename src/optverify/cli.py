@@ -60,7 +60,13 @@ def _load_instance(path: Path):
 def _instance_files(instances_dir: Path) -> list[Path]:
     manifest = instances_dir / "manifest.json"
     if manifest.exists():
-        entries = json.loads(manifest.read_text(encoding="utf-8"))["instances"]
+        doc = _read_json(manifest)
+        entries = doc.get("instances") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ConfigError(f"{manifest}: no instances list")
+        for e in entries:
+            if not (isinstance(e, dict) and isinstance(e.get("instance_file"), str)):
+                raise ConfigError(f"{manifest}: entry without a string instance_file: {e!r}")
         return [instances_dir / e["instance_file"] for e in entries]
     return sorted(
         p for p in instances_dir.glob("*.json") if p.name != "manifest.json")
@@ -183,6 +189,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ground = _read_json(Path(args.ground_truth))
     if not isinstance(ground, dict):
         raise ConfigError(f"{args.ground_truth}: expected a mapping of instance names")
+    for name, gt in ground.items():
+        if not (isinstance(gt, dict) and isinstance(gt.get("status"), str)):
+            raise ConfigError(
+                f"{args.ground_truth}: entry {name} is not a mapping with a string status")
     result_files = sorted(results_dir.glob("*/result.json"))
     if not result_files:
         print(f"no result.json files under {results_dir}", file=sys.stderr)

@@ -366,40 +366,23 @@ def split_instance_name(name: str) -> tuple[str, str]:
 
 
 def _fresh_inflow_cue(inst: ScenarioInstance) -> str:
-    has_trans = bool(inst.network.trans_edges)
-    has_returns = any(r > 0 for r in inst.return_rate.values())
-    has_lead = any(lt > 0 for lt in inst.lead_time.values())
-    if not (has_trans or has_returns or has_lead):
-        # Single-location-equivalent shorthand used when nothing else feeds
-        # the fresh bucket.
-        return (
-            "  (1) Fresh inflow: I[p,l,t,SL] = Q[p,t] * demand_share[l]\n"
-            "      - This is ONLY the inflow from production. Do NOT subtract\n"
-            "        sales here!"
-        )
     terms = ["arrivals[p,l,t]"]
-    notes = []
-    if has_lead:
-        notes.append(
-            "arrivals[p,l,t] = Q[p,l,t - lead_time[p]] (zero when\n"
-            "        t - lead_time[p] < 1)"
-        )
+    if any(lt > 0 for lt in inst.lead_time.values()):
+        notes = ["arrivals[p,l,t] = Q[p,l,t - lead_time[p]] (zero when\n"
+                 "        t - lead_time[p] < 1)"]
     else:
-        notes.append("arrivals[p,l,t] = Q[p,l,t] (zero lead time)")
-    if has_trans:
+        notes = ["arrivals[p,l,t] = Q[p,l,t] (zero lead time)"]
+    if inst.network.trans_edges:
         terms.append("ship_in[p,l,t] - ship_out[p,l,t]")
-    if has_returns:
+    if any(r > 0 for r in inst.return_rate.values()):
         terms.append("returns[p,l,t]")
         notes.append(
             "returns[p,l,t] = return_rate[p] * total_sales[p,l,t-1]\n"
             "        (zero in the first period)"
         )
-    expr = " + ".join(terms)
-    lines = [f"  (1) Fresh inflow: I[p,l,t,SL] = {expr}"]
-    for note in notes:
-        lines.append(f"      - {note}")
-    lines.append("      - This is ONLY fresh inflow. Do NOT subtract sales here!")
-    return "\n".join(lines)
+    notes.append("This is ONLY fresh inflow. Do NOT subtract sales here!")
+    return "\n".join([f"  (1) Fresh inflow: I[p,l,t,SL] = {' + '.join(terms)}",
+                      *(f"      - {note}" for note in notes)])
 
 
 def _shelf_life_cue(inst: ScenarioInstance) -> str:

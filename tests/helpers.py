@@ -12,7 +12,7 @@ fake defective candidates).
 :class:`RetailSolution`, and :func:`check_flow_conservation` checks that
 every unit of stock is accounted for.  The rest are small helpers several
 test modules share: an LLM client over a reply function, a directory
-digest and a seeded random infeasible LP.
+digest, an LP relaxation and a seeded random infeasible LP.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from optverify.backend import (
+    CONTINUOUS,
     DEFAULT_BACKEND,
     Constraint,
     ModelSpec,
@@ -88,13 +89,20 @@ def llm_client(fn) -> LlmClient:
     return LlmClient(LlmConfig(), CallableTransport(fn))
 
 
-def tree_digest(root: Path) -> str:
-    """SHA-256 over the names and bytes of the files directly under ``root``."""
+def tree_digest(root: Path, pattern: str = "*") -> str:
+    """SHA-256 over the names and bytes of the files directly under ``root``
+    whose names match ``pattern``."""
     h = hashlib.sha256()
-    for path in sorted(root.iterdir()):
+    for path in sorted(root.glob(pattern)):
         h.update(path.name.encode())
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def lp_relaxation(model: ModelSpec) -> ModelSpec:
+    """``model`` with every variable continuous."""
+    return ModelSpec([v._replace(domain=CONTINUOUS) for v in model.variables],
+                     model.constraints, model.objective)
 
 
 def random_infeasible_lp(rng: random.Random) -> ModelSpec:

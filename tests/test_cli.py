@@ -378,6 +378,27 @@ def test_ground_truth_refuses_instance_file_that_is_not_json(tmp_path, capsys):
     assert not (tmp_path / "gt.json").exists()
 
 
+@pytest.mark.parametrize("command", ["ground-truth", "run"])
+@pytest.mark.parametrize("manifest,message", [
+    ("{bad", "cannot read {path}"),
+    ('{"count": 1}', "{path}: no instances list"),
+    ('{"instances": [{"instance": "retail_f1_base_v0"}]}',
+     "{path}: entry without a string instance_file: {{'instance': 'retail_f1_base_v0'}}"),
+], ids=["non_json", "no_instances_list", "entry_without_instance_file"])
+def test_unreadable_manifest_is_refused(tmp_path, capsys, command, manifest, message):
+    mini = tmp_path / "instances"
+    mini.mkdir()
+    (mini / "manifest.json").write_text(manifest)
+    out = tmp_path / "out"
+    options = ["--llm-replay", str(tmp_path / "fx")] if command == "run" else []
+    code = main([command, "--instances", str(mini), "--out", str(out), *options])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {message.format(path=mini / 'manifest.json')}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _RECORD = {"instance": "retail_f1_base_v0", "family": "F1", "executed": True,
            "pred_status": "feasible", "y_pred": 100.0, "gt_status": "optimal", "y_ref": 100.0}
 
@@ -403,7 +424,12 @@ def test_report_refuses_unreadable_records(tmp_path, capsys, content, message):
     ("[]", {"instance": "retail_f1_base_v0"}, "{gt}: expected a mapping of instance names"),
     ('{"retail_f1_base_v0": {"status": "optimal", "objective": 1.0}}', {"status": "verified"},
      "{result}: no instance name"),
-], ids=["non_json_ground_truth", "ground_truth_not_a_mapping", "result_without_instance"])
+    ('{"retail_f1_base_v0": {"objective": 1.0}}', {"instance": "retail_f1_base_v0"},
+     "{gt}: entry retail_f1_base_v0 is not a mapping with a string status"),
+    ('{"retail_f1_base_v0": 5}', {"instance": "retail_f1_base_v0"},
+     "{gt}: entry retail_f1_base_v0 is not a mapping with a string status"),
+], ids=["non_json_ground_truth", "ground_truth_not_a_mapping", "result_without_instance",
+        "entry_without_status", "entry_not_a_mapping"])
 def test_evaluate_refuses_unreadable_input(tmp_path, capsys, ground_truth, result, message):
     gt_file = tmp_path / "gt.json"
     gt_file.write_text(ground_truth)

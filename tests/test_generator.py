@@ -28,7 +28,12 @@ GOLDEN_SEED_F1_BASE_V1 = 1290969454
 # SHA-256 of the ``generate_suite`` tree (``tree_digest``), recorded with
 # numpy 2.4.6.  The v1..v4 draws come from numpy's PCG64 ``uniform``, so a
 # numpy that changes that stream changes this digest.
-SUITE_DIGEST = "59d9fe11053a8fd7ff77617f1c759c269a0c68fd0a6bd6ef42807179b60dd4d5"
+SUITE_DIGEST = "8eb2f5187329af4af8f0f626d13c60e8c0da9c730bdb70dc4e0739ab69c88968"
+
+# The same over the instance records alone: the 190 ``.json`` files and
+# ``manifest.json``.  A prompt change moves ``SUITE_DIGEST`` but not this
+# one, and so no ground truth.
+INSTANCE_DIGEST = "c91f4b2d00be704134c961c327ba7dc760ad4c3e89fb60afc0781f0c0f4c6959"
 
 LISTING_FIRST_11 = [303, 311, 328, 365, 435, 549, 711, 906, 1100, 1245, 1300]
 
@@ -214,6 +219,11 @@ def test_generate_suite_deterministic_and_complete(tmp_path):
     generate_suite(tmp_path / "b")
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
     assert tree_digest(tmp_path / "a") == SUITE_DIGEST
+
+
+def test_instance_records_are_pinned(tmp_path):
+    generate_suite(tmp_path)
+    assert tree_digest(tmp_path, "*.json") == INSTANCE_DIGEST
 
 
 def test_emitted_instance_file_schema(tmp_path):

@@ -5,7 +5,6 @@ import hashlib
 import pytest
 
 from optverify.backend import (
-    CONTINUOUS,
     DEFAULT_BACKEND,
     Constraint,
     ModelSpec,
@@ -20,7 +19,7 @@ from optverify.reference import (
 )
 from optverify.scenario import demand_at, to_json_dict, validate_instance
 
-from .helpers import check_flow_conservation, extract_solution
+from .helpers import check_flow_conservation, extract_solution, lp_relaxation
 
 # Golden regression value: one solve of this builder on f1_base_v0, frozen.
 F1_BASE_V0_OBJECTIVE = 378951.5
@@ -235,11 +234,6 @@ def _assert_implied(model, restored):
         assert lower[rest] >= 0.0, rest
 
 
-def _relaxed(model):
-    return ModelSpec([v._replace(domain=CONTINUOUS) for v in model.variables],
-                     model.constraints, model.objective)
-
-
 @pytest.mark.parametrize("archetype_id", sorted(ARCHETYPES))
 def test_omitted_sales_availability_rows_are_implied(archetype_id):
     # The builder states y <= I only where no other row implies it.  Adding
@@ -249,7 +243,7 @@ def test_omitted_sales_availability_rows_are_implied(archetype_id):
     # model, so that a mutation dropping that row fails here.
     inst = build_instance(archetype_id, 0)
     for drop in [(), *((key,) for key in sorted(MUTATIONS))]:
-        slim = _relaxed(build_reference_model(inst, drop=drop))
+        slim = lp_relaxation(build_reference_model(inst, drop=drop))
         restored = _restored_sales_avail(slim)
         assert len(restored) == sum(
             len(inst.locations) * (inst.periods * inst.shelf_life[p] - inst.shelf_life[p] + 1)
