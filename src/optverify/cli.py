@@ -21,6 +21,7 @@ from .errors import BackendError, ConfigError, LlmError, SchemaError
 from .evaluation import (
     aggregate,
     build_record,
+    is_objective,
     normalize_pred_status,
     read_records,
     render_table,
@@ -193,6 +194,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not (isinstance(gt, dict) and isinstance(gt.get("status"), str)):
             raise ConfigError(
                 f"{args.ground_truth}: entry {name} is not a mapping with a string status")
+        if not is_objective(gt.get("objective")):
+            raise ConfigError(f"{args.ground_truth}: entry {name}: objective is not a number: "
+                              f"{gt['objective']!r}")
     result_files = sorted(results_dir.glob("*/result.json"))
     if not result_files:
         print(f"no result.json files under {results_dir}", file=sys.stderr)
@@ -205,6 +209,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         name = res.get("instance") if isinstance(res, dict) else None
         if not isinstance(name, str):
             raise ConfigError(f"{rf}: no instance name")
+        if not is_objective(res.get("objective")):
+            raise ConfigError(f"{rf}: instance {name}: objective is not a number: "
+                              f"{res['objective']!r}")
         gt = ground.get(name)
         if gt is None:
             missing += 1

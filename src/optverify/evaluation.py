@@ -79,6 +79,11 @@ def tolerance_for(family: str | None, tier: str) -> float:
     return _RETAIL_TOLERANCES[tier]
 
 
+def is_objective(value: Any) -> bool:
+    """Whether ``value`` can stand for an objective: None or a number, not a bool."""
+    return value is None or isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def relative_error(y_pred: float, y_ref: float) -> float:
     """|y_pred - y_ref| / |y_ref|; absolute error when the reference is ~0."""
     if abs(y_ref) < ZERO_REF_EPS:
@@ -238,7 +243,12 @@ def read_records(path: str | Path) -> list[EvalRecord]:
         try:
             # The stored rel_err and verdicts are not read: they are judged again.
             raw: Mapping[str, Any] = json.loads(line)
-            records.append(EvalRecord(**{f.name: raw[f.name] for f in fields(EvalRecord)}))
+            record = EvalRecord(**{f.name: raw[f.name] for f in fields(EvalRecord)})
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}, line {n}: not an evaluation record: {exc!r}") from None
+        for name in ("y_pred", "y_ref"):
+            if not is_objective(raw[name]):
+                raise ConfigError(f"{path}, line {n}: instance {record.instance}: "
+                                  f"{name} is not a number: {raw[name]!r}")
+        records.append(record)
     return records

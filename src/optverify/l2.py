@@ -14,7 +14,8 @@ L2 is diagnostic, never blocking: whatever it finds, the L1-verified program
 and its baseline objective survive.
 
 Perturbation is dual-strategy.  Strategy 1 runs the original source on a
-rewritten copy of the program's data record; Strategy 2 rewrites the
+perturbed record, built in one copying walk of the program's data record
+that scales the parameter's numbers as it goes; Strategy 2 rewrites the
 parameter's literal assignment inside the source (fuzzy name match) and runs
 that on the unchanged record.  Programs that carry a record use Strategy 1,
 self-contained programs Strategy 2, and hybrids fall back from 1 to 2 when
@@ -220,75 +221,47 @@ def extract_candidates(problem: str, data_keys: Sequence[str], llm: LlmClient) -
 # --------------------------------------------------------------------------
 
 
-def _scale_numeric(node: Any, factor: float) -> tuple[Any, int]:
-    """Scale every numeric leaf below node; returns (scaled, touched_count)."""
-    if isinstance(node, bool):
-        return node, 0
-    if isinstance(node, (int, float)):
-        return node * factor, 1
-    if isinstance(node, list):
-        out, total = [], 0
-        for item in node:
-            scaled, n = _scale_numeric(item, factor)
-            out.append(scaled)
-            total += n
-        return out, total
-    if isinstance(node, dict):
-        out, total = {}, 0
-        for k, v in node.items():
-            scaled, n = _scale_numeric(v, factor)
-            out[k] = scaled
-            total += n
-        return out, total
-    return node, 0
-
-
 def _normalize_name(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
 def perturb_record(record: Mapping[str, Any], param_key: str, factor: float) -> dict[str, Any] | None:
-    """Deep copy with every numeric leaf under ``param_key`` scaled.
+    """A copy of ``record`` with every numeric leaf under ``param_key`` scaled.
 
     ``param_key`` may be a dotted path or a bare key searched recursively
-    (exact match first, then case/punctuation-insensitive).  Returns None
-    when the key matches nothing numeric.
+    (exact match first, then case/punctuation-insensitive).  One walk builds
+    the copy, every dict and list new, so ``record`` is left as it was.
+    Returns None when the key matches nothing numeric.
     """
-    out = copy.deepcopy(dict(record))
-    touched = 0
+    scaled = 0
+
+    def walk(node: Any, under: bool = False) -> Any:
+        nonlocal scaled
+        if isinstance(node, dict):
+            return {k: walk(v, under or hit(node, k)) for k, v in node.items()}
+        if isinstance(node, list):
+            return [walk(item, under) for item in node]
+        if under and isinstance(node, (int, float)) and not isinstance(node, bool):
+            scaled += 1
+            return node * factor
+        return node
 
     if "." in param_key:
-        parts = param_key.split(".")
-        node = out
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                return None
-            node = node[part]
-        leaf = parts[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            return None
-        node[leaf], touched = _scale_numeric(node[leaf], factor)
-        return out if touched else None
-
-    def visit(node: Any, match: str, exact: bool) -> int:
-        count = 0
-        if isinstance(node, dict):
-            for k in list(node.keys()):
-                hit = k == match if exact else _normalize_name(k) == match
-                if hit:
-                    node[k], n = _scale_numeric(node[k], factor)
-                    count += n
-                else:
-                    count += visit(node[k], match, exact)
-        elif isinstance(node, list):
-            for item in node:
-                count += visit(item, match, exact)
-        return count
-
-    touched = visit(out, param_key, exact=True)
-    if not touched:
-        touched = visit(out, _normalize_name(param_key), exact=False)
-    return out if touched else None
+        *path, leaf = param_key.split(".")
+        parent: Any = record
+        for part in path:
+            parent = parent.get(part) if isinstance(parent, Mapping) else None
+        # The path names one dict of the record; only its ``leaf`` entry matches.
+        hits = [lambda node, key: node is parent and key == leaf]
+    else:
+        normal = _normalize_name(param_key)
+        hits = [lambda node, key: key == param_key,
+                lambda node, key: _normalize_name(key) == normal]
+    for hit in hits:  # ``walk`` reads the current ``hit``
+        out = walk(dict(record))
+        if scaled:
+            return out
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -502,9 +475,11 @@ def _classify(layer: Layer, cand: Candidate, run: PerturbationRun | None,
         )
     outcome, factor = run.outcome, run.factor
     if outcome.exit_kind != COMPLETED or outcome.status_code is None:
+        ended = ("printed no `status:` line" if outcome.exit_kind == COMPLETED
+                 else f"ended in {outcome.exit_kind}")
         return Diagnostic(
             layer.name, INFO, "perturbation_inconclusive", cand.description,
-            f"perturbed run ended in {outcome.exit_kind}; test inconclusive",
+            f"perturbed run {ended}; test inconclusive",
         )
     if outcome.status_code == 3:
         if layer.infeasible_is_pass:

@@ -408,7 +408,12 @@ _RECORD = {"instance": "retail_f1_base_v0", "family": "F1", "executed": True,
     (json.dumps(_RECORD) + "\n{not json\n", "{path}, line 2: not an evaluation record"),
     (json.dumps({k: v for k, v in _RECORD.items() if k != "family"}) + "\n",
      "{path}, line 1: not an evaluation record: KeyError('family')"),
-], ids=["missing_file", "non_json_line", "record_without_family"])
+    (json.dumps(_RECORD) + "\n" + json.dumps({**_RECORD, "y_pred": "5"}) + "\n",
+     "{path}, line 2: instance retail_f1_base_v0: y_pred is not a number: '5'"),
+    (json.dumps({**_RECORD, "y_ref": True}) + "\n",
+     "{path}, line 1: instance retail_f1_base_v0: y_ref is not a number: True"),
+], ids=["missing_file", "non_json_line", "record_without_family", "y_pred_a_string",
+        "y_ref_a_bool"])
 def test_report_refuses_unreadable_records(tmp_path, capsys, content, message):
     eval_file = tmp_path / "eval.jsonl"
     if content is not None:
@@ -428,8 +433,21 @@ def test_report_refuses_unreadable_records(tmp_path, capsys, content, message):
      "{gt}: entry retail_f1_base_v0 is not a mapping with a string status"),
     ('{"retail_f1_base_v0": 5}', {"instance": "retail_f1_base_v0"},
      "{gt}: entry retail_f1_base_v0 is not a mapping with a string status"),
+    ('{"retail_f1_base_v0": {"status": "optimal", "objective": "abc"}}',
+     {"instance": "retail_f1_base_v0"},
+     "{gt}: entry retail_f1_base_v0: objective is not a number: 'abc'"),
+    ('{"retail_f1_base_v0": {"status": "optimal", "objective": false}}',
+     {"instance": "retail_f1_base_v0"},
+     "{gt}: entry retail_f1_base_v0: objective is not a number: False"),
+    ('{"retail_f1_base_v0": {"status": "optimal", "objective": 1.0}}',
+     {"instance": "retail_f1_base_v0", "status_code": 2, "objective": "5"},
+     "{result}: instance retail_f1_base_v0: objective is not a number: '5'"),
+    ('{"retail_f1_base_v0": {"status": "optimal", "objective": 1.0}}',
+     {"instance": "retail_f1_base_v0", "status_code": 2, "objective": True},
+     "{result}: instance retail_f1_base_v0: objective is not a number: True"),
 ], ids=["non_json_ground_truth", "ground_truth_not_a_mapping", "result_without_instance",
-        "entry_without_status", "entry_not_a_mapping"])
+        "entry_without_status", "entry_not_a_mapping", "entry_objective_a_string",
+        "entry_objective_a_bool", "result_objective_a_string", "result_objective_a_bool"])
 def test_evaluate_refuses_unreadable_input(tmp_path, capsys, ground_truth, result, message):
     gt_file = tmp_path / "gt.json"
     gt_file.write_text(ground_truth)
@@ -442,6 +460,7 @@ def test_evaluate_refuses_unreadable_input(tmp_path, capsys, ground_truth, resul
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"configuration error: {message.format(gt=gt_file, result=result_file)}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from optverify.diagnostics import INFO, PASS, WARNING, Diagnostic
 from optverify.errors import ExtractionError
@@ -159,6 +162,98 @@ def test_perturb_record_missing_key():
 
 def test_perturb_record_non_numeric_subtree():
     assert perturb_record({"name": "retail"}, "name", 2.0) is None
+
+
+def _reference_perturb_record(record, param_key, factor):
+    """The deep-copy-then-search-in-place algorithm the copying walk replaced."""
+
+    def scale(node):
+        if isinstance(node, bool):
+            return node, 0
+        if isinstance(node, (int, float)):
+            return node * factor, 1
+        if isinstance(node, list):
+            pairs = [scale(item) for item in node]
+            return [p[0] for p in pairs], sum(p[1] for p in pairs)
+        if isinstance(node, dict):
+            pairs = {k: scale(v) for k, v in node.items()}
+            return {k: p[0] for k, p in pairs.items()}, sum(p[1] for p in pairs.values())
+        return node, 0
+
+    def normal(name):
+        return "".join(ch for ch in name.lower() if ch.isalnum())
+
+    out = copy.deepcopy(dict(record))
+    if "." in param_key:
+        *path, leaf = param_key.split(".")
+        node = out
+        for part in path:
+            if not isinstance(node, dict) or part not in node:
+                return None
+            node = node[part]
+        if not isinstance(node, dict) or leaf not in node:
+            return None
+        node[leaf], touched = scale(node[leaf])
+        return out if touched else None
+
+    def visit(node, match, exact):
+        count = 0
+        if isinstance(node, dict):
+            for k in list(node):
+                if (k == match if exact else normal(k) == match):
+                    node[k], n = scale(node[k])
+                    count += n
+                else:
+                    count += visit(node[k], match, exact)
+        elif isinstance(node, list):
+            for item in node:
+                count += visit(item, match, exact)
+        return count
+
+    touched = visit(out, param_key, True) or visit(out, normal(param_key), False)
+    return out if touched else None
+
+
+_KEYS = st.sampled_from(["cost", "Cost", "hold_cost", "holdCost", "B.c", ""])
+_LEAVES = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+           | st.floats(allow_nan=False) | st.text("ab", max_size=2))
+_RECORDS = st.dictionaries(_KEYS, st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=12), max_size=4)
+
+
+def _key_forms(node, path=()):
+    """Each dict key below ``node`` as it stands, case-changed and without
+    underscores, and, where only dicts lead to it, as a dotted path."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _key_forms(item, None)
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield from (k, k.upper(), k.swapcase(), k.replace("_", ""))
+            if path is not None:
+                yield ".".join((*path, k))
+            yield from _key_forms(v, None if path is None else (*path, k))
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(child)
+
+
+# The timing checks are off so that a loaded machine cannot fail the test.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_RECORDS, st.data(), st.sampled_from([0.001, 2.0, 100.0]))
+def test_perturb_record_matches_the_deep_copy_algorithm(record, data, factor):
+    key = data.draw(st.sampled_from([*_key_forms(record), "missing", "no.such.path", "."]))
+    before = copy.deepcopy(record)
+    out = perturb_record(record, key, factor)
+    assert out == _reference_perturb_record(before, key, factor)
+    assert record == before
+    inputs = {id(c) for c in _containers(record)}
+    assert out is None or not any(id(c) in inputs for c in _containers(out))
 
 
 # --------------------------------------------------------------------------
@@ -351,6 +446,17 @@ def test_cpt_crash_is_inconclusive_info(runtime):
     diags = run_l2(prog, 10.0, [(CPT, _constraint())], runtime)
     assert diags[0].severity == INFO
     assert diags[0].issue_type == "perturbation_inconclusive"
+
+
+def test_perturbed_run_without_status_line_names_what_happened(runtime):
+    src = "if data['capacity'] >= 1:\n    print('status: 2')\nprint('objective: 10')\n"
+    prog = CandidateProgram(src, _RECORD)
+    diags = run_l2(prog, 10.0, [(CPT, _constraint())], runtime)
+    assert diags[0].issue_type == "perturbation_inconclusive"
+    assert diags[0].evidence == "perturbed run printed no `status:` line; test inconclusive"
+    crash = CandidateProgram("assert data['capacity'] >= 1\nprint('status: 2')\n", _RECORD)
+    diags = run_l2(crash, 10.0, [(CPT, _constraint())], runtime)
+    assert diags[0].evidence == "perturbed run ended in crash; test inconclusive"
 
 
 def test_cpt_unknown_parameter_skipped_with_info(runtime):

@@ -1,4 +1,5 @@
-"""Pins the bytes of the chain-of-thought, repair and regeneration prompts.
+"""Pins the bytes of the chain-of-thought, repair, regeneration and
+extraction prompts.
 
 ``ReplayTransport`` keys each recorded reply by the SHA-256 of the request,
 so one changed byte in a prompt makes every recorded fixture miss.  The
@@ -6,7 +7,9 @@ grid covers both chain-of-thought variants (no record, the suite's base
 record, a small record), the repair prompt for a program with and without a
 record across three issue lists and a set or absent objective, and the
 regeneration prompt for both programs, on two problems, one of which holds
-braces and quotes.
+braces and quotes.  A second grid, with its own digest, covers L2's
+constraint and objective-term extraction prompts over three key lists and
+the data-extraction prompt, with their system prompts.
 """
 
 from __future__ import annotations
@@ -14,15 +17,25 @@ from __future__ import annotations
 import hashlib
 
 from optverify.diagnostics import INFO, WARNING, Diagnostic
+from optverify import l2
 from optverify.generator import build_instance
 from optverify.l1 import REGENERATION_SYSTEM_PROMPT, build_regeneration_prompt
-from optverify.llm import COT_SYSTEM_PROMPT, build_cot_prompt
+from optverify.llm import (
+    COT_SYSTEM_PROMPT,
+    EXTRACTION_SYSTEM_PROMPT,
+    CallableTransport,
+    LlmClient,
+    LlmConfig,
+    build_cot_prompt,
+    build_extraction_prompt,
+)
 from optverify.repair import REPAIR_SYSTEM_PROMPT, build_repair_prompt
 from optverify.runtime import CandidateProgram
 from optverify.scenario import to_json_dict
 
-# SHA-256 over every rendering of the grid below, each preceded by its label.
+# SHA-256 over every rendering of each grid below, each preceded by its label.
 PROMPT_DIGEST = "25271f559253768e21bb180b162774d127d7303142b857dea1102fe6897ec4c9"
+EXTRACTION_DIGEST = "da95d862805e0c8410a683844ac7a709bb1aa3e93821ac7d69cbb33539161c9e"
 
 PROBLEMS = (
     "Minimize cost over 3 periods; capacity 120 units.",
@@ -69,11 +82,38 @@ def _renderings():
                 problem, program, "candidate crashed: KeyError: '{missing}'")
 
 
-def test_prompt_bytes_pinned():
+def _extraction_renderings():
+    sent = []
+
+    def capture(payload):
+        sent.append(payload)
+        return "[]"
+
+    client = LlmClient(LlmConfig(), CallableTransport(capture))
+    key_lists = (list(to_json_dict(build_instance("f1_base", 0))),
+                 l2.data_names(PROGRAMS[1].source), [])
+    yield "system", "\n".join((l2.EXTRACTION_SYSTEM, EXTRACTION_SYSTEM_PROMPT))
+    for p, problem in enumerate(PROBLEMS):
+        yield f"data/{p}", build_extraction_prompt(problem)
+        for k, keys in enumerate(key_lists):
+            sent.clear()
+            l2.extract_candidates(problem, keys, client)
+            for layer, payload in zip(("cpt", "opt"), sent, strict=True):
+                yield f"{layer}/{p}/{k}", f"{payload['system']}\0{payload['user']}"
+
+
+def _digest(renderings):
     digest = hashlib.sha256()
     count = 0
-    for label, text in _renderings():
+    for label, text in renderings:
         digest.update(f"{label}\0{text}\0".encode("utf-8"))
         count += 1
-    assert count == 35
-    assert digest.hexdigest() == PROMPT_DIGEST
+    return count, digest.hexdigest()
+
+
+def test_prompt_bytes_pinned():
+    assert _digest(_renderings()) == (35, PROMPT_DIGEST)
+
+
+def test_extraction_prompt_bytes_pinned():
+    assert _digest(_extraction_renderings()) == (15, EXTRACTION_DIGEST)
